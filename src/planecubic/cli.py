@@ -283,7 +283,7 @@ COMMANDS = {
 }
 
 _USAGE = """usage: planecubic <command> [--config PATH] [--seed INT] [--in PATH]
-                  [--trace-file PATH] [--json]
+                  [--trace-file PATH]
 
 commands:
   curve-add        group law on a Weierstrass cubic
@@ -321,7 +321,6 @@ def main(argv=None, stdin=None, stdout=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--in", dest="input_path", default=None)
     parser.add_argument("--trace-file", default=None)
-    parser.add_argument("--json", action="store_true", default=True)
     try:
         opts = parser.parse_args(argv[1:])
     except SystemExit:

@@ -16,7 +16,6 @@ from .exact import (
     content_normalize,
     evaluate,
     local_chart,
-    mult_at,
     normalize_point,
     poly_divide,
     rational_roots,

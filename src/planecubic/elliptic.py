@@ -153,15 +153,6 @@ def to_projective(pt: CurvePoint):
     return (pt.x, pt.y, Fraction(1))
 
 
-def from_projective(curve: WeierstrassCurve, coords) -> CurvePoint:
-    coords = [Fraction(c) for c in coords]
-    if coords[2] == 0:
-        return O
-    pt = CurvePoint(coords[0] / coords[2], coords[1] / coords[2])
-    curve._require(pt)
-    return pt
-
-
 def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     """Affine rational points with small integer x (sampling seeds)."""
     found = []
@@ -181,10 +172,6 @@ def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     if not found:
         raise EllipticError("no small rational point found; supply one explicitly")
     return found
-
-
-def find_rational_point(curve: WeierstrassCurve, bound: int = 50) -> CurvePoint:
-    return small_points(curve, bound, limit=1)[0]
 
 
 def _isqrt_exact(n: int):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-import sympy
+from sympy import QQ, lex
+from sympy.polys.rings import PolyElement, PolyRing
 
 Rational = Fraction
 
@@ -27,18 +30,6 @@ class PositiveDimensionalError(ExactError):
     def __init__(self, component: "HomPoly"):
         self.component = component
         super().__init__(f"common positive-dimensional component: {component}")
-
-
-def parse_rational(s) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
-
-
-def format_rational(r: Fraction) -> str:
-    return str(r)
 
 
 class HomPoly:
@@ -287,15 +278,7 @@ class AffinePoly:
         return AffinePoly(self.nvars, out)
 
     def eval(self, point) -> Fraction:
-        point = [Fraction(c) for c in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v *= point[i] ** ei
-            total += v
-        return total
+        return _eval_terms(self.terms, [Fraction(c) for c in point])
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
         """Plug (u, v) into a 2-variable polynomial."""
@@ -318,11 +301,6 @@ class AffinePoly:
             e2[i] -= k
             terms[tuple(e2)] = c
         return AffinePoly(self.nvars, terms)
-
-    def var_order(self, i: int) -> int:
-        if self.is_zero:
-            raise ExactError("var_order of zero")
-        return min(e[i] for e in self.terms)
 
     def restrict_zero(self, i: int) -> "AffinePoly":
         """Set u_i = 0."""
@@ -354,7 +332,8 @@ def _binomial_row(n: int, c: Fraction):
     return row
 
 
-def _pow_cached(p: AffinePoly, k: int, cache: dict) -> AffinePoly:
+def _pow_cached(p, k: int, cache: dict):
+    """p**k for a HomPoly or AffinePoly, memoized in `cache` ({0: one})."""
     if k in cache:
         return cache[k]
     v = _pow_cached(p, k - 1, cache) * p
@@ -362,47 +341,49 @@ def _pow_cached(p: AffinePoly, k: int, cache: dict) -> AffinePoly:
     return v
 
 
-# -- sympy bridge (gcd / resultants / univariate factorization only) --------
+# -- sympy bridge: sparse rings over QQ (gcd / resultants / factorization) ---
 
-_SYMS = {
-    3: sympy.symbols("x y z"),
-    4: sympy.symbols("x0 x1 x2 x3"),
-}
+_RINGS = {n: PolyRing([f"u{i}" for i in range(n)], QQ, lex) for n in (1, 2, 3, 4)}
 
 
-def _to_sympy(p: HomPoly):
-    syms = _SYMS[p.nvars]
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for s, k in zip(syms, e):
-            if k:
-                t *= s**k
-        expr += t
-    return expr
+def _to_ring(terms: dict, nvars: int):
+    """{exponent tuple: rational} as an element of QQ[u0, ..., u{nvars-1}], lex."""
+    return _RINGS[nvars].from_dict(
+        {e: QQ(c.numerator, c.denominator) for e, c in terms.items()}
+    )
 
 
-def _from_sympy(expr, nvars: int) -> HomPoly:
-    syms = _SYMS[nvars]
-    poly = sympy.Poly(expr, *syms)
-    terms = {}
-    for exp, c in poly.terms():
-        q = sympy.Rational(c)
-        terms[tuple(exp)] = Fraction(int(q.p), int(q.q))
-    return HomPoly(nvars, terms)
+def _from_ring(p) -> dict:
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.items()}
+
+
+def _ring_roots(p) -> list:
+    """Rational roots of a univariate ring element, read off its linear factors."""
+    roots = []
+    for fac, _mult in p.factor_list()[1]:
+        if fac.degree() == 1:
+            t = _from_ring(fac)  # {(1,): a, (0,): b} for a t + b
+            roots.append(-t.get((0,), Fraction(0)) / t[(1,)])
+    return roots
+
+
+def _univariate(coeffs):
+    return _to_ring({(k,): c for k, c in enumerate(coeffs) if c}, 1)
 
 
 def poly_gcd(polys) -> HomPoly:
+    """Gcd of the nonzero polynomials, as an integer primitive polynomial with
+    positive lex-leading coefficient."""
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         raise ExactError("gcd of all-zero input")
     nvars = polys[0].nvars
-    g = _to_sympy(polys[0])
+    g = _to_ring(polys[0].terms, nvars)
     for p in polys[1:]:
-        g = sympy.gcd(g, _to_sympy(p))
+        g = g.gcd(_to_ring(p.terms, nvars))
         if g == 1:
             break
-    return _from_sympy(sympy.expand(g), nvars)
+    return HomPoly(nvars, _from_ring(g.monic().primitive()[1]))
 
 
 def poly_divide(f: HomPoly, g: HomPoly):
@@ -443,29 +424,14 @@ def divides(g: HomPoly, f: HomPoly) -> bool:
 
 def rational_roots(coeffs):
     """All rational roots of sum(coeffs[k] t^k), via factorization over Q."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
+    if not any(coeffs):
         raise ExactError("rational_roots of the zero polynomial")
-    t = sympy.Symbol("t")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * t**k
-        for k, c in enumerate(coeffs)
-    )
-    if expr.is_number:
-        return []
-    roots = []
-    _, factors = sympy.factor_list(expr)
-    for fac, _mult in factors:
-        p = sympy.Poly(fac, t)
-        if p.degree() == 1:
-            a, b = p.all_coeffs()  # a t + b
-            roots.append(Fraction(int(sympy.Rational(-b, a).p), int(sympy.Rational(-b, a).q)))
-    return sorted(set(roots))
+    return sorted(set(_ring_roots(_univariate(coeffs))))
 
 
-def _resultant(f, g, var):
-    return sympy.resultant(f, g, var)
+def is_irreducible(coeffs) -> bool:
+    """Whether the nonzero sum(coeffs[k] t^k) is irreducible over Q."""
+    return _univariate(coeffs).is_irreducible
 
 
 # -- projective-geometry operations ------------------------------------------
@@ -478,8 +444,12 @@ def evaluate(p: HomPoly, pt) -> Fraction:
         raise DimensionMismatch(f"point has {len(pt)} coordinates, poly has {p.nvars}")
     if all(c == 0 for c in pt):
         raise ExactError("not a projective point: all coordinates zero")
+    return _eval_terms(p.terms, pt)
+
+
+def _eval_terms(terms, pt) -> Fraction:
     total = Fraction(0)
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         v = c
         for coord, k in zip(pt, e):
             if k:
@@ -536,17 +506,9 @@ def substitute(p: HomPoly, maps) -> HomPoly:
         term = HomPoly.constant(nvars, c)
         for i, k in enumerate(e):
             if k:
-                term = term * _hompow_cached(maps[i], k, caches[i])
+                term = term * _pow_cached(maps[i], k, caches[i])
         out = out + term
     return out
-
-
-def _hompow_cached(p: HomPoly, k: int, cache: dict) -> HomPoly:
-    if k in cache:
-        return cache[k]
-    v = _hompow_cached(p, k - 1, cache) * p
-    cache[k] = v
-    return v
 
 
 def content_normalize(maps) -> list:
@@ -609,27 +571,12 @@ def common_zeros_plane(polys):
     candidates = set()
 
     # points with z != 0: affine system in (x, y)
-    x, y = sympy.symbols("x y")
-    affine = []
-    for p in polys:
-        aff = p.dehomogenize(2)
-        expr = sympy.Integer(0)
-        for (a, b), c in aff.terms.items():
-            expr += sympy.Rational(c.numerator, c.denominator) * x**a * y**b
-        affine.append(sympy.expand(expr))
-    for y0 in _affine_y_candidates(affine, x, y):
-        specs = [sympy.expand(f.subs(y, y0)) for f in affine]
-        specs = [s for s in specs if s != 0]
-        if not specs:
-            continue
-        gx = specs[0]
-        for s in specs[1:]:
-            gx = sympy.gcd(gx, s)
-        if gx.has(x):
-            for x0 in _sympy_rational_roots(gx, x):
+    affine = [_to_ring(p.dehomogenize(2).terms, 2) for p in polys]
+    for y0 in _affine_y_candidates(affine):
+        specs = [s for s in (f.evaluate(1, y0) for f in affine) if s]
+        if specs:
+            for x0 in _ring_roots(reduce(PolyElement.gcd, specs)):
                 candidates.add((x0, y0, Fraction(1)))
-        elif gx == 0:
-            continue
 
     # points with z = 0: common roots of the nonzero binary-form restrictions
     # (identically-zero restrictions impose no condition; verification below
@@ -670,77 +617,42 @@ def _all_proportional(polys) -> bool:
     return True
 
 
-def _affine_y_candidates(affine, x, y):
-    """y-values that can appear in a common zero of the affine system.
+def _affine_y_candidates(affine):
+    """y-values that can appear in a common zero of the affine system, given
+    as elements of QQ[x, y].
 
     Over-generation is fine (candidates get verified); the only requirement
     is that every true common zero's y-value appears.
     """
-    with_x = [f for f in affine if f.has(x)]
-    pure_y = [f for f in affine if not f.has(x) and f != 0]
+    with_x = [f for f in affine if f.degree(0) > 0]
+    pure_y = [f for f in affine if f.degree(0) <= 0 and f]
     if pure_y:
         # any nonzero x-free equation already pins y to its root set
-        return set(_sympy_rational_roots(pure_y[0], y))
-    out = set()
-    res = None
-    for i in range(len(with_x)):
-        for j in range(i + 1, len(with_x)):
-            r = sympy.expand(sympy.resultant(with_x[i], with_x[j], x))
-            if r != 0:
-                res = r
-                break
-        if res is not None:
-            break
-    if res is None and len(with_x) >= 3:
-        # every pair shares a factor; a combination breaks the coincidence
+        return set(_ring_roots(pure_y[0].drop(0)))
+    # resultants eliminate x and land in QQ[y]
+    pairs = combinations(with_x, 2)
+    if len(with_x) >= 3:
+        # if every pair shares a factor, a combination breaks the coincidence
         # (the full system has trivial gcd, so generic t works)
-        for k in range(2, len(with_x)):
-            for t in range(1, 32):
-                cand = sympy.expand(with_x[1] + t * with_x[k])
-                if not cand.has(x):
-                    continue
-                r = sympy.expand(sympy.resultant(with_x[0], cand, x))
-                if r != 0:
-                    res = r
-                    break
-            if res is not None:
-                break
-    if res is None and with_x:
+        combos = (
+            with_x[1] + t * with_x[k] for k in range(2, len(with_x)) for t in range(1, 32)
+        )
+        pairs = chain(pairs, ((with_x[0], c) for c in combos if c.degree(0) > 0))
+    for f, g in pairs:
+        res = f.resultant(g)
+        if res:
+            return set(_ring_roots(res))
+    if with_x:
         raise ExactError("could not isolate y-candidates (degenerate system)")
-    if res is not None and res.has(y):
-        out.update(_sympy_rational_roots(res, y))
-    return out
-
-
-def _sympy_rational_roots(expr, var):
-    roots = []
-    _, factors = sympy.factor_list(expr, var)
-    for fac, _m in factors:
-        p = sympy.Poly(fac, var)
-        if p.degree() == 1:
-            a, b = p.all_coeffs()
-            r = sympy.Rational(-b, a)
-            roots.append(Fraction(int(r.p), int(r.q)))
-    return roots
+    return set()
 
 
 def _binary_common_roots(forms):
     """Rational projective roots (x:y:0) of common binary forms given as
     {(i,j): coef} exponent maps."""
-    t = sympy.Symbol("t")
-    exprs = []
-    for terms in forms:
-        e = sympy.Integer(0)
-        for (a, b), c in terms.items():
-            e += sympy.Rational(c.numerator, c.denominator) * t**a  # y = 1
-        exprs.append(sympy.expand(e))
-    g = exprs[0]
-    for e in exprs[1:]:
-        g = sympy.gcd(g, e)
-    points = set()
-    if g.has(t):
-        for x0 in _sympy_rational_roots(g, t):
-            points.add((x0, Fraction(1), Fraction(0)))
+    rows = (_to_ring({(a,): c for (a, _b), c in terms.items()}, 1) for terms in forms)
+    g = reduce(PolyElement.gcd, rows)  # gcd of the forms at y = 1
+    points = {(x0, Fraction(1), Fraction(0)) for x0 in _ring_roots(g)}
     # (1:0:0): every form must miss a pure-x term... i.e. have no term with b=0
     if all(all(b > 0 for (_a, b) in terms) for terms in forms):
         points.add((Fraction(1), Fraction(0), Fraction(0)))

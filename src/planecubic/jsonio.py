@@ -7,12 +7,7 @@ from fractions import Fraction
 from .cremona import BubbleForest, BubbleNode, CremonaMap, HomaloidalType
 from .elliptic import CurvePoint, WeierstrassCurve
 from .exact import HomPoly
-from .sarkisov import (
-    FactorizationState,
-    SarkisovLink,
-    SarkisovTrace,
-    plane_state,
-)
+from .sarkisov import FactorizationState, SarkisovLink, plane_state
 from .surfaces import SurfaceModel
 
 
@@ -197,15 +192,6 @@ def link_from_json(obj) -> SarkisovLink:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad link object: {e}")
-
-
-def trace_to_json(trace: SarkisovTrace) -> dict:
-    return {
-        "links": [link_to_json(l) for l in trace.links],
-        "all_vp": trace.all_vp,
-        "final_system": list(trace.final.system),
-        "lints": list(trace.lints),
-    }
 
 
 def state_from_json(obj) -> FactorizationState:

@@ -3,6 +3,7 @@ involution, its base lines, and the failure of base-locus containment."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from .exact import (
     common_zeros_plane,
     content_normalize,
     evaluate,
+    is_irreducible,
     mult_at,
     normalize_point,
     poly_divide,
@@ -103,32 +105,13 @@ class QuarticData:
 def _certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
     """Restrict to lines through pairs of small rational points; an
     irreducible degree-4 restriction certifies irreducibility of D."""
-    import itertools
-
-    import sympy
-
-    t = sympy.Symbol("t")
     pts = [
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 1, 1), (1, 2, 3, 4), (2, -1, 1, 3), (1, -1, 2, -2),
     ]
-    count = 0
-    for u, v in itertools.combinations(pts, 2):
-        count += 1
-        if count > tries:
-            break
+    for u, v in itertools.islice(itertools.combinations(pts, 2), tries):
         coeffs = restrict_to_line(D, u, v)
-        expr = sum(
-            sympy.Rational(c.numerator, c.denominator) * t**k
-            for k, c in enumerate(coeffs)
-        )
-        if expr == 0:
-            continue
-        poly = sympy.Poly(expr, t)
-        if poly.degree() != 4:
-            continue
-        factors = sympy.factor_list(expr)[1]
-        if len(factors) == 1 and factors[0][1] == 1:
+        if len(coeffs) == 5 and coeffs[4] != 0 and is_irreducible(coeffs):
             return True
     return False
 

@@ -30,6 +30,10 @@ class TestExitCodes:
         code, _ = run(["frobnicate"], {})
         assert code == EX_USAGE
 
+    def test_unknown_flag_is_64(self):
+        code, _ = run(["curve-add", "--json"], {"curve": CURVE, "P": P, "Q": Q})
+        assert code == EX_USAGE
+
     def test_no_command_is_64(self):
         assert main([], stdin=io.StringIO(""), stdout=io.StringIO()) == EX_USAGE
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,12 @@ from planecubic.exact import (
     content_normalize,
     divides,
     evaluate,
+    is_irreducible,
     mult_at,
     normalize_point,
     poly_divide,
     poly_gcd,
+    rational_roots,
     substitute,
     variables,
 )
@@ -226,6 +230,61 @@ class TestCommonZeros:
         # x^2 = 2 y^2 has no rational solutions; documented Q-only behavior
         pts = common_zeros_plane([x * x - 2 * (y * y), z])
         assert pts == []
+
+    def test_pairwise_shared_factors(self):
+        # every pairwise resultant in x vanishes, so y-candidates come from a
+        # combination of two equations
+        pts = common_zeros_plane([x * (x - y), (x - y) * (x + y - z), (x + y - z) * x])
+        half = Fraction(1, 2)
+        assert pts == [(0, 0, 1), (0, 1, 1), (half, half, 1)]
+
+
+class TestSympyBridge:
+    def test_zero_and_non_monic_roots(self):
+        assert rational_roots([0, 0, -2, 3]) == [0, Fraction(2, 3)]
+
+    def test_repeated_root_once(self):
+        assert rational_roots([4, -4, 1]) == [2]
+
+    def test_no_rational_roots(self):
+        assert rational_roots([2, 0, 1]) == []
+        assert rational_roots([5]) == []
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ExactError):
+            rational_roots([0, 0])
+
+    def test_irreducibility(self):
+        from planecubic.threefold import desk_instance, restrict_to_line
+
+        quartic = restrict_to_line(desk_instance().D, (1, 1, 1, 1), (1, 2, 3, 4))
+        assert len(quartic) == 5 and quartic[4] != 0
+        assert is_irreducible(quartic)
+        assert not is_irreducible([2, 0, 3, 0, 1])  # (t^2 + 1)(t^2 + 2)
+
+    def test_gcd_keeps_repeated_factors(self):
+        assert poly_gcd([z**2 * (x + y), z**3 * (x + y) * (x - y)]).degree == 3
+
+    def test_gcd_is_integer_primitive(self):
+        third = Fraction(1, 3)
+        assert poly_gcd([(x * 2 + y) * x * third, (x * 2 + y) * y * 4]) == 2 * x + y
+        assert poly_gcd([-6 * x * x * z, 9 * x * x * y]) == x * x
+
+
+def test_only_exact_imports_sympy():
+    src = Path(__file__).resolve().parents[1] / "src" / "planecubic"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"exact.py"}
 
 
 class TestDivision:
