@@ -339,10 +339,17 @@ def main(argv=None, stdin=None, stdout=None) -> int:
         return EX_MALFORMED
 
     try:
-        raw = open(opts.input_path).read() if opts.input_path else stdin.read()
+        if opts.input_path:
+            with open(opts.input_path) as fh:
+                raw = fh.read()
+        else:
+            raw = stdin.read()
         payload = json.loads(raw) if raw.strip() else {}
     except (OSError, json.JSONDecodeError) as e:
         print(json.dumps({"error": f"bad input: {e}"}), file=sys.stderr)
+        return EX_MALFORMED
+    if not isinstance(payload, dict):
+        print(json.dumps({"error": "bad input: expected a JSON object"}), file=sys.stderr)
         return EX_MALFORMED
 
     handler = COMMANDS[command]

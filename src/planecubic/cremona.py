@@ -295,10 +295,8 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id, rng):
     chart_a = [g.substitute_two(_S, _ST).divide_var_power(0, m) for g in locals_]
     cub_a = None
     if cub_local is not None:
-        mc = 0 if cub_local.eval((0, 0)) != 0 else cub_local.order()
-        cub_a = cub_local.substitute_two(_S, _ST)
-        if mc:
-            cub_a = cub_a.divide_var_power(0, mc)
+        mc = cub_local.order()  # the cubic's multiplicity here (0 off it)
+        cub_a = cub_local.substitute_two(_S, _ST).divide_var_power(0, mc)
 
     # directions with a base point: common roots of the restrictions to E
     restrictions = [g.restrict_zero(0) for g in chart_a]
@@ -329,10 +327,7 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id, rng):
         cm = _system_mult_affine(chart_b, rng)
         cub_b = None
         if cub_local is not None:
-            mc = 0 if cub_local.eval((0, 0)) != 0 else cub_local.order()
-            cub_b = cub_local.substitute_two(_ST, _T)
-            if mc:
-                cub_b = cub_b.divide_var_power(1, mc)
+            cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
         on_c = cub_b is not None and cub_b.eval((0, 0)) == 0
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))

@@ -206,15 +206,21 @@ def variables(n: int):
 
 class AffinePoly:
     """Inhomogeneous polynomial in local (chart) coordinates; used for
-    multiplicity computations and blowup bookkeeping."""
+    multiplicity computations and blowup bookkeeping.  Immutable by convention:
+    results may share a term dict with their input."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
-        self.terms = {
-            tuple(e): Fraction(c) for e, c in terms.items() if Fraction(c) != 0
-        }
+        self.terms = {tuple(e): f for e, c in terms.items() if (f := Fraction(c))}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "AffinePoly":
+        """Wrap a dict of nonzero Fractions as is (the kernels' fast path)."""
+        out = object.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
 
     @property
     def is_zero(self):
@@ -260,36 +266,32 @@ class AffinePoly:
 
     def shift(self, point) -> "AffinePoly":
         """Translate so that `point` moves to the origin: u_i -> u_i + c_i."""
-        point = [Fraction(c) for c in point]
-        out = {}
-        for e, coef in self.terms.items():
-            # expand prod (u_i + c_i)^{e_i}
-            partial = {(): coef}
-            for i, ei in enumerate(e):
-                row = _binomial_row(ei, point[i])
-                nxt = {}
-                for tail, c in partial.items():
-                    for k, bc in row:
-                        key = tail + (k,)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * bc
-                partial = nxt
-            for exp, c in partial.items():
-                out[exp] = out.get(exp, Fraction(0)) + c
-        return AffinePoly(self.nvars, out)
+        terms = self.terms
+        for i, c in enumerate(point):
+            c = Fraction(c)
+            if c:
+                terms = _shift_var(terms, i, c)
+        return AffinePoly._of(self.nvars, terms)
 
     def eval(self, point) -> Fraction:
         return _eval_terms(self.terms, [Fraction(c) for c in point])
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
-        """Plug (u, v) into a 2-variable polynomial."""
+        """Plug monomials (u, v) into a 2-variable polynomial: an exponent remap."""
         if self.nvars != 2:
             raise DimensionMismatch("substitute_two needs a 2-variable polynomial")
-        one = AffinePoly(u.nvars, {(0,) * u.nvars: 1})
-        pu, pv = {0: one}, {0: one}
-        out = AffinePoly(u.nvars, {})
+        if len(u.terms) != 1 or len(v.terms) != 1 or u.nvars != v.nvars:
+            raise ExactError("substitute_two needs two monomials in the same variables")
+        ((eu, cu),) = u.terms.items()
+        ((ev, cv),) = v.terms.items()
+        unit = cu == 1 and cv == 1
+        out = {}
         for (a, b), c in self.terms.items():
-            out = out + _pow_cached(u, a, pu) * _pow_cached(v, b, pv) * c
-        return out
+            e = tuple([a * i + b * j for i, j in zip(eu, ev)])
+            if not unit:
+                c = c * cu**a * cv**b
+            out[e] = out[e] + c if e in out else c
+        return AffinePoly._of(u.nvars, {e: c for e, c in out.items() if c})
 
     def divide_var_power(self, i: int, k: int) -> "AffinePoly":
         """Exact division by u_i^k; raises if some term is not divisible."""
@@ -322,18 +324,34 @@ class AffinePoly:
         return out
 
 
-def _binomial_row(n: int, c: Fraction):
-    """[(k, C(n,k) c^(n-k))] for k = 0..n."""
-    row = []
-    b = 1
-    for k in range(n + 1):
-        row.append((k, Fraction(b) * (c ** (n - k) if n != k else 1)))
-        b = b * (n - k) // (k + 1)
-    return row
+def _shift_var(terms: dict, i: int, c: Fraction) -> dict:
+    """u_i -> u_i + c on a term dict: one integer Taylor shift per row of
+    terms that agree off variable i."""
+    rows = {}
+    for e, coef in terms.items():
+        rows.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = coef
+    p, q = c.numerator, c.denominator
+    out = {}
+    for rest, row in rows.items():
+        n = max(row)
+        den = int_lcm(*(a.denominator for a in row.values()))
+        # h(t) = den q^n f(t/q) has integer coefficients; shift it by p
+        h = [0] * (n + 1)
+        for k, a in row.items():
+            h[k] = a.numerator * (den // a.denominator) * q ** (n - k)
+        for lo in range(n):
+            for k in range(n - 1, lo - 1, -1):
+                h[k] += p * h[k + 1]
+        # f(t + c) = h(q t + p) / (den q^n)
+        scale = den * q**n
+        for k, hk in enumerate(h):
+            if hk:
+                out[rest[:i] + (k,) + rest[i:]] = Fraction(hk * q**k, scale)
+    return out
 
 
 def _pow_cached(p, k: int, cache: dict):
-    """p**k for a HomPoly or AffinePoly, memoized in `cache` ({0: one})."""
+    """p**k for a HomPoly, memoized in `cache` ({0: one})."""
     if k in cache:
         return cache[k]
     v = _pow_cached(p, k - 1, cache) * p

@@ -4,12 +4,16 @@ The chord-and-reflect oracle computes the group law from its definition: the
 binary-cubic restriction of the curve equation to the chord (or tangent),
 with the two known roots stripped off exactly.  It never uses the slope
 formulas under test.
+
+The AffinePoly references are the plain term-by-term expansions that the
+chart kernels in `exact.py` must agree with.
 """
 
 from fractions import Fraction
+from math import comb
 
 from planecubic.elliptic import CurvePoint, O, to_projective
-from planecubic.exact import HomPoly, evaluate
+from planecubic.exact import AffinePoly, HomPoly, evaluate
 
 
 def binary_restriction(p: HomPoly, u, v):
@@ -68,3 +72,35 @@ def chord_reflect(curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     if z == 0:
         return O
     return CurvePoint(x / z, -y / z)
+
+
+def reference_shift(p: AffinePoly, point) -> AffinePoly:
+    """p(u + point), expanding every term as a product of binomial rows."""
+    point = [Fraction(c) for c in point]
+    out = {}
+    for e, coef in p.terms.items():
+        partial = {(): coef}
+        for ei, c in zip(e, point):
+            row = [(k, comb(ei, k) * c ** (ei - k)) for k in range(ei + 1)]
+            nxt = {}
+            for tail, a in partial.items():
+                for k, bc in row:
+                    key = tail + (k,)
+                    nxt[key] = nxt.get(key, Fraction(0)) + a * bc
+            partial = nxt
+        for exp, a in partial.items():
+            out[exp] = out.get(exp, Fraction(0)) + a
+    return AffinePoly(p.nvars, out)
+
+
+def reference_substitute_two(p: AffinePoly, u: AffinePoly, v: AffinePoly) -> AffinePoly:
+    """p(u, v) for a 2-variable p, by polynomial products and sums."""
+    out = AffinePoly(u.nvars, {})
+    for (a, b), c in p.terms.items():
+        term = AffinePoly(u.nvars, {(0,) * u.nvars: c})
+        for _ in range(a):
+            term = term * u
+        for _ in range(b):
+            term = term * v
+        out = out + term
+    return out

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from planecubic.cli import EX_MALFORMED, EX_OK, EX_USAGE, EX_VERIFY, main
+from planecubic.cli import COMMANDS, EX_MALFORMED, EX_OK, EX_USAGE, EX_VERIFY, main
 
 
 def run(cmd_args, payload=None):
@@ -45,6 +45,15 @@ class TestExitCodes:
     def test_missing_field_is_1(self):
         code, _ = run(["curve-add"], {"curve": CURVE})
         assert code == EX_MALFORMED
+
+    @pytest.mark.parametrize("raw", ["[1]", "5", '"x"', "null"])
+    def test_non_object_payload_is_1(self, raw, capsys):
+        for command in COMMANDS:
+            out = io.StringIO()
+            assert main([command], stdin=io.StringIO(raw), stdout=out) == EX_MALFORMED
+            assert out.getvalue() == ""
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "error" in json.loads(err[0])
 
     def test_bad_rational_is_1(self):
         code, _ = run(["curve-add"], {"curve": {"p": "z", "q": "1"}, "P": P, "Q": Q})

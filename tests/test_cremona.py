@@ -166,6 +166,28 @@ class TestBaseForest:
         assert all(n.on_cubic for n in forest)
         assert forest.children(by_mult[3].id) == []
 
+    def test_degree_ten_composite_forest(self):
+        # phi_2G o phi_G on y^2 = x^3 - 2: every node pinned, in the order
+        # base_forest emits them (proper points sorted, then depth first)
+        curve = WeierstrassCurve(0, -2)
+        G = CurvePoint.affine(3, 5)
+        f = compose(translation_map(curve, add(curve, G, G)), translation_map(curve, G))
+        assert f.degree == 10
+        forest = base_forest(f, cubic=curve.equation)
+        assert all(n.on_cubic for n in forest)
+        got = [(n.parent, n.level, n.mult, n.point, n.direction) for n in forest]
+        infinity = (Fraction(0), Fraction(1), Fraction(0))
+        assert got == [
+            (None, 0, 3, infinity, None),
+            (0, 1, 3, None, Fraction(0)),
+            (1, 2, 3, None, Fraction(0)),
+            (2, 3, 3, None, Fraction(1)),
+            (3, 4, 3, None, Fraction(0)),
+            (4, 5, 3, None, Fraction(0)),
+            (None, 0, 6, (Fraction(3), Fraction(5), Fraction(1)), None),
+            (6, 1, 3, None, Fraction(27, 10)),
+        ]
+
     def test_standard_quadratic_forest(self):
         forest = base_forest(SIGMA)
         assert len(forest) == 3

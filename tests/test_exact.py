@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import reference_shift, reference_substitute_two
+
+from planecubic.cremona import _S, _ST, _T  # the blowup charts' monomials
 from planecubic.exact import (
     AffinePoly,
     ExactError,
@@ -301,3 +304,79 @@ class TestDivision:
         p = AffinePoly(2, {(2, 0): 1, (0, 1): -3, (1, 1): 2})
         q = p.shift((5, -2)).shift((-5, 2))
         assert q == p
+        assert p.shift((5, -2)) == reference_shift(p, (5, -2))
+
+
+def rand_affine(rng, nvars, degree, terms=12):
+    """Random AffinePoly of total degree `degree` with rational coefficients,
+    including the pure power u_i^degree of every variable."""
+    out = {}
+    for i in range(nvars):
+        out[tuple(degree if j == i else 0 for j in range(nvars))] = rand_rat(rng)
+    for k in range(terms):
+        total = rng.randint(0, degree)
+        exp = [0] * nvars
+        for _ in range(total):
+            exp[rng.randrange(nvars)] += 1
+        out[tuple(exp)] = rand_rat(rng)
+    return AffinePoly(nvars, out)
+
+
+SHIFT_POINTS = [
+    (0, Fraction(27, 10)),
+    (Fraction(-7, 3), 0),
+    (5, -2),
+    (0, 0),
+]
+
+
+class TestChartKernels:
+    """The chart kernels against the term-by-term references in _oracles."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 7, 13, 20])
+    @pytest.mark.parametrize("point", SHIFT_POINTS)
+    def test_shift_two_variables(self, degree, point):
+        p = rand_affine(random.Random(degree), 2, degree)
+        assert p.shift(point) == reference_shift(p, point)
+
+    @pytest.mark.parametrize("degree", [1, 4, 9, 20])
+    @pytest.mark.parametrize("point", [pt + (Fraction(-1, 2),) for pt in SHIFT_POINTS])
+    def test_shift_three_variables(self, degree, point):
+        p = rand_affine(random.Random(100 + degree), 3, degree, terms=8)
+        assert p.shift(point) == reference_shift(p, point)
+
+    @pytest.mark.parametrize("point", SHIFT_POINTS)
+    def test_shift_zero_and_constant(self, point):
+        zero = AffinePoly(2, {})
+        const = AffinePoly(2, {(0, 0): Fraction(-4, 9)})
+        assert zero.shift(point) == zero
+        assert const.shift(point) == const
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (_S, _ST),
+            (_ST, _T),
+            (AffinePoly(2, {(2, 1): Fraction(-3, 2)}), AffinePoly(2, {(0, 3): 5})),
+            (AffinePoly(3, {(1, 0, 2): 7}), AffinePoly(3, {(0, 1, 1): Fraction(1, 4)})),
+            (_S, _S),
+        ],
+    )
+    @pytest.mark.parametrize("degree", [0, 3, 10, 20])
+    def test_substitute_two(self, u, v, degree):
+        p = rand_affine(random.Random(200 + degree), 2, degree)
+        assert p.substitute_two(u, v) == reference_substitute_two(p, u, v)
+
+    def test_substitute_two_zero(self):
+        zero = AffinePoly(2, {})
+        assert zero.substitute_two(_S, _ST) == zero
+
+    @pytest.mark.parametrize(
+        "u", [AffinePoly(2, {(1, 0): 1, (0, 1): 1}), AffinePoly(2, {})]
+    )
+    def test_substitute_two_rejects_non_monomial(self, u):
+        p = AffinePoly(2, {(1, 1): 1, (0, 2): 3})
+        with pytest.raises(ExactError):
+            p.substitute_two(u, _T)
+        with pytest.raises(ExactError):
+            p.substitute_two(_S, u)
