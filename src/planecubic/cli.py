@@ -114,10 +114,8 @@ def cmd_dec_check(payload, cfg, out):
     in_dec = cremona.is_in_dec(f, cubic, samples=samples)
     report = {"in_dec": in_dec}
     if in_dec:
-        from .exact import poly_divide, substitute
-
-        quo, _ = poly_divide(substitute(cubic, f.components), cubic)
-        report["quotient_deg"] = quo.degree
+        # the pullback is nonzero, of degree deg(cubic) deg(f), and the cubic divides it
+        report["quotient_deg"] = cubic.degree * (f.degree - 1)
     _emit(report, out)
     return EX_OK
 

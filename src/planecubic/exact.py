@@ -8,7 +8,7 @@ from itertools import chain, combinations
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from sympy import QQ, lex
+from sympy import QQ, ZZ, lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 Rational = Fraction
@@ -83,6 +83,13 @@ class HomPoly:
     @classmethod
     def monomial(cls, nvars: int, exp, coef=1) -> "HomPoly":
         return cls(nvars, {tuple(exp): Fraction(coef)})
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "HomPoly":
+        """Wrap a homogeneous dict of nonzero Fractions as is (the kernels' fast path)."""
+        out = object.__new__(cls)
+        out.nvars, out.terms, out._hash = nvars, terms, None
+        return out
 
     # -- basic queries ------------------------------------------------------
 
@@ -350,24 +357,36 @@ def _shift_var(terms: dict, i: int, c: Fraction) -> dict:
     return out
 
 
-def _pow_cached(p, k: int, cache: dict):
-    """p**k for a HomPoly, memoized in `cache` ({0: one})."""
-    if k in cache:
-        return cache[k]
-    v = _pow_cached(p, k - 1, cache) * p
-    cache[k] = v
-    return v
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Product of two {packed exponent: int} polynomials (may keep zeros)."""
+    out = {}
+    get = out.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
-# -- sympy bridge: sparse rings over QQ (gcd / resultants / factorization) ---
+# -- sympy bridge: sparse rings over QQ and ZZ (gcd / resultants / factorization)
 
 _RINGS = {n: PolyRing([f"u{i}" for i in range(n)], QQ, lex) for n in (1, 2, 3, 4)}
+_ZZ_RINGS = {n: PolyRing([f"u{i}" for i in range(n)], ZZ, lex) for n in (2, 3)}
 
 
 def _to_ring(terms: dict, nvars: int):
     """{exponent tuple: rational} as an element of QQ[u0, ..., u{nvars-1}], lex."""
     return _RINGS[nvars].from_dict(
         {e: QQ(c.numerator, c.denominator) for e, c in terms.items()}
+    )
+
+
+def _to_zz_ring(terms: dict, nvars: int):
+    """{exponent tuple: rational} times the lcm of its denominators, as an
+    element of ZZ[u0, ..., u{nvars-1}], lex."""
+    den = int_lcm(*(c.denominator for c in terms.values()))
+    return _ZZ_RINGS[nvars].from_dict(
+        {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     )
 
 
@@ -391,17 +410,29 @@ def _univariate(coeffs):
 
 def poly_gcd(polys) -> HomPoly:
     """Gcd of the nonzero polynomials, as an integer primitive polynomial with
-    positive lex-leading coefficient."""
+    positive lex-leading coefficient.
+
+    Computed at x_last = 1 in ZZ: the gcd of the dehomogenized inputs,
+    homogenized to its own degree, times x_last^k for the least x_last-exponent
+    k over all terms (the x_last-free part of a homogeneous gcd is determined
+    by its dehomogenization).
+    """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         raise ExactError("gcd of all-zero input")
     nvars = polys[0].nvars
-    g = _to_ring(polys[0].terms, nvars)
-    for p in polys[1:]:
-        g = g.gcd(_to_ring(p.terms, nvars))
-        if g == 1:
+    k = min(e[-1] for p in polys for e in p.terms)
+    g = None
+    for p in polys:
+        f = _to_zz_ring({e[:-1]: c for e, c in p.terms.items()}, nvars - 1)
+        g = f if g is None else g.gcd(f)
+        if g.is_ground:
             break
-    return HomPoly(nvars, _from_ring(g.monic().primitive()[1]))
+    g = g.primitive()[1]
+    if g.LC < 0:
+        g = -g
+    d = max(sum(e) for e in g.keys())
+    return HomPoly(nvars, {e + (d - sum(e) + k,): int(c) for e, c in g.items()})
 
 
 def poly_divide(f: HomPoly, g: HomPoly):
@@ -510,7 +541,13 @@ def mult_at(p: HomPoly, pt) -> int:
 
 
 def substitute(p: HomPoly, maps) -> HomPoly:
-    """p(f_1, ..., f_n) for equal-degree homogeneous f_i."""
+    """p(f_1, ..., f_n) for equal-degree homogeneous f_i.
+
+    Works in integers on packed exponents: with F_i = G_i / den (G_i integral)
+    and p = q / pden, p(F) = q(G) / (pden den^deg p).  An exponent vector is
+    packed into one int in base deg(F) deg(p) + 1, which no output exponent
+    reaches, so exponents add as ints.
+    """
     maps = list(maps)
     if len(maps) != p.nvars:
         raise DimensionMismatch("one substituting polynomial per variable required")
@@ -518,15 +555,45 @@ def substitute(p: HomPoly, maps) -> HomPoly:
     if len(degs) != 1 or None in degs:
         raise ExactError("substituting polynomials must share one degree")
     nvars = maps[0].nvars
-    caches = [{0: HomPoly.constant(nvars, 1)} for _ in maps]
-    out = HomPoly.zero(nvars)
+    if p.is_zero:
+        return HomPoly.zero(nvars)
+    (dm,), dp = degs, p.degree
+    base = dm * max(dp, 1) + 1  # dp = 0 uses only 0th powers
+
+    def pack(e):
+        key = 0
+        for k in e:
+            key = key * base + k
+        return key
+
+    den = int_lcm(*(c.denominator for m in maps for c in m.terms.values()))
+    pden = int_lcm(*(c.denominator for c in p.terms.values()))
+    powers = [
+        [{0: 1}, {pack(e): c.numerator * (den // c.denominator) for e, c in m.terms.items()}]
+        for m in maps
+    ]
+    out = {}
+    get = out.get
     for e, c in p.terms.items():
-        term = HomPoly.constant(nvars, c)
-        for i, k in enumerate(e):
+        term = {0: 1}
+        for pw, k in zip(powers, e):
+            while len(pw) <= k:
+                pw.append(_mul_packed(pw[-1], pw[1]))
             if k:
-                term = term * _pow_cached(maps[i], k, caches[i])
-        out = out + term
-    return out
+                term = _mul_packed(term, pw[k])
+        c = c.numerator * (pden // c.denominator)
+        for key, v in term.items():
+            out[key] = get(key, 0) + c * v
+    scale = pden * den**dp
+    terms = {}
+    for key, v in out.items():
+        if v:
+            exp = []
+            for _ in range(nvars):
+                key, k = divmod(key, base)
+                exp.append(k)
+            terms[tuple(reversed(exp))] = Fraction(v, scale)
+    return HomPoly._of(nvars, terms)
 
 
 def content_normalize(maps) -> list:
@@ -637,7 +704,7 @@ def _all_proportional(polys) -> bool:
 
 def _affine_y_candidates(affine):
     """y-values that can appear in a common zero of the affine system, given
-    as elements of QQ[x, y].
+    as elements of QQ[x, y] (resultants are taken in ZZ[x, y]).
 
     Over-generation is fine (candidates get verified); the only requirement
     is that every true common zero's y-value appears.
@@ -657,7 +724,8 @@ def _affine_y_candidates(affine):
         )
         pairs = chain(pairs, ((with_x[0], c) for c in combos if c.degree(0) > 0))
     for f, g in pairs:
-        res = f.resultant(g)
+        # Res(a f, b g) is a nonzero constant times Res(f, g): same roots
+        res = _to_zz_ring(_from_ring(f), 2).resultant(_to_zz_ring(_from_ring(g), 2))
         if res:
             return set(_ring_roots(res))
     if with_x:

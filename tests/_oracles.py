@@ -6,11 +6,17 @@ with the two known roots stripped off exactly.  It never uses the slope
 formulas under test.
 
 The AffinePoly references are the plain term-by-term expansions that the
-chart kernels in `exact.py` must agree with.
+chart kernels in `exact.py` must agree with.  `reference_substitute` and
+`reference_poly_gcd` are the rational-arithmetic versions of the integer
+kernels: Fraction products of cached powers, and the homogeneous gcd in
+QQ[x0, ..., x{n-1}].
 """
 
 from fractions import Fraction
 from math import comb
+
+from sympy import QQ, lex
+from sympy.polys.rings import PolyRing
 
 from planecubic.elliptic import CurvePoint, O, to_projective
 from planecubic.exact import AffinePoly, HomPoly, evaluate
@@ -104,3 +110,37 @@ def reference_substitute_two(p: AffinePoly, u: AffinePoly, v: AffinePoly) -> Aff
             term = term * v
         out = out + term
     return out
+
+
+def reference_substitute(p: HomPoly, maps) -> HomPoly:
+    """p(f_1, ..., f_n) as a sum of Fraction products of cached powers."""
+    maps = list(maps)
+    nvars = maps[0].nvars
+    powers = [[HomPoly.constant(nvars, 1)] for _ in maps]
+    out = HomPoly.zero(nvars)
+    for e, c in p.terms.items():
+        term = HomPoly.constant(nvars, c)
+        for m, pw, k in zip(maps, powers, e):
+            while len(pw) <= k:
+                pw.append(pw[-1] * m)
+            if k:
+                term = term * pw[k]
+        out = out + term
+    return out
+
+
+def reference_poly_gcd(polys) -> HomPoly:
+    """Gcd of the nonzero homogeneous polynomials in QQ[x0, ..., x{n-1}],
+    integer primitive with positive lex-leading coefficient."""
+    polys = [p for p in polys if not p.is_zero]
+    nvars = polys[0].nvars
+    ring = PolyRing([f"x{i}" for i in range(nvars)], QQ, lex)
+
+    def to_ring(p):
+        return ring.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
+
+    g = to_ring(polys[0])
+    for p in polys[1:]:
+        g = g.gcd(to_ring(p))
+    g = g.monic().primitive()[1]
+    return HomPoly(nvars, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()})

@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import reference_shift, reference_substitute_two
+from _oracles import (
+    reference_poly_gcd,
+    reference_shift,
+    reference_substitute,
+    reference_substitute_two,
+)
 
 from planecubic.cremona import _S, _ST, _T  # the blowup charts' monomials
 from planecubic.exact import (
@@ -28,6 +33,17 @@ from planecubic.exact import (
 )
 
 x, y, z = variables(3)
+
+
+def degree_ten_composite():
+    """phi_2G o phi_G on y^2 = x^3 - 2, G = (3, 5), and the curve."""
+    from planecubic.cremona import compose
+    from planecubic.elliptic import CurvePoint, WeierstrassCurve, add, translation_map
+
+    curve = WeierstrassCurve(0, -2)
+    G = CurvePoint.affine(3, 5)
+    f = compose(translation_map(curve, add(curve, G, G)), translation_map(curve, G))
+    return f, curve
 
 
 def rand_rat(rng, span=40):
@@ -241,6 +257,25 @@ class TestCommonZeros:
         half = Fraction(1, 2)
         assert pts == [(0, 0, 1), (0, 1, 1), (half, half, 1)]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [x * (x - y), (x - y) * (x + y - z), (x + y - z) * x],
+            lambda: [y * z, x * z, x * y],
+            lambda: list(degree_ten_composite()[0].components),
+        ],
+        ids=["shared-factors", "standard-quadratic", "degree-ten-composite"],
+    )
+    def test_rational_coefficients_same_points(self, make):
+        # the resultants run on integer multiples; scaling changes nothing
+        polys = make()
+        scaled = [p * s for p, s in zip(polys, (Fraction(1, 3), Fraction(7, 2), 1))]
+        assert common_zeros_plane(scaled) == common_zeros_plane(polys)
+
+    def test_degree_ten_composite_proper_base_points(self):
+        f, _ = degree_ten_composite()
+        assert common_zeros_plane(list(f.components)) == [(0, 1, 0), (3, 5, 1)]
+
 
 class TestSympyBridge:
     def test_zero_and_non_monic_roots(self):
@@ -380,3 +415,90 @@ class TestChartKernels:
             p.substitute_two(u, _T)
         with pytest.raises(ExactError):
             p.substitute_two(_S, u)
+
+
+class TestIntegerKernels:
+    """substitute and poly_gcd against the rational references in _oracles."""
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 3), (4, 4), (3, 5)])
+    def test_substitute_random(self, nvars, degrees):
+        dp, dm = degrees
+        rng = random.Random(10 * nvars + dp + dm)
+        p = rand_poly(rng, dp, nvars, terms=6)
+        maps = [rand_poly(rng, dm, nvars, terms=5) for _ in range(nvars)]
+        assert substitute(p, maps) == reference_substitute(p, maps)
+
+    def test_substitute_integer_maps(self):
+        p = rand_poly(random.Random(7), 3) * Fraction(5, 6)
+        maps = [x * x + 3 * (y * z), 2 * (y * y) - x * z, z * z + x * y]
+        assert substitute(p, maps) == reference_substitute(p, maps)
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_substitute_zero_and_constant(self, nvars):
+        rng = random.Random(nvars)
+        maps = [rand_poly(rng, 3, nvars) for _ in range(nvars)]
+        zero = HomPoly.zero(nvars)
+        const = HomPoly.constant(nvars, Fraction(-4, 9))
+        assert substitute(zero, maps) == zero
+        assert substitute(const, maps) == const == reference_substitute(const, maps)
+
+    def test_substitute_degree_zero_maps(self):
+        p = x * x * Fraction(1, 2) - 3 * (y * z) + z * z
+        maps = [HomPoly.constant(3, c) for c in (Fraction(2, 3), -5, 7)]
+        assert substitute(p, maps) == reference_substitute(p, maps)
+        assert substitute(p, maps) == HomPoly.constant(3, Fraction(2, 9) + 105 + 49)
+
+    def test_substitute_cancels_to_zero(self):
+        m = x * x * Fraction(3, 7) + y * z
+        assert substitute(x - y, [m, m, z * z]).is_zero
+        assert substitute(x * y - y * x, [m, x * y, z * z]).is_zero
+
+    def test_substitute_top_exponent(self):
+        # x^3 under degree-10 maps reaches x^30: packed digit base - 1
+        rng = random.Random(11)
+        maps = [x**10 * Fraction(2, 3) + rand_poly(rng, 10), rand_poly(rng, 10), z**10 - y**10]
+        p = x**3 + y**3 * Fraction(-1, 5) + z**3
+        out = substitute(p, maps)
+        assert out == reference_substitute(p, maps)
+        assert out.coefficient((30, 0, 0)) == Fraction(8, 27)
+        assert out.coefficient((0, 0, 30)) == 1
+
+    def test_substitute_cubic_into_degree_ten_composite(self):
+        f, curve = degree_ten_composite()
+        pull = substitute(curve.equation, f.components)
+        assert pull == reference_substitute(curve.equation, f.components)
+        quo, ok = poly_divide(pull, curve.equation)
+        assert ok and quo.degree == 27
+
+    @pytest.mark.parametrize(
+        "polys, expected",
+        [
+            ([z * z * x, z * x * y], x * z),
+            ([z**3, z * z * x * Fraction(2, 3)], z * z),
+            ([z**2, x * y], HomPoly.constant(3, 1)),
+            ([5 * z**4], z**4),
+            ([y * z - 3 * (x * z)], 3 * (x * z) - y * z),
+            ([(y - 2 * x) * x, (y - 2 * x) * z * Fraction(3, 5)], 2 * x - y),
+            ([-(y * y) * (z - x), (x - z) * z * 7], x - z),
+        ],
+    )
+    def test_poly_gcd_cases(self, polys, expected):
+        assert poly_gcd(polys) == expected == reference_poly_gcd(polys)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_poly_gcd_random(self, seed):
+        rng = random.Random(300 + seed)
+        common = rand_poly(rng, 2) * rand_poly(rng, 1)
+        polys = [common * rand_poly(rng, 2) * z ** rng.randint(0, 2) for _ in range(3)]
+        assert poly_gcd(polys) == reference_poly_gcd(polys)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_poly_gcd_four_variables(self, seed):
+        rng = random.Random(400 + seed)
+        x3 = HomPoly.variable(4, 3)
+        common = rand_poly(rng, 2, nvars=4) * x3
+        polys = [common * rand_poly(rng, 1 + k, nvars=4) for k in range(3)]
+        got = poly_gcd(polys)
+        assert got == reference_poly_gcd(polys)
+        assert got.degree >= 3
