@@ -1,12 +1,11 @@
-"""Batch command-line interface: JSON in, JSON out, deterministic for a fixed
-seed.  Exit codes: 0 success, 1 malformed input, 2 verification failure,
+"""Batch command-line interface: JSON in, JSON out, byte-identical for a fixed
+input.  Exit codes: 0 success, 1 malformed input, 2 verification failure,
 64 unknown command."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 
@@ -42,16 +41,12 @@ _INPUT_ERRORS = (
 class Config:
     step_cap: int = 64
     sample_count: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_cap < 1:
             raise ValueError("step_cap must be >= 1")
         if self.sample_count < 3:
             raise ValueError("sample_count must be >= 3")
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
 
 def _emit(obj, stream=None):
@@ -130,7 +125,7 @@ def cmd_base_forest(payload, cfg, out):
     hints = None
     if "hints" in payload:
         hints = [jsonio.proj_point_from_json(p) for p in payload["hints"]]
-    forest = cremona.base_forest(f, cubic=cubic, hints=hints, rng=cfg.rng())
+    forest = cremona.base_forest(f, cubic=cubic, hints=hints)
     t = cremona.homaloidal_type(f, forest)
     _emit({"forest": jsonio.forest_to_json(forest), "type": jsonio.type_to_json(t)}, out)
     return EX_OK
@@ -155,11 +150,11 @@ def cmd_noether(payload, cfg, out):
 def _run_factorize(payload, cfg):
     if "state" in payload:
         state = jsonio.state_from_json(payload["state"])
-        trace = sarkisov.factorize(state, step_cap=cfg.step_cap, rng=cfg.rng())
+        trace = sarkisov.factorize(state, step_cap=cfg.step_cap)
         return trace, None, None
     f = jsonio.map_from_json(payload["map"])
     curve = jsonio.curve_from_json(payload["curve"])
-    trace = sarkisov.factorize(f, curve, step_cap=cfg.step_cap, rng=cfg.rng())
+    trace = sarkisov.factorize(f, curve, step_cap=cfg.step_cap)
     return trace, f, curve
 
 
@@ -280,8 +275,7 @@ COMMANDS = {
     "threefold-check": cmd_threefold_check,
 }
 
-_USAGE = """usage: planecubic <command> [--config PATH] [--seed INT] [--in PATH]
-                  [--trace-file PATH]
+_USAGE = """usage: planecubic <command> [--config PATH] [--in PATH] [--trace-file PATH]
 
 commands:
   curve-add        group law on a Weierstrass cubic
@@ -316,7 +310,6 @@ def main(argv=None, stdin=None, stdout=None) -> int:
 
     parser = argparse.ArgumentParser(prog=f"planecubic {command}", add_help=True)
     parser.add_argument("--config", default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--in", dest="input_path", default=None)
     parser.add_argument("--trace-file", default=None)
     try:
@@ -330,8 +323,6 @@ def main(argv=None, stdin=None, stdout=None) -> int:
             with open(opts.config) as fh:
                 cfg_data = json.load(fh)
         cfg = Config(**cfg_data)
-        if opts.seed is not None:
-            cfg.seed = opts.seed
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
         print(json.dumps({"error": f"bad config: {e}"}), file=sys.stderr)
         return EX_MALFORMED

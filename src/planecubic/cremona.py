@@ -3,7 +3,6 @@ infinitely-near base point forests, homaloidal types."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,35 +35,35 @@ class NoetherViolation(CremonaError):
     pass
 
 
-_DEFAULT_SEED = 20240
-
 DIR_INF = "inf"  # the direction not covered by the first blowup chart
 
 
 class CremonaMap:
-    """Birational self-map of P^2 as a content-normalized polynomial triple."""
+    """Birational self-map of P^(NVARS-1) as a content-normalized list of
+    NVARS polynomials in NVARS variables; NVARS = 3 is the plane."""
 
-    __slots__ = ("components", "_cached_type")
+    NVARS = 3
+    __slots__ = ("components",)
 
     def __init__(self, components, _normalized=False):
+        n = self.NVARS
         comps = list(components)
-        if len(comps) != 3:
-            raise CremonaError("a plane Cremona map needs exactly 3 components")
-        if any(c.nvars != 3 for c in comps):
-            raise CremonaError("components must be polynomials in 3 variables")
-        degs = {c.degree for c in comps if not c.is_zero}
-        if len(degs) != 1:
-            raise CremonaError("components must be nonzero of one common degree")
+        if len(comps) != n or any(c.nvars != n for c in comps):
+            raise CremonaError(f"a map needs {n} components in {n} variables")
+        if any(c.is_zero for c in comps):
+            raise CremonaError("a component is zero: the map is not dominant")
+        if len({c.degree for c in comps}) != 1:
+            raise CremonaError("components must share one degree")
         if not _normalized:
             comps = content_normalize(comps)
-        if _all_proportional([c for c in comps if not c.is_zero]):
+        if _all_proportional(comps):
             raise CremonaError("components are proportional: map is not dominant")
         self.components = tuple(comps)
-        self._cached_type = None
 
     @classmethod
-    def identity(cls) -> "CremonaMap":
-        return cls([HomPoly.variable(3, i) for i in range(3)], _normalized=True)
+    def identity(cls):
+        n = cls.NVARS
+        return cls([HomPoly.variable(n, i) for i in range(n)], _normalized=True)
 
     @property
     def degree(self) -> int:
@@ -72,7 +71,7 @@ class CremonaMap:
 
     @property
     def is_identity(self) -> bool:
-        return self == CremonaMap.identity()
+        return self == type(self).identity()
 
     def __eq__(self, other):
         return (
@@ -83,7 +82,7 @@ class CremonaMap:
         return hash(self.components)
 
     def __repr__(self):
-        return f"CremonaMap(deg={self.degree}, {list(self.components)})"
+        return f"{type(self).__name__}(deg={self.degree}, {list(self.components)})"
 
     def apply(self, pt):
         """Image of a projective point, or None if pt is a base point."""
@@ -94,14 +93,9 @@ class CremonaMap:
 
 
 def compose(f: CremonaMap, g: CremonaMap) -> CremonaMap:
-    """f after g.  Substitutes, strips the common content, renormalizes."""
-    comps = [substitute(c, g.components) for c in f.components]
-    if all(c.is_zero for c in comps):
-        raise CremonaError("composition collapsed to zero")
-    comps = content_normalize(comps)
-    if _all_proportional(comps):
-        raise CremonaError("composition is not dominant (components collapsed)")
-    return CremonaMap(comps, _normalized=True)
+    """f after g, of f's type.  Substitutes, strips the common content,
+    renormalizes."""
+    return type(f)([substitute(c, g.components) for c in f.components])
 
 
 # -- homaloidal types ---------------------------------------------------------
@@ -204,33 +198,20 @@ class BubbleForest:
         return f"BubbleForest({self.nodes})"
 
 
-def _system_mult_affine(locals_, rng) -> int:
-    """Multiplicity of the local linear system at the origin: minimum over
-    components, cross-checked on 3 random rational combinations."""
+def _system_mult_affine(locals_) -> int:
+    """Multiplicity of the local linear system at the origin: the least order
+    of its components (ord(sum c_i g_i) >= min ord(g_i), with equality for
+    general c_i)."""
     orders = [g.order() for g in locals_ if not g.is_zero]
     if not orders:
         raise CremonaError("system vanishes identically near the point")
-    m = min(orders)
-    hits = 0
-    for _ in range(3):
-        combo = AffinePoly(locals_[0].nvars, {})
-        for g in locals_:
-            combo = combo + g * Fraction(rng.randint(1, 997))
-        if not combo.is_zero and combo.order() == m:
-            hits += 1
-        elif not combo.is_zero and combo.order() < m:
-            raise CremonaError("multiplicity cross-check below component minimum (bug)")
-    if hits == 0:
-        raise CremonaError("multiplicity cross-check failed: all combinations cancel")
-    return m
+    return min(orders)
 
 
 def base_forest(
     f: CremonaMap,
     cubic: Optional[HomPoly] = None,
     hints=None,
-    rng=None,
-    verify=True,
 ) -> BubbleForest:
     """Full (infinitely near) base point analysis of a plane Cremona map.
 
@@ -238,9 +219,9 @@ def base_forest(
     up in affine charts, dividing out the exceptional factor to the system's
     multiplicity, until no base point remains on the exceptional line.  When a
     cubic is supplied, every node carries the incidence flag against the
-    cubic's strict transform computed in the same chart.
+    cubic's strict transform computed in the same chart.  The finished forest
+    must satisfy the equations of condition.
     """
-    rng = rng or random.Random(_DEFAULT_SEED)
     if f.degree == 1:
         return BubbleForest([])
     if hints is not None:
@@ -262,24 +243,23 @@ def base_forest(
 
     for pt in sorted(set(proper)):
         locals_ = [local_chart(c, pt)[0] for c in f.components]
-        m = _system_mult_affine(locals_, rng)
+        m = _system_mult_affine(locals_)
         on_c = cubic is not None and evaluate(cubic, pt) == 0
         nid = new_id()
         nodes.append(BubbleNode(nid, None, 0, m, on_c, tuple(pt)))
         cub_local = local_chart(cubic, pt)[0] if cubic is not None else None
-        _blow_up(locals_, m, cub_local, nid, 1, nodes, new_id, rng)
+        _blow_up(locals_, m, cub_local, nid, 1, nodes, new_id)
 
     forest = BubbleForest(nodes)
-    if verify:
-        d = f.degree
-        msum = sum(n.mult for n in forest)
-        msq = sum(n.mult * n.mult for n in forest)
-        if msum != 3 * d - 3 or msq != d * d - 1:
-            raise IrrationalBasePointError(
-                f"forest multiplicities ({msum}, {msq}) violate the equations of "
-                f"condition ({3 * d - 3}, {d * d - 1}): irrational base point "
-                "or incomplete forest"
-            )
+    d = f.degree
+    msum = sum(n.mult for n in forest)
+    msq = sum(n.mult * n.mult for n in forest)
+    if msum != 3 * d - 3 or msq != d * d - 1:
+        raise IrrationalBasePointError(
+            f"forest multiplicities ({msum}, {msq}) violate the equations of "
+            f"condition ({3 * d - 3}, {d * d - 1}): irrational base point "
+            "or incomplete forest"
+        )
     return forest
 
 
@@ -288,7 +268,7 @@ _ST = AffinePoly(2, {(1, 1): 1})
 _T = AffinePoly(2, {(0, 1): 1})
 
 
-def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id, rng):
+def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
     """Blow up the origin; record base points of the transformed system on the
     exceptional line and recurse."""
     # chart A: (u, v) = (s, s t), exceptional line s = 0
@@ -311,33 +291,31 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id, rng):
             break
     for t0 in sorted(dirs or ()):
         shifted = [g.shift((0, t0)) for g in chart_a]
-        cm = _system_mult_affine(shifted, rng)
+        cm = _system_mult_affine(shifted)
         if cm == 0:
             continue
         on_c = cub_a is not None and cub_a.eval((0, t0)) == 0
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, t0))
         cub_next = cub_a.shift((0, t0)) if cub_a is not None else None
-        _blow_up(shifted, cm, cub_next, nid, level + 1, nodes, new_id, rng)
+        _blow_up(shifted, cm, cub_next, nid, level + 1, nodes, new_id)
 
     # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
     # (the direction missed by chart A) needs a separate look
     chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
     if all(g.eval((0, 0)) == 0 for g in chart_b):
-        cm = _system_mult_affine(chart_b, rng)
+        cm = _system_mult_affine(chart_b)
         cub_b = None
         if cub_local is not None:
             cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
         on_c = cub_b is not None and cub_b.eval((0, 0)) == 0
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
-        _blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id, rng)
+        _blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id)
 
 
 def homaloidal_type(f: CremonaMap, forest: Optional[BubbleForest] = None) -> HomaloidalType:
     """(degree; nonincreasing multiplicities of every forest node)."""
-    if f._cached_type is not None and forest is None:
-        return f._cached_type
     if forest is None:
         forest = base_forest(f)
     t = HomaloidalType(f.degree, tuple(forest.mults()))
@@ -345,8 +323,6 @@ def homaloidal_type(f: CremonaMap, forest: Optional[BubbleForest] = None) -> Hom
         raise NoetherViolation(
             f"type {t} violates the equations of condition: base-forest bug"
         )
-    if forest is None or f._cached_type is None:
-        f._cached_type = t
     return t
 
 

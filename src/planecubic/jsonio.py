@@ -63,10 +63,6 @@ def map_from_json(obj) -> CremonaMap:
     return f
 
 
-def curve_to_json(c: WeierstrassCurve) -> dict:
-    return {"p": rat_to_json(c.p), "q": rat_to_json(c.q)}
-
-
 def curve_from_json(obj) -> WeierstrassCurve:
     try:
         return WeierstrassCurve(rat_from_json(obj["p"]), rat_from_json(obj["q"]))

@@ -164,12 +164,12 @@ def _point_spec(spec):
     return int(mult), bool(on_c), kids
 
 
-def state_from_map(f, curve, rng=None) -> FactorizationState:
+def state_from_map(f, curve) -> FactorizationState:
     """Enrich a polynomial Cremona map against a Weierstrass cubic: compute
     the base forest with incidence flags and lift it to a starting state."""
     from .cremona import base_forest
 
-    forest = base_forest(f, cubic=curve.equation, rng=rng)
+    forest = base_forest(f, cubic=curve.equation)
     by_parent = {}
     for n in forest:
         by_parent.setdefault(n.parent, []).append(n)
@@ -510,7 +510,7 @@ def next_link(state: FactorizationState):
     raise StuckState(f"no Sarkisov rule applies; state: {state!r}")
 
 
-def factorize(state_or_map, curve=None, step_cap: int = 64, rng=None) -> SarkisovTrace:
+def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
     """Run the engine to termination and collect the trace.
 
     Accepts either an enriched FactorizationState or a CremonaMap together
@@ -527,7 +527,7 @@ def factorize(state_or_map, curve=None, step_cap: int = 64, rng=None) -> Sarkiso
         else:
             if curve is None:
                 raise EngineError("factorizing a polynomial map needs its cubic")
-            state = state_from_map(state_or_map, curve, rng=rng)
+            state = state_from_map(state_or_map, curve)
     else:
         state = state_or_map
 

@@ -7,18 +7,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cremona import CremonaMap, compose
 from .exact import (
     HomPoly,
     common_zeros_plane,
-    content_normalize,
-    evaluate,
     is_irreducible,
     mult_at,
-    normalize_point,
     poly_divide,
     substitute,
     variables,
-    _all_proportional,
 )
 
 
@@ -143,41 +140,11 @@ def restrict_to_line(p: HomPoly, u, v):
     return out
 
 
-class SpaceMap:
+class SpaceMap(CremonaMap):
     """Birational self-map of P^3 as a content-normalized quadruple."""
 
-    __slots__ = ("components",)
-
-    def __init__(self, components, _normalized=False):
-        comps = list(components)
-        if len(comps) != 4 or any(c.nvars != 4 for c in comps):
-            raise ThreefoldError("a space map needs 4 components in 4 variables")
-        degs = {c.degree for c in comps if not c.is_zero}
-        if len(degs) != 1:
-            raise ThreefoldError("components must share one degree")
-        if not _normalized:
-            comps = content_normalize(comps)
-        self.components = tuple(comps)
-
-    @classmethod
-    def identity(cls) -> "SpaceMap":
-        return cls([HomPoly.variable(4, i) for i in range(4)], _normalized=True)
-
-    @property
-    def degree(self) -> int:
-        return next(c.degree for c in self.components if not c.is_zero)
-
-    def __eq__(self, other):
-        return isinstance(other, SpaceMap) and self.components == other.components
-
-    def __repr__(self):
-        return f"SpaceMap(deg={self.degree})"
-
-    def apply(self, pt):
-        vals = [evaluate(c, pt) for c in self.components]
-        if all(v == 0 for v in vals):
-            return None
-        return normalize_point(vals)
+    NVARS = 4
+    __slots__ = ()
 
 
 def build_involution(q: QuarticData) -> SpaceMap:
@@ -188,14 +155,8 @@ def build_involution(q: QuarticData) -> SpaceMap:
     return SpaceMap([-(A4 * x0) - B4, A4 * x1, A4 * x2, A4 * x3])
 
 
-def is_involution(f: SpaceMap) -> bool:
-    comps = [substitute(c, f.components) for c in f.components]
-    if all(c.is_zero for c in comps):
-        raise ThreefoldError("degenerate composition")
-    comps = content_normalize(comps)
-    if _all_proportional([c for c in comps if not c.is_zero]):
-        raise ThreefoldError("degenerate composition (collapsed to a point)")
-    return SpaceMap(comps, _normalized=True) == SpaceMap.identity()
+def is_involution(f: CremonaMap) -> bool:
+    return compose(f, f).is_identity
 
 
 def preserves_quartic(f: SpaceMap, q: QuarticData) -> bool:

@@ -34,6 +34,29 @@ class TestExitCodes:
         code, _ = run(["curve-add", "--json"], {"curve": CURVE, "P": P, "Q": Q})
         assert code == EX_USAGE
 
+    def test_seed_flag_is_64(self, translate_output):
+        code, out = run(["factorize", "--seed", "7"], {"curve": CURVE, "map": translate_output})
+        assert code == EX_USAGE and out == ""
+
+    def test_seed_in_config_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        code, out = run_with_config(["curve-add", "--config", str(cfg)])
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_zero_component_map_is_1(self, translate_output, capsys):
+        from planecubic import jsonio
+        from planecubic.exact import HomPoly, variables
+
+        _, y, z = variables(3)
+        f = {"components": [jsonio.poly_to_json(c) for c in (HomPoly.zero(3), y, z)]}
+        code, out = run(["compose"], {"f": f, "g": translate_output})
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
     def test_no_command_is_64(self):
         assert main([], stdin=io.StringIO(""), stdout=io.StringIO()) == EX_USAGE
 
@@ -272,9 +295,10 @@ class TestThreefoldCmd:
 class TestDeterminism:
     def test_byte_identical_output(self, translate_output):
         payload = {"curve": CURVE, "map": translate_output}
-        _, out1 = run(["factorize", "--seed", "7"], payload)
-        _, out2 = run(["factorize", "--seed", "7"], payload)
-        assert out1 == out2
+        code1, out1 = run(["factorize"], payload)
+        code2, out2 = run(["factorize"], payload)
+        assert code1 == code2 == EX_OK
+        assert out1 and out1 == out2
 
     def test_input_from_file(self, tmp_path):
         path = tmp_path / "in.json"
@@ -288,7 +312,7 @@ class TestDeterminism:
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"step_cap": 32, "sample_count": 5, "seed": 3}))
+        cfg.write_text(json.dumps({"step_cap": 32, "sample_count": 5}))
         code, _ = run_with_config(["curve-add", "--config", str(cfg)])
         assert code == EX_OK
 

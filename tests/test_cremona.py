@@ -30,7 +30,8 @@ from planecubic.elliptic import (
     to_projective,
     translation_map,
 )
-from planecubic.exact import variables
+from planecubic.exact import HomPoly, variables
+from planecubic.threefold import SpaceMap, is_involution
 
 x, y, z = variables(3)
 
@@ -57,6 +58,20 @@ class TestCremonaMap:
         with pytest.raises(CremonaError):
             CremonaMap([x, y, z * z])
 
+    @pytest.mark.parametrize("cls", [CremonaMap, SpaceMap])
+    def test_zero_component_rejected(self, cls):
+        n = cls.NVARS
+        comps = variables(n)
+        for i in range(n):
+            with pytest.raises(CremonaError, match="zero"):
+                cls(comps[:i] + (HomPoly.zero(n),) + comps[i + 1:])
+
+    def test_space_map_wrong_shape_rejected(self):
+        with pytest.raises(CremonaError):
+            SpaceMap([x, y, z])
+        with pytest.raises(CremonaError):
+            SpaceMap(variables(4)[:3])
+
     def test_deterministic_normal_form(self):
         a = CremonaMap([7 * (y * z), 7 * (x * z), 7 * (x * y)])
         b = CremonaMap([y * z * Fraction(1, 3), x * z * Fraction(1, 3), x * y * Fraction(1, 3)])
@@ -66,6 +81,18 @@ class TestCremonaMap:
 class TestCompose:
     def test_standard_quadratic_involution(self):
         assert compose(SIGMA, SIGMA).is_identity
+
+    def test_is_involution_on_plane_maps(self):
+        assert is_involution(SIGMA)
+        assert not is_involution(phi(P))
+
+    def test_space_maps_compose_to_space_map(self):
+        x0, x1, x2, x3 = variables(4)
+        swap = SpaceMap([x1, x0, x2, x3])
+        shear = SpaceMap([x0 + x1, x1, x2, x3])
+        h = compose(shear, swap)
+        assert type(h) is SpaceMap
+        assert h == SpaceMap([x0 + x1, x0, x2, x3])
 
     def test_identity_neutral(self):
         f = phi(P)

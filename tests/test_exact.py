@@ -309,7 +309,13 @@ class TestSympyBridge:
         assert poly_gcd([-6 * x * x * z, 9 * x * x * y]) == x * x
 
 
-def test_only_exact_imports_sympy():
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("sympy", {"exact.py"}), ("random", set())],
+    ids=["sympy", "random"],
+)
+def test_import_confined(module, allowed):
+    """sympy is reached only through exact.py; nothing draws random numbers."""
     src = Path(__file__).resolve().parents[1] / "src" / "planecubic"
     importers = set()
     for path in src.glob("*.py"):
@@ -320,9 +326,9 @@ def test_only_exact_imports_sympy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            if any(n == module or n.startswith(module + ".") for n in names):
                 importers.add(path.name)
-    assert importers == {"exact.py"}
+    assert importers == allowed
 
 
 class TestDivision:
