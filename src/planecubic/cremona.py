@@ -362,6 +362,8 @@ def _is_weierstrass(cubic: HomPoly):
 def check_cubic_nonsingular(cubic: HomPoly) -> None:
     """Nonsingularity precondition: discriminant for Weierstrass shapes, no
     rational common zero of the partials otherwise (Q-only, documented)."""
+    if cubic.nvars != 3:
+        raise CremonaError(f"a plane cubic has 3 variables, got {cubic.nvars}")
     wz = _is_weierstrass(cubic)
     if wz is not None:
         p, q = wz

@@ -32,21 +32,22 @@ class PositiveDimensionalError(ExactError):
         super().__init__(f"common positive-dimensional component: {component}")
 
 
-class HomPoly:
-    """Sparse homogeneous polynomial in 3 or 4 variables with Fraction coefficients.
+class AffinePoly:
+    """Sparse polynomial in nvars >= 1 variables with Fraction coefficients:
+    local (chart) expansions, and through HomPoly the forms themselves.
 
-    Terms map exponent tuples (summing to the degree) to nonzero coefficients.
-    The zero polynomial is the unique term-free value; its degree is None.
-    Instances are immutable by convention and hashable.
+    Terms map exponent tuples to nonzero coefficients.  The zero polynomial
+    is the unique term-free value; its degree is None.  Instances are
+    immutable by convention and hashable: results may share a term dict with
+    their input.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
-        if nvars not in (3, 4):
-            raise DimensionMismatch(f"nvars must be 3 or 4, got {nvars}")
+        if not isinstance(nvars, int) or nvars < 1:
+            raise DimensionMismatch(f"nvars must be a positive integer, got {nvars!r}")
         clean = {}
-        deg = None
         for exp, c in terms.items():
             c = Fraction(c)
             if c == 0:
@@ -54,39 +55,38 @@ class HomPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ExactError(f"bad exponent vector {exp}")
-            d = sum(exp)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ExactError(f"non-homogeneous terms: degrees {deg} and {d}")
             clean[exp] = clean.get(exp, Fraction(0)) + c
         self.nvars = nvars
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+        self._validate()
+
+    def _validate(self):
+        """Subclass hook: reject terms the subclass cannot hold."""
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "HomPoly":
+    def zero(cls, nvars: int):
         return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "HomPoly":
+    def constant(cls, nvars: int, c):
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "HomPoly":
+    def variable(cls, nvars: int, i: int):
         exp = [0] * nvars
         exp[i] = 1
         return cls(nvars, {tuple(exp): Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars: int, exp, coef=1) -> "HomPoly":
+    def monomial(cls, nvars: int, exp, coef=1):
         return cls(nvars, {tuple(exp): Fraction(coef)})
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict) -> "HomPoly":
-        """Wrap a homogeneous dict of nonzero Fractions as is (the kernels' fast path)."""
+    def _of(cls, nvars: int, terms: dict):
+        """Wrap a valid dict of nonzero Fractions as is (the kernels' fast path)."""
         out = object.__new__(cls)
         out.nvars, out.terms, out._hash = nvars, terms, None
         return out
@@ -99,28 +99,30 @@ class HomPoly:
 
     @property
     def degree(self):
+        """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return sum(next(iter(self.terms)))
+        return max(map(sum, self.terms))
 
     def coefficient(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def _key(self):
-        return (self.nvars, tuple(sorted(self.terms.items())))
-
     def __eq__(self, other):
-        return isinstance(other, HomPoly) and self._key() == other._key()
+        return (
+            isinstance(other, AffinePoly)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
         return self._hash
 
     def __repr__(self):
         if self.is_zero:
             return "0"
-        names = _VAR_NAMES[self.nvars]
+        names = _VAR_NAMES.get(self.nvars) or [f"u{i}" for i in range(self.nvars)]
         parts = []
         for exp in sorted(self.terms, reverse=True):
             c = self.terms[exp]
@@ -140,46 +142,38 @@ class HomPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compatible(self, other):
+    def __add__(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch("mixed variable counts")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise ExactError("adding homogeneous polynomials of different degrees")
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return HomPoly(self.nvars, terms)
+        return type(self)(self.nvars, terms)
 
     def __neg__(self):
-        return HomPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return type(self)._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return HomPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
+            return type(self)(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if self.nvars != other.nvars:
+            raise DimensionMismatch("mixed variable counts")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return HomPoly(self.nvars, terms)
+        return type(self)(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ExactError("negative power")
-        out = HomPoly.constant(self.nvars, 1)
+        out = type(self).constant(self.nvars, 1)
         base = self
         while k:
             if k & 1:
@@ -188,82 +182,25 @@ class HomPoly:
             k >>= 1
         return out
 
-    def partial(self, i: int) -> "HomPoly":
-        terms = {}
+    def partial(self, i: int):
+        terms = {
+            e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
+            for e, c in self.terms.items()
+            if e[i]
+        }
+        return type(self)._of(self.nvars, terms)
+
+    def eval(self, point) -> Fraction:
+        point = [Fraction(c) for c in point]
+        total = Fraction(0)
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + c * e[i]
-        return HomPoly(self.nvars, terms)
+            for coord, k in zip(point, e):
+                if k:
+                    c *= coord**k
+            total += c
+        return total
 
-    def dehomogenize(self, chart: int) -> "AffinePoly":
-        """Set variable `chart` to 1; remaining variables keep their order."""
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = tuple(v for i, v in enumerate(e) if i != chart)
-            terms[e2] = terms.get(e2, Fraction(0)) + c
-        return AffinePoly(self.nvars - 1, terms)
-
-
-def variables(n: int):
-    return tuple(HomPoly.variable(n, i) for i in range(n))
-
-
-class AffinePoly:
-    """Inhomogeneous polynomial in local (chart) coordinates; used for
-    multiplicity computations and blowup bookkeeping.  Immutable by convention:
-    results may share a term dict with their input."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars
-        self.terms = {tuple(e): f for e, c in terms.items() if (f := Fraction(c))}
-
-    @classmethod
-    def _of(cls, nvars: int, terms: dict) -> "AffinePoly":
-        """Wrap a dict of nonzero Fractions as is (the kernels' fast path)."""
-        out = object.__new__(cls)
-        out.nvars, out.terms = nvars, terms
-        return out
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffinePoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(
-            f"{c}*u{''.join(map(str, e))}" for e, c in sorted(self.terms.items())
-        )
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return AffinePoly(self.nvars, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffinePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return AffinePoly(self.nvars, terms)
-
-    __rmul__ = __mul__
+    # -- chart operations ---------------------------------------------------
 
     def order(self) -> int:
         """Order of vanishing at the origin: minimal total degree of a term."""
@@ -279,9 +216,6 @@ class AffinePoly:
             if c:
                 terms = _shift_var(terms, i, c)
         return AffinePoly._of(self.nvars, terms)
-
-    def eval(self, point) -> Fraction:
-        return _eval_terms(self.terms, [Fraction(c) for c in point])
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
         """Plug monomials (u, v) into a 2-variable polynomial: an exponent remap."""
@@ -306,15 +240,13 @@ class AffinePoly:
         for e, c in self.terms.items():
             if e[i] < k:
                 raise ExactError("not divisible by requested variable power")
-            e2 = list(e)
-            e2[i] -= k
-            terms[tuple(e2)] = c
-        return AffinePoly(self.nvars, terms)
+            terms[e[:i] + (e[i] - k,) + e[i + 1 :]] = c
+        return AffinePoly._of(self.nvars, terms)
 
     def restrict_zero(self, i: int) -> "AffinePoly":
         """Set u_i = 0."""
         terms = {e: c for e, c in self.terms.items() if e[i] == 0}
-        return AffinePoly(self.nvars, terms)
+        return AffinePoly._of(self.nvars, terms)
 
     def univariate_in(self, i: int):
         """Coefficient list (ascending) when the polynomial involves only u_i."""
@@ -329,6 +261,27 @@ class AffinePoly:
         for k, c in coeffs.items():
             out[k] = c
         return out
+
+
+class HomPoly(AffinePoly):
+    """An AffinePoly whose terms share one total degree: a form on P^(nvars-1)."""
+
+    __slots__ = ()
+
+    def _validate(self):
+        degs = {sum(e) for e in self.terms}
+        if len(degs) > 1:
+            raise ExactError(f"non-homogeneous terms: degrees {sorted(degs)}")
+
+    def dehomogenize(self, chart: int) -> AffinePoly:
+        """Set variable `chart` to 1; remaining variables keep their order."""
+        # one total degree: dropping a coordinate keeps exponents distinct
+        terms = {e[:chart] + e[chart + 1 :]: c for e, c in self.terms.items()}
+        return AffinePoly._of(self.nvars - 1, terms)
+
+
+def variables(n: int):
+    return tuple(HomPoly.variable(n, i) for i in range(n))
 
 
 def _shift_var(terms: dict, i: int, c: Fraction) -> dict:
@@ -445,7 +398,8 @@ def poly_divide(f: HomPoly, g: HomPoly):
         raise ExactError("division by zero polynomial")
     if f.is_zero:
         return HomPoly.zero(f.nvars), True
-    f._check_compatible(g)
+    if f.nvars != g.nvars:
+        raise DimensionMismatch("mixed variable counts")
     rem = dict(f.terms)
     quo = {}
     g_lead = max(g.terms)
@@ -493,18 +447,7 @@ def evaluate(p: HomPoly, pt) -> Fraction:
         raise DimensionMismatch(f"point has {len(pt)} coordinates, poly has {p.nvars}")
     if all(c == 0 for c in pt):
         raise ExactError("not a projective point: all coordinates zero")
-    return _eval_terms(p.terms, pt)
-
-
-def _eval_terms(terms, pt) -> Fraction:
-    total = Fraction(0)
-    for e, c in terms.items():
-        v = c
-        for coord, k in zip(pt, e):
-            if k:
-                v *= coord**k
-        total += v
-    return total
+    return p.eval(pt)
 
 
 def normalize_point(pt):
@@ -541,7 +484,8 @@ def mult_at(p: HomPoly, pt) -> int:
 
 
 def substitute(p: HomPoly, maps) -> HomPoly:
-    """p(f_1, ..., f_n) for equal-degree homogeneous f_i.
+    """p(f_1, ..., f_n) for homogeneous f_i; the nonzero f_i share one degree
+    and a zero f_i substitutes 0.
 
     Works in integers on packed exponents: with F_i = G_i / den (G_i integral)
     and p = q / pden, p(F) = q(G) / (pden den^deg p).  An exponent vector is
@@ -551,9 +495,9 @@ def substitute(p: HomPoly, maps) -> HomPoly:
     maps = list(maps)
     if len(maps) != p.nvars:
         raise DimensionMismatch("one substituting polynomial per variable required")
-    degs = {m.degree for m in maps}
-    if len(degs) != 1 or None in degs:
-        raise ExactError("substituting polynomials must share one degree")
+    degs = {m.degree for m in maps if not m.is_zero}
+    if len(degs) != 1:
+        raise ExactError("nonzero substituting polynomials must share one degree")
     nvars = maps[0].nvars
     if p.is_zero:
         return HomPoly.zero(nvars)
@@ -616,7 +560,6 @@ def content_normalize(maps) -> list:
         maps = out
     # canonical scaling
     denoms = [c.denominator for m in maps for c in m.terms.values()]
-    numers = [c.numerator for m in maps for c in m.terms.values()]
     scale = Fraction(int_lcm(*denoms) if denoms else 1)
     maps = [m * scale for m in maps]
     content = 0

@@ -36,11 +36,20 @@ def poly_to_json(p: HomPoly) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """A JSON integer as is; floats, bools and strings are rejected, not cast."""
+    if type(x) is not int:
+        raise DecodeError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def poly_from_json(obj) -> HomPoly:
     try:
-        nvars = int(obj["vars"])
+        nvars = _json_int(obj["vars"])
+        if nvars not in (3, 4):
+            raise DecodeError(f"vars must be 3 or 4, got {nvars}")
         terms = {
-            tuple(int(x) for x in t["exp"]): rat_from_json(t["coef"])
+            tuple(_json_int(x) for x in t["exp"]): rat_from_json(t["coef"])
             for t in obj["terms"]
         }
         return HomPoly(nvars, terms)

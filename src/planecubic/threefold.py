@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .cremona import CremonaMap, compose
@@ -35,17 +36,12 @@ def quadratic_form_rank(A: HomPoly) -> int:
     symmetric matrix."""
     if A.nvars != 3 or A.degree != 2:
         raise ThreefoldError("rank check needs a 3-variable quadratic form")
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for e, c in A.terms.items():
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        i, j = idx
-        if i == j:
-            M[i][i] += c
-        else:
-            M[i][j] += c / 2
-            M[j][i] += c / 2
+    # the symmetric matrix of A is half its (constant) Hessian
+    rows = [
+        [A.partial(i).partial(j).coefficient((0, 0, 0)) / 2 for j in range(3)]
+        for i in range(3)
+    ]
     rank = 0
-    rows = [row[:] for row in M]
     for col in range(3):
         pivot = next((r for r in range(rank, 3) if rows[r][col] != 0), None)
         if pivot is None:
@@ -85,7 +81,7 @@ class QuarticData:
                 )
         return q
 
-    @property
+    @cached_property
     def D(self) -> HomPoly:
         x0 = HomPoly.variable(4, 0)
         return (
@@ -116,25 +112,10 @@ def _certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
 def restrict_to_line(p: HomPoly, u, v):
     """Coefficients (ascending in t) of p(u + t v); with deg(p) = d this is the
     degree-d restriction to the line through u and v in the chart s = 1."""
-    u = [Fraction(c) for c in u]
-    v = [Fraction(c) for c in v]
-    out = [Fraction(0)] * (p.degree + 1 if not p.is_zero else 1)
-    for e, c in p.terms.items():
-        # expand prod (u_i + t v_i)^{e_i}
-        poly = {0: c}
-        for ui, vi, k in zip(u, v, e):
-            for _ in range(k):
-                nxt = {}
-                for dg, cc in poly.items():
-                    if ui != 0:
-                        nxt[dg] = nxt.get(dg, Fraction(0)) + cc * ui
-                    if vi != 0:
-                        nxt[dg + 1] = nxt.get(dg + 1, Fraction(0)) + cc * vi
-                poly = nxt
-                if not poly:
-                    break
-        for dg, cc in poly.items():
-            out[dg] += cc
+    line = [HomPoly(2, {(1, 0): a, (0, 1): b}) for a, b in zip(u, v)]
+    form = substitute(p, line)  # p(s u + t v), a binary form of degree d
+    d = p.degree or 0
+    out = [form.coefficient((d - k, k)) for k in range(d + 1)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
@@ -192,31 +173,26 @@ def base_lines(q: QuarticData):
         )
     # Bs(phi) = V(A, B): every involution component vanishes on every line
     phi = build_involution(q)
-    origin = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     for a in pts:
-        direction = (Fraction(0),) + tuple(a)
-        for comp in phi.components:
-            if any(c != 0 for c in restrict_to_line(comp, origin, direction)):
-                raise ThreefoldError(f"involution component does not vanish on line {a}")
+        if any(any(_on_base_line(comp, a)) for comp in phi.components):
+            raise ThreefoldError(f"involution component does not vanish on line {a}")
     return pts
+
+
+def _on_base_line(p: HomPoly, a):
+    """restrict_to_line for the line (s : t a1 : t a2 : t a3) through P."""
+    return restrict_to_line(p, (1, 0, 0, 0), (0, *a))
 
 
 def bs_not_in_quartic(lines, q: QuarticData) -> bool:
     """True iff at least one base line is not contained in D (restrict D to
     each line as a degree-4 binary form and test for a nonzero one)."""
-    origin = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    for a in lines:
-        direction = (Fraction(0),) + tuple(a)
-        coeffs = restrict_to_line(q.D, origin, direction)
-        if any(c != 0 for c in coeffs):
-            return True
-    return False
+    return any(any(_on_base_line(q.D, a)) for a in lines)
 
 
 def line_restrictions(lines, q: QuarticData):
     """Degree-4 restriction coefficient lists of D on each base line."""
-    origin = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    return [restrict_to_line(q.D, origin, (Fraction(0),) + tuple(a)) for a in lines]
+    return [_on_base_line(q.D, a) for a in lines]
 
 
 # -- concrete rational instances ------------------------------------------------

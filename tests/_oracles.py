@@ -3,7 +3,10 @@
 The chord-and-reflect oracle computes the group law from its definition: the
 binary-cubic restriction of the curve equation to the chord (or tangent),
 with the two known roots stripped off exactly.  It never uses the slope
-formulas under test.
+formulas under test.  That restriction, `binary_restriction`, is a
+term-by-term expansion of p(s u + t v), and it is also the reference for
+`threefold.restrict_to_line`, which makes the same restriction with one
+`substitute` call.
 
 The AffinePoly references are the plain term-by-term expansions that the
 chart kernels in `exact.py` must agree with.  `reference_substitute` and

@@ -57,6 +57,35 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @pytest.mark.parametrize("command", ["dec-check", "base-forest"])
+    def test_two_variable_cubic_is_1(self, command, translate_output, capsys):
+        cubic = {"vars": 2, "terms": [{"exp": [3, 0], "coef": "1"}, {"exp": [0, 3], "coef": "1"}]}
+        code, out = run([command], {"map": translate_output, "cubic": cubic})
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            {"vars": 3, "terms": [{"exp": [1.9, 0, 0], "coef": "1"}]},
+            {"vars": 3, "terms": [{"exp": [True, 0, 0], "coef": "1"}]},
+            {"vars": 3, "terms": [{"exp": [1, "0", 0], "coef": "1"}]},
+            {"vars": 3.7, "terms": [{"exp": [1, 0, 0], "coef": "1"}]},
+        ],
+    )
+    def test_non_integer_json_field_is_1(self, poly, capsys):
+        # each poly is a mis-typed x; a cast would read it as x and exit 0
+        from planecubic import jsonio
+        from planecubic.exact import variables
+
+        x, y, z = (jsonio.poly_to_json(v) for v in variables(3))
+        payload = {"f": {"components": [poly, y, z]}, "g": {"components": [x, y, z]}}
+        code, out = run(["compose"], payload)
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
     def test_no_command_is_64(self):
         assert main([], stdin=io.StringIO(""), stdout=io.StringIO()) == EX_USAGE
 

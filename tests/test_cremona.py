@@ -289,6 +289,11 @@ class TestDecMembership:
         with pytest.raises(CremonaError):
             is_in_dec(SIGMA, nodal)
 
+    def test_cubic_not_in_three_variables_rejected(self):
+        binary = HomPoly(2, {(3, 0): 1, (0, 3): 1})
+        with pytest.raises(CremonaError):
+            is_in_dec(phi(P), binary)
+
 
 class TestInertia:
     def test_pair_witness_fixes_samples_but_is_identity(self):

@@ -98,6 +98,14 @@ class TestHomPoly:
         with pytest.raises(ExactError):
             x + x * y
 
+    def test_one_type_with_affine(self):
+        terms = {(2, 0): 1, (0, 1): -3, (1, 1): Fraction(2, 5)}
+        hom, aff = HomPoly(2, {(2, 0): 1, (1, 1): 4}), AffinePoly(2, terms)
+        assert hom == AffinePoly(2, hom.terms) and hash(hom) == hash(AffinePoly(2, hom.terms))
+        assert repr(aff) == "u0^2 + 2/5*u0*u1 - 3*u1"
+        assert aff.degree == 2
+        assert aff.partial(1) == AffinePoly(2, {(1, 0): Fraction(2, 5), (0, 0): -3})
+
 
 class TestEval:
     def test_z_factor_kills(self):
@@ -454,6 +462,22 @@ class TestIntegerKernels:
         maps = [HomPoly.constant(3, c) for c in (Fraction(2, 3), -5, 7)]
         assert substitute(p, maps) == reference_substitute(p, maps)
         assert substitute(p, maps) == HomPoly.constant(3, Fraction(2, 9) + 105 + 49)
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("zeros", [(0,), (1, 2)])
+    def test_substitute_zero_maps(self, nvars, zeros):
+        rng = random.Random(50 + nvars + len(zeros))
+        p = rand_poly(rng, 3, nvars, terms=8)
+        maps = [rand_poly(rng, 2, nvars) for _ in range(nvars)]
+        for i in zeros:
+            maps[i] = HomPoly.zero(nvars)
+        assert substitute(p, maps) == reference_substitute(p, maps)
+
+    def test_substitute_all_zero_maps_rejected(self):
+        with pytest.raises(ExactError):
+            substitute(x * y + z * z, [HomPoly.zero(3)] * 3)
+        with pytest.raises(ExactError):
+            substitute(HomPoly.zero(3), [HomPoly.zero(2)] * 3)
 
     def test_substitute_cancels_to_zero(self):
         m = x * x * Fraction(3, 7) + y * z

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+
+from _oracles import binary_restriction
 
 from planecubic.exact import poly_divide, variables
 from planecubic.threefold import (
@@ -15,6 +19,7 @@ from planecubic.threefold import (
     preserves_quartic,
     pullback_quotient,
     quadratic_form_rank,
+    restrict_to_line,
     rigged_instance,
     tangent_instance,
 )
@@ -50,6 +55,9 @@ class TestQuarticData:
     def test_wrong_degrees_rejected(self):
         with pytest.raises(ThreefoldError):
             QuarticData.build(u1**2, u1**2, u1**4, validate=False)
+
+    def test_quartic_built_once(self, desk):
+        assert desk.D is desk.D
 
 
 class TestInvolution:
@@ -148,3 +156,47 @@ class TestBaseLines:
         lines = base_lines(q)
         assert len(lines) == 6
         assert not bs_not_in_quartic(lines, q)
+
+
+def trimmed(coeffs):
+    """binary_restriction's list in restrict_to_line's form: no trailing zeros."""
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+LINES = [
+    ((1, 0, 0, 0), (0, 1, 2, 3)),
+    ((1, 1, 1, 1), (1, 2, 3, 4)),
+    ((2, -1, 1, 3), (1, -1, 2, -2)),
+    ((0, 1, 0, 0), (0, 0, 1, 0)),
+    ((Fraction(1, 2), 0, Fraction(-3, 7), 0), (Fraction(5, 3), 0, 2, 0)),
+    ((0, 0, 0, 1), (0, 0, 0, 2)),
+]
+
+
+class TestRestrictToLine:
+    """restrict_to_line (one substitute call) against the term-by-term
+    expansion binary_restriction in _oracles."""
+
+    @pytest.mark.parametrize("instance", [desk_instance, tangent_instance, rigged_instance])
+    @pytest.mark.parametrize("u, v", LINES)
+    def test_quartic_matches_oracle(self, instance, u, v):
+        D = instance().D
+        assert restrict_to_line(D, u, v) == trimmed(binary_restriction(D, u, v))
+
+    @pytest.mark.parametrize("instance", [desk_instance, rigged_instance])
+    def test_involution_components_on_base_lines(self, instance):
+        q = instance()
+        phi, origin = build_involution(q), (1, 0, 0, 0)
+        for a in base_lines(q):
+            direction = (0,) + tuple(a)
+            for comp in phi.components:
+                got = restrict_to_line(comp, origin, direction)
+                assert got == trimmed(binary_restriction(comp, origin, direction)) == [0]
+
+    def test_plane_form_matches_oracle(self):
+        p = u1**3 - 2 * u1 * u2 * u3 + Fraction(3, 4) * u3**3
+        u, v = (1, 0, Fraction(-1, 3)), (0, 0, 5)
+        assert restrict_to_line(p, u, v) == trimmed(binary_restriction(p, u, v))
