@@ -132,7 +132,7 @@ def cmd_base_forest(payload, cfg, out):
 
 
 def cmd_noether(payload, cfg, out):
-    t = cremona.HomaloidalType(int(payload["d"]), tuple(int(m) for m in payload["mults"]))
+    t = jsonio.type_from_json(payload)
     ok = cremona.noether_check(t)
     report = {
         "ok": ok,
@@ -244,10 +244,8 @@ def cmd_threefold_check(payload, cfg, out):
     checks = {}
     checks["involution"] = threefold.is_involution(phi)
     checks["preserves_quartic"] = threefold.preserves_quartic(phi, q)
-    if checks["preserves_quartic"]:
-        checks["quotient_degree_8"] = threefold.pullback_quotient(phi, q).degree == 8
-    else:
-        checks["quotient_degree_8"] = False
+    # the pullback is nonzero, of degree 4 deg(phi), and D divides it
+    checks["quotient_degree_8"] = checks["preserves_quartic"] and 4 * (phi.degree - 1) == 8
     try:
         lines = threefold.base_lines(q)
         checks["six_distinct_base_lines"] = True

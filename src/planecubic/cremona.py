@@ -221,6 +221,13 @@ def base_forest(
     cubic is supplied, every node carries the incidence flag against the
     cubic's strict transform computed in the same chart.  The finished forest
     must satisfy the equations of condition.
+
+    For a Weierstrass cubic the proper points are first looked for on the
+    cubic only: a map in its decomposition group has every base point there.
+    Every node has multiplicity >= 1, so a forest that misses a base point
+    has sum m < 3d - 3, and the equations of condition certify the points
+    found; if they fail, the forest is rebuilt once from a search of the
+    whole plane.
     """
     if f.degree == 1:
         return BubbleForest([])
@@ -231,9 +238,20 @@ def base_forest(
             if any(evaluate(c, pt) != 0 for c in f.components):
                 raise CremonaError(f"hint {pt} is not a base point")
             proper.append(pt)
-    else:
-        proper = common_zeros_plane(list(f.components))
+        return _forest_from(f, proper, cubic)
+    comps = list(f.components)
+    weierstrass = _is_weierstrass(cubic) if cubic is not None else None
+    if weierstrass is not None:
+        try:
+            return _forest_from(f, common_zeros_plane(comps, weierstrass), cubic)
+        except IrrationalBasePointError:
+            pass  # a base point off the cubic (or an irrational one)
+    return _forest_from(f, common_zeros_plane(comps), cubic)
 
+
+def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
+    """The forest over the given proper base points, checked against the
+    equations of condition."""
     nodes = []
     counter = [0]
 

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations
 from math import gcd as int_gcd
+from math import isqrt
 from math import lcm as int_lcm
-
-from sympy import QQ, ZZ, lex
-from sympy.polys.rings import PolyElement, PolyRing
 
 Rational = Fraction
 
@@ -323,14 +321,23 @@ def _mul_packed(a: dict, b: dict) -> dict:
 
 # -- sympy bridge: sparse rings over QQ and ZZ (gcd / resultants / factorization)
 
-_RINGS = {n: PolyRing([f"u{i}" for i in range(n)], QQ, lex) for n in (1, 2, 3, 4)}
-_ZZ_RINGS = {n: PolyRing([f"u{i}" for i in range(n)], ZZ, lex) for n in (2, 3)}
+
+@cache
+def _ring(nvars: int, domain: str):
+    """QQ[u0, ..., u{nvars-1}] or ZZ[...] (domain "QQ" or "ZZ") in lex order,
+    built on first use: sympy is imported only when a gcd, a resultant or a
+    root search needs it."""
+    from sympy import QQ, ZZ, lex
+    from sympy.polys.rings import PolyRing
+
+    return PolyRing([f"u{i}" for i in range(nvars)], {"QQ": QQ, "ZZ": ZZ}[domain], lex)
 
 
 def _to_ring(terms: dict, nvars: int):
     """{exponent tuple: rational} as an element of QQ[u0, ..., u{nvars-1}], lex."""
-    return _RINGS[nvars].from_dict(
-        {e: QQ(c.numerator, c.denominator) for e, c in terms.items()}
+    ring = _ring(nvars, "QQ")
+    return ring.from_dict(
+        {e: ring.domain(c.numerator, c.denominator) for e, c in terms.items()}
     )
 
 
@@ -338,9 +345,13 @@ def _to_zz_ring(terms: dict, nvars: int):
     """{exponent tuple: rational} times the lcm of its denominators, as an
     element of ZZ[u0, ..., u{nvars-1}], lex."""
     den = int_lcm(*(c.denominator for c in terms.values()))
-    return _ZZ_RINGS[nvars].from_dict(
+    return _ring(nvars, "ZZ").from_dict(
         {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     )
+
+
+def _ring_gcd(polys):
+    return reduce(lambda f, g: f.gcd(g), polys)
 
 
 def _from_ring(p) -> dict:
@@ -577,13 +588,17 @@ def content_normalize(maps) -> list:
     return maps
 
 
-def common_zeros_plane(polys):
-    """All rational projective common zeros of >= 2 polynomials in 3 variables.
+def common_zeros_plane(polys, weierstrass=None):
+    """All rational projective common zeros of >= 2 polynomials in 3 variables;
+    with weierstrass = (p, q), only those on y^2 z = x^3 + p x z^2 + q z^3.
 
-    Candidates come from bivariate resultants and rational root extraction,
-    then every candidate is verified against the full system.  Completeness
-    holds over Q only.  A common curve component raises
-    PositiveDimensionalError carrying the component.
+    Without a cubic, candidates come from bivariate resultants and rational
+    root extraction.  On the cubic, the affine candidates have as x the
+    rational roots of the gcd of the components' norms to Q[x] (a univariate
+    degree <= 3 deg), and at z = 0 the only candidate is O = (0:1:0).  Every
+    candidate is then verified against the full system.  Completeness holds
+    over Q only.  A common curve component raises PositiveDimensionalError
+    carrying the component.
     """
     polys = [p for p in polys if not p.is_zero]
     if len(polys) < 2:
@@ -596,26 +611,10 @@ def common_zeros_plane(polys):
     if g.degree and g.degree > 0:
         raise PositiveDimensionalError(g)
 
-    candidates = set()
-
-    # points with z != 0: affine system in (x, y)
-    affine = [_to_ring(p.dehomogenize(2).terms, 2) for p in polys]
-    for y0 in _affine_y_candidates(affine):
-        specs = [s for s in (f.evaluate(1, y0) for f in affine) if s]
-        if specs:
-            for x0 in _ring_roots(reduce(PolyElement.gcd, specs)):
-                candidates.add((x0, y0, Fraction(1)))
-
-    # points with z = 0: common roots of the nonzero binary-form restrictions
-    # (identically-zero restrictions impose no condition; verification below
-    # re-checks the full system anyway)
-    forms = []
-    for p in polys:
-        terms = {e[:2]: c for e, c in p.terms.items() if e[2] == 0}
-        if terms:
-            forms.append(terms)
-    if forms:
-        candidates.update(_binary_common_roots(forms))
+    if weierstrass is None:
+        candidates = _plane_candidates(polys)
+    else:
+        candidates = _cubic_candidates(polys, *weierstrass)
 
     points = []
     for cand in candidates:
@@ -626,6 +625,114 @@ def common_zeros_plane(polys):
         if all(evaluate(p, pt) == 0 for p in polys):
             points.append(pt)
     return sorted(set(points))
+
+
+def _plane_candidates(polys) -> set:
+    """Candidate common zeros anywhere in the plane (a superset of the zeros)."""
+    candidates = set()
+
+    # points with z != 0: affine system in (x, y)
+    affine = [_to_ring(p.dehomogenize(2).terms, 2) for p in polys]
+    for y0 in _affine_y_candidates(affine):
+        specs = [s for s in (f.evaluate(1, y0) for f in affine) if s]
+        if specs:
+            for x0 in _ring_roots(_ring_gcd(specs)):
+                candidates.add((x0, y0, Fraction(1)))
+
+    # points with z = 0: common roots of the nonzero binary-form restrictions
+    # (identically-zero restrictions impose no condition; the caller
+    # re-checks the full system anyway)
+    forms = []
+    for p in polys:
+        terms = {e[:2]: c for e, c in p.terms.items() if e[2] == 0}
+        if terms:
+            forms.append(terms)
+    if forms:
+        candidates.update(_binary_common_roots(forms))
+    return candidates
+
+
+def _cubic_candidates(polys, p, q) -> set:
+    """Candidate common zeros on y^2 z = x^3 + p x z^2 + q z^3 (a superset of
+    the zeros on the cubic).
+
+    On the cubic, f(x, y, 1) = a(x) + y b(x) where y^2 = w(x) = x^3 + p x + q,
+    and the norm a^2 - w b^2 is f's value at (x, y) times its value at
+    (x, -y).  So the x of a common zero is a root of every norm.  A norm is
+    zero only if f vanishes on the cubic (w is no square in Q(x)); such an f
+    imposes no condition.
+    """
+    p, q = Fraction(p), Fraction(q)
+    delta = int_lcm(p.denominator, q.denominator)
+    w = [  # delta w, ascending
+        q.numerator * (delta // q.denominator),
+        p.numerator * (delta // p.denominator),
+        0,
+        delta,
+    ]
+    zz = _ring(1, "ZZ")
+    norms = (
+        zz.from_dict({(k,): c for k, c in enumerate(_norm_on_cubic(f, w)) if c})
+        for f in polys
+    )
+    # some norm is nonzero: the caller ruled out a common curve component
+    g = _ring_gcd([n for n in norms if n])
+    candidates = {(Fraction(0), Fraction(1), Fraction(0))}
+    for x0 in _ring_roots(g):
+        y0 = _rational_sqrt(x0**3 + p * x0 + q)
+        if y0 is not None:
+            candidates.update({(x0, y0, Fraction(1)), (x0, -y0, Fraction(1))})
+    return candidates
+
+
+def _norm_on_cubic(f: HomPoly, w) -> list:
+    """A positive integer multiple of the norm a^2 - w b^2 of f(x, y, 1) =
+    a(x) + y b(x) mod y^2 = w, as ascending coefficients; w is given as the
+    integral delta w with delta its leading coefficient.
+
+    With f's denominators cleared by den, k = deg f // 2 and y^(2e) =
+    (delta w)^e / delta^e, the integral A = delta^k den a and B = delta^k
+    den b give delta A^2 - (delta w) B^2 = delta^(2k+1) den^2 (a^2 - w b^2).
+    """
+    delta = w[-1]
+    den = int_lcm(*(c.denominator for c in f.terms.values()))
+    k = f.degree // 2
+    size = f.degree + k + 1  # deg a, deg b <= i + 3 (j // 2) <= d + d // 2
+    halves = ([0] * size, [0] * size)  # A, B
+    powers = [[1]]
+    for (i, j, _), c in f.terms.items():
+        e = j // 2
+        while len(powers) <= e:
+            powers.append(_int_poly_mul(powers[-1], w))
+        c = c.numerator * (den // c.denominator) * delta ** (k - e)
+        acc = halves[j % 2]
+        for t, wt in enumerate(powers[e]):
+            acc[i + t] += c * wt
+    a, b = halves
+    out = [-v for v in _int_poly_mul(w, _int_poly_mul(b, b))]
+    for t, v in enumerate(_int_poly_mul(a, a)):
+        out[t] += delta * v
+    return out
+
+
+def _int_poly_mul(a: list, b: list) -> list:
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _rational_sqrt(s: Fraction):
+    """The nonnegative rational square root of s, or None if s has none."""
+    if s < 0:
+        return None
+    n, m = isqrt(s.numerator), isqrt(s.denominator)
+    if n * n != s.numerator or m * m != s.denominator:
+        return None
+    return Fraction(n, m)
 
 
 def _all_proportional(polys) -> bool:
@@ -680,7 +787,7 @@ def _binary_common_roots(forms):
     """Rational projective roots (x:y:0) of common binary forms given as
     {(i,j): coef} exponent maps."""
     rows = (_to_ring({(a,): c for (a, _b), c in terms.items()}, 1) for terms in forms)
-    g = reduce(PolyElement.gcd, rows)  # gcd of the forms at y = 1
+    g = _ring_gcd(rows)  # gcd of the forms at y = 1
     points = {(x0, Fraction(1), Fraction(0)) for x0 in _ring_roots(g)}
     # (1:0:0): every form must miss a pure-x term... i.e. have no term with b=0
     if all(all(b > 0 for (_a, b) in terms) for terms in forms):

@@ -67,7 +67,7 @@ def map_from_json(obj) -> CremonaMap:
     except (KeyError, TypeError) as e:
         raise DecodeError(f"bad map object: {e}")
     f = CremonaMap(comps)
-    if "deg" in obj and int(obj["deg"]) != f.degree:
+    if "deg" in obj and _json_int(obj["deg"]) != f.degree:
         raise DecodeError(f"declared degree {obj['deg']} != actual {f.degree}")
     return f
 
@@ -135,12 +135,15 @@ def forest_from_json(obj) -> BubbleForest:
             point = entry.get("point")
             if point is not None:
                 point = proj_point_from_json(point)
+            parent = entry["parent"]
+            if parent is not None:
+                parent = _json_int(parent)
             nodes.append(
                 BubbleNode(
-                    id=int(entry["id"]),
-                    parent=entry["parent"],
-                    level=int(entry["level"]),
-                    mult=int(entry["mult"]),
+                    id=_json_int(entry["id"]),
+                    parent=parent,
+                    level=_json_int(entry["level"]),
+                    mult=_json_int(entry["mult"]),
                     on_cubic=bool(entry["on_cubic"]),
                     point=point,
                     direction=direction,
@@ -155,6 +158,13 @@ def type_to_json(t: HomaloidalType) -> dict:
     return {"d": t.d, "mults": list(t.mults)}
 
 
+def type_from_json(obj) -> HomaloidalType:
+    try:
+        return HomaloidalType(_json_int(obj["d"]), tuple(_json_int(m) for m in obj["mults"]))
+    except (KeyError, TypeError) as e:
+        raise DecodeError(f"bad homaloidal type: {e}")
+
+
 def model_to_json(m: SurfaceModel) -> dict:
     if m.is_plane:
         return {"kind": "P2"}
@@ -165,7 +175,7 @@ def model_from_json(obj) -> SurfaceModel:
     try:
         if obj["kind"] == "P2":
             return SurfaceModel.plane()
-        return SurfaceModel.hirzebruch(int(obj["n"]))
+        return SurfaceModel.hirzebruch(_json_int(obj["n"]))
     except (KeyError, TypeError) as e:
         raise DecodeError(f"bad model object: {e}")
 
@@ -193,7 +203,7 @@ def link_from_json(obj) -> SarkisovLink:
             to_model=model_from_json(obj["to"]),
             vp=bool(obj["vp"]),
             case_tag=obj.get("case"),
-            system_after=tuple(int(c) for c in obj["system"]),
+            system_after=tuple(_json_int(c) for c in obj["system"]),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad link object: {e}")
@@ -206,7 +216,7 @@ def state_from_json(obj) -> FactorizationState:
     def spec(node):
         try:
             return (
-                int(node["mult"]),
+                _json_int(node["mult"]),
                 bool(node.get("on_cubic", False)),
                 [spec(k) for k in node.get("children", [])],
             )
@@ -214,7 +224,7 @@ def state_from_json(obj) -> FactorizationState:
             raise DecodeError(f"bad enriched point: {e}")
 
     try:
-        degree = int(obj["degree"])
+        degree = _json_int(obj["degree"])
         points = [spec(p) for p in obj.get("points", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad enriched state: {e}")

@@ -86,6 +86,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("noether", {"d": 2.9, "mults": [1, 1, 1.5]}),
+            ("noether", {"d": True, "mults": []}),
+            ("noether", {"d": 2, "mults": [1, 1, "1"]}),
+            ("factorize", {"state": {"degree": 2.0, "points": [{"mult": 1}] * 3}}),
+            ("factorize", {"state": {"degree": 2, "points": [{"mult": 1.0}] * 3}}),
+        ],
+        ids=["noether-float", "noether-bool", "noether-string", "state-degree", "state-mult"],
+    )
+    def test_non_integer_field_is_1(self, command, payload, capsys):
+        # a cast would read each of these as an integer and exit 0
+        code, out = run([command], payload)
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_non_integer_map_degree_is_1(self, translate_output, capsys):
+        f = dict(translate_output, deg=4.0)
+        code, out = run(["compose"], {"f": f, "g": translate_output})
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
     def test_no_command_is_64(self):
         assert main([], stdin=io.StringIO(""), stdout=io.StringIO()) == EX_USAGE
 
@@ -321,6 +346,55 @@ class TestThreefoldCmd:
         assert json.loads(out)["checks"]["bs_not_in_quartic"] is False
 
 
+    @pytest.mark.parametrize("name", ["desk", "tangent", "rigged"])
+    def test_quotient_degree_without_a_second_pullback(self, name, monkeypatch):
+        from planecubic import jsonio, threefold
+
+        q = getattr(threefold, f"{name}_instance")()
+        phi = threefold.build_involution(q)
+        expected = threefold.preserves_quartic(phi, q) and (
+            threefold.pullback_quotient(phi, q).degree == 8
+        )
+
+        def refuse(*args):
+            raise AssertionError("pullback_quotient called")
+
+        monkeypatch.setattr(threefold, "pullback_quotient", refuse)
+        payload = {k: jsonio.poly_to_json(getattr(q, k)) for k in "ABC"}
+        payload["validate"] = False
+        code, out = run(["threefold-check"], payload)
+        assert code in (EX_OK, EX_VERIFY)
+        assert json.loads(out)["checks"]["quotient_degree_8"] is expected
+
+
+class TestLazySympy:
+    def test_commands_without_polynomial_algebra_skip_sympy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        noether = json.dumps({"d": 2, "mults": [1, 1, 1]})
+        curve_add = json.dumps({"curve": CURVE, "P": P, "Q": Q})
+        script = f"""
+import io, sys
+from planecubic.cli import main
+for cmd, raw in (("noether", {noether!r}), ("curve-add", {curve_add!r})):
+    assert main([cmd], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
+print("sympy" in sys.modules)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, translate_output):
         payload = {"curve": CURVE, "map": translate_output}
@@ -357,6 +431,35 @@ def run_with_config(args):
     payload = json.dumps({"curve": CURVE, "P": P, "Q": Q})
     code = main(args, stdin=io.StringIO(payload), stdout=out)
     return code, out.getvalue()
+
+
+class TestStrictDecoders:
+    """Decoders the CLI does not reach take JSON integers only, too."""
+
+    def test_forest(self):
+        from planecubic import jsonio
+
+        node = {"id": 0, "parent": None, "level": 0, "mult": 1, "on_cubic": True}
+        assert len(jsonio.forest_from_json([node])) == 1
+        for key, bad in (("id", 0.0), ("parent", True), ("level", "0"), ("mult", 1.5)):
+            with pytest.raises(jsonio.DecodeError):
+                jsonio.forest_from_json([dict(node, **{key: bad})])
+
+    def test_surface(self):
+        from planecubic import jsonio
+
+        assert jsonio.model_from_json({"kind": "Fn", "n": 1}).n == 1
+        with pytest.raises(jsonio.DecodeError):
+            jsonio.model_from_json({"kind": "Fn", "n": 1.0})
+
+    def test_link_system(self, translate_output):
+        from planecubic import jsonio
+
+        code, out = run(["factorize"], {"curve": CURVE, "map": translate_output})
+        link = json.loads(out.splitlines()[0])
+        jsonio.link_from_json(link)
+        with pytest.raises(jsonio.DecodeError):
+            jsonio.link_from_json(dict(link, system=[float(c) for c in link["system"]]))
 
 
 class TestRoundTrips:

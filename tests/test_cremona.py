@@ -26,6 +26,7 @@ from planecubic.elliptic import (
     WeierstrassCurve,
     add,
     default_samples,
+    multiple,
     neg,
     to_projective,
     translation_map,
@@ -239,6 +240,83 @@ class TestBaseForest:
     def test_max_mult_tie_break(self):
         forest = base_forest(SIGMA)
         assert forest.max_mult_node().id == min(n.id for n in forest)
+
+
+E2 = WeierstrassCurve(0, -2)
+G2 = CurvePoint.affine(3, 5)
+
+
+@pytest.fixture
+def zero_search_calls(monkeypatch):
+    """The weierstrass argument of every common_zeros_plane call base_forest makes."""
+    from planecubic import cremona
+
+    calls = []
+    real = cremona.common_zeros_plane
+
+    def spy(polys, weierstrass=None):
+        calls.append(weierstrass)
+        return real(polys, weierstrass)
+
+    monkeypatch.setattr(cremona, "common_zeros_plane", spy)
+    return calls
+
+
+class TestBaseForestOnCubic:
+    """With a Weierstrass cubic, proper base points are looked for on it; the
+    equations of condition decide whether a search of the plane must follow."""
+
+    def test_degree_22_triple_forest(self, zero_search_calls):
+        # phi_{-3G} o phi_{2G} o phi_G, no hints: every node pinned
+        f = inertia_witness_triple(E2, G2, add(E2, G2, G2))
+        assert f.degree == 22
+        forest = base_forest(f, cubic=E2.equation)
+        assert zero_search_calls == [(0, -2)]
+        assert homaloidal_type(f, forest) == HomaloidalType(22, (12,) + (7,) * 6 + (6, 3))
+        assert all(n.on_cubic for n in forest)
+        got = [(n.parent, n.level, n.mult, n.point, n.direction) for n in forest]
+        infinity = (Fraction(0), Fraction(1), Fraction(0))
+        minus_6g = to_projective(multiple(E2, -6, G2))
+        assert minus_6g[0] == Fraction(794845361623184880769, 513127310073606144900)
+        assert got == [
+            (None, 0, 7, infinity, None),
+            (0, 1, 7, None, Fraction(0)),
+            (1, 2, 7, None, Fraction(0)),
+            (2, 3, 7, None, Fraction(1)),
+            (3, 4, 7, None, Fraction(0)),
+            (4, 5, 7, None, Fraction(0)),
+            (None, 0, 3, minus_6g, None),
+            (None, 0, 12, (Fraction(3), Fraction(5), Fraction(1)), None),
+            (7, 1, 6, None, Fraction(27, 10)),
+        ]
+
+    def test_dec_map_needs_one_search(self, zero_search_calls):
+        forest = base_forest(translation_map(E2, G2), cubic=E2.equation)
+        assert zero_search_calls == [(0, -2)]
+        assert sorted(n.mult for n in forest) == [1] * 6 + [3]
+
+    def test_falls_back_when_a_base_point_is_off_the_cubic(self, zero_search_calls):
+        # only (0:1:0) of sigma's base points lies on y^2 = x^3 - 2, so the
+        # forest over the cubic's points fails the equations of condition
+        forest = base_forest(SIGMA, cubic=E2.equation)
+        assert zero_search_calls == [(0, -2), None]
+        got = [(n.parent, n.level, n.mult, n.on_cubic, n.point) for n in forest]
+        assert got == [
+            (None, 0, 1, False, (0, 0, 1)),
+            (None, 0, 1, True, (0, 1, 0)),
+            (None, 0, 1, False, (1, 0, 0)),
+        ]
+
+    def test_no_cubic_searches_the_plane(self, zero_search_calls):
+        base_forest(SIGMA)
+        base_forest(SIGMA, cubic=x**3 + y**3 + z**3)  # not in Weierstrass form
+        assert zero_search_calls == [None, None]
+
+    def test_irrational_base_points_still_detected(self, zero_search_calls):
+        f = CremonaMap([x * z, y * z, x * x - 2 * (y * y)])
+        with pytest.raises(IrrationalBasePointError):
+            base_forest(f, cubic=E2.equation)
+        assert zero_search_calls == [(0, -2), None]
 
 
 class TestHomaloidalTypeOfMaps:

@@ -285,6 +285,86 @@ class TestCommonZeros:
         assert common_zeros_plane(list(f.components)) == [(0, 1, 0), (3, 5, 1)]
 
 
+W = (0, -2)  # y^2 = x^3 - 2, the curve of degree_ten_composite
+C_W = y * y * z - x**3 + 2 * z**3
+
+
+class TestCommonZerosOnCubic:
+    """weierstrass=(p, q): the zeros on y^2 z = x^3 + p x z^2 + q z^3, by norms."""
+
+    @pytest.mark.parametrize("k", [k for k in range(-6, 7) if k])
+    def test_translation_maps_match_full_search(self, k):
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, multiple, translation_map
+
+        curve = WeierstrassCurve(*W)
+        f = translation_map(curve, multiple(curve, k, CurvePoint.affine(3, 5)))
+        polys = list(f.components)
+        assert common_zeros_plane(polys, W) == common_zeros_plane(polys)
+
+    def test_degree_ten_composite_matches_full_search(self):
+        f, curve = degree_ten_composite()
+        polys = list(f.components)
+        on_cubic = common_zeros_plane(polys, (curve.p, curve.q))
+        assert on_cubic == common_zeros_plane(polys) == [(0, 1, 0), (3, 5, 1)]
+
+    def test_two_torsion_and_o(self):
+        # y^2 = x^3 - x: (1, 0), (-1, 0) have y0 = 0; z = 0 leaves only O
+        polys = [y * z, (x - z) * (x + z)]
+        expected = [(-1, 0, 1), (0, 1, 0), (1, 0, 1)]
+        assert common_zeros_plane(polys, (-1, 0)) == common_zeros_plane(polys) == expected
+
+    def test_o_only(self):
+        assert common_zeros_plane([x, z], W) == common_zeros_plane([x, z]) == [(0, 1, 0)]
+
+    @pytest.mark.parametrize(
+        "polys",
+        [[x - 2 * z, y * y - 6 * z * z], [x - z, y * y + z * z]],
+        ids=["w-non-square", "w-negative"],
+    )
+    def test_rational_x_without_rational_y(self, polys):
+        # x0 = 2 gives w = 6 and x0 = 1 gives w = -1: both points of the
+        # cubic over x0 are irrational
+        assert common_zeros_plane(polys, W) == common_zeros_plane(polys) == []
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_component_vanishing_on_cubic(self, position):
+        # its norm is zero, so it imposes no condition on the cubic
+        polys = [(x - 3 * z) * y, y * (y - 5 * z)]
+        polys.insert(position, C_W)
+        expected = [(3, 5, 1)]
+        assert common_zeros_plane(polys, W) == common_zeros_plane(polys) == expected
+
+    def test_candidates_from_the_gcd_of_all_norms(self):
+        # y^2 = x^3 + 1: the first norm also vanishes at x = -1, the second
+        # only at x = 2 (and at no other rational x)
+        from planecubic.exact import _cubic_candidates
+
+        polys = [(x - 2 * z) * (x + z), y - 3 * z]
+        assert _cubic_candidates(polys, 0, 1) == {(0, 1, 0), (2, 3, 1), (2, -3, 1)}
+        assert common_zeros_plane(polys, (0, 1)) == [(2, 3, 1)]
+
+    def test_negative_y(self):
+        polys = [x - 3 * z, y + 5 * z]
+        assert common_zeros_plane(polys, W) == [(3, -5, 1)]
+
+    def test_points_off_the_cubic_not_reported(self):
+        # the standard quadratic involution: only (0:1:0) lies on y^2 = x^3 - 2
+        polys = [y * z, x * z, x * y]
+        assert common_zeros_plane(polys, W) == [(0, 1, 0)]
+        assert len(common_zeros_plane(polys)) == 3
+
+    def test_component_reported(self):
+        with pytest.raises(PositiveDimensionalError):
+            common_zeros_plane([x * C_W, y * C_W], W)
+
+    def test_rational_curve_coefficients(self):
+        # y^2 = x^3 - x/4 + 1/4 through (1/2, 1/2)
+        polys = [2 * x - z, 2 * y - z]
+        assert common_zeros_plane(polys, (Fraction(-1, 4), Fraction(1, 4))) == [
+            (Fraction(1, 2), Fraction(1, 2), 1)
+        ]
+
+
 class TestSympyBridge:
     def test_zero_and_non_monic_roots(self):
         assert rational_roots([0, 0, -2, 3]) == [0, Fraction(2, 3)]
