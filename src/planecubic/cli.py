@@ -40,26 +40,14 @@ _INPUT_ERRORS = (
 @dataclass
 class Config:
     step_cap: int = 64
-    sample_count: int = 10
 
     def __post_init__(self):
         if self.step_cap < 1:
             raise ValueError("step_cap must be >= 1")
-        if self.sample_count < 3:
-            raise ValueError("sample_count must be >= 3")
 
 
 def _emit(obj, stream=None):
     print(json.dumps(obj, sort_keys=True), file=stream or sys.stdout)
-
-
-def _curve_and_samples(payload, cfg):
-    curve = jsonio.curve_from_json(payload["curve"])
-    samples = [
-        elliptic.to_projective(pt)
-        for pt in elliptic.default_samples(curve, cfg.sample_count)
-    ]
-    return curve, samples
 
 
 # -- command handlers -----------------------------------------------------------
@@ -100,13 +88,14 @@ def cmd_compose(payload, cfg, out):
 
 def cmd_dec_check(payload, cfg, out):
     f = jsonio.map_from_json(payload["map"])
+    curve = samples = None
     if "curve" in payload:
-        curve, samples = _curve_and_samples(payload, cfg)
+        curve = jsonio.curve_from_json(payload["curve"])
         cubic = curve.equation
     else:
         cubic = jsonio.poly_from_json(payload["cubic"])
         samples = [jsonio.proj_point_from_json(p) for p in payload.get("samples", [])] or None
-    in_dec = cremona.is_in_dec(f, cubic, samples=samples)
+    in_dec = cremona.is_in_dec(f, cubic, samples=samples, curve=curve)
     report = {"in_dec": in_dec}
     if in_dec:
         # the pullback is nonzero, of degree deg(cubic) deg(f), and the cubic divides it
@@ -185,20 +174,11 @@ def cmd_vp_verify(payload, cfg, out):
 
     trace, f, curve = _run_factorize(payload, cfg)
     in_dec = None
-    if f is not None and curve is not None:
-        samples = [
-            elliptic.to_projective(pt)
-            for pt in elliptic.default_samples(curve, cfg.sample_count)
-        ]
-        in_dec = cremona.is_in_dec(f, curve.equation, samples=samples)
+    if f is not None:
+        in_dec = cremona.is_in_dec(f, curve.equation, curve=curve)
     neg_k = lambda m: tuple(-k for k in canonical_class(m))
-    cy = all(
-        s.cubic is not None and s.cubic.cls == neg_k(s.model) for s in trace.states
-    )
-    routes = all(
-        l.vp_incidence is None or bool(l.vp_incidence) == bool(l.vp_discrepancy)
-        for l in trace.links
-    )
+    cy = all(s.cubic.cls == neg_k(s.model) for s in trace.states)
+    routes = all(bool(l.vp_incidence) == bool(l.vp_discrepancy) for l in trace.links)
     admissible = all(is_mf_cy_admissible(s.model) for s in trace.states)
     ok = trace.all_vp and cy and routes and admissible and in_dec is not False
     _emit(

@@ -210,8 +210,9 @@ def link_from_json(obj) -> SarkisovLink:
 
 
 def state_from_json(obj) -> FactorizationState:
-    """Enriched starting state: {"degree": d, "points": [{"mult", "on_cubic",
-    "children": [...]}, ...], "track_cubic": bool}."""
+    """Enriched starting state on P^2 with the boundary cubic: {"degree": d,
+    "points": [{"mult", "on_cubic", "children": [...]}, ...]}.  The cubic is
+    always tracked, so a "track_cubic" key is rejected."""
 
     def spec(node):
         try:
@@ -224,8 +225,10 @@ def state_from_json(obj) -> FactorizationState:
             raise DecodeError(f"bad enriched point: {e}")
 
     try:
+        if "track_cubic" in obj:
+            raise DecodeError("track_cubic is not a state field: the cubic is always tracked")
         degree = _json_int(obj["degree"])
         points = [spec(p) for p in obj.get("points", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad enriched state: {e}")
-    return plane_state(degree, points, track_cubic=bool(obj.get("track_cubic", True)))
+    return plane_state(degree, points)

@@ -1,17 +1,20 @@
 """The 2-dimensional Sarkisov factorization engine with per-link
 volume-preserving flags.
 
-The engine runs on the enriched representation: a Picard class for the
-linear system, a table of base points with multiplicities and incidence
-flags, and the boundary cubic's class.  Mid-trace models have no global
-coordinates, so geometric flags (negative-section membership, fiber
-tangency) are propagated by the elementary-transformation case analysis
-rather than recomputed from polynomials.
+The engine runs on the log Calabi-Yau pair (model, C): a Picard class for
+the linear system, a table of base points with multiplicities and incidence
+flags, and the boundary cubic C's class on the current model.  Each point
+carries its own incidence with C (`on_cubic`), which is C's multiplicity
+there; infinitely near points ride along as children with id -1 until their
+parent is blown up.  Mid-trace models have no global coordinates, so
+geometric flags (negative-section membership, fiber tangency) are propagated
+by the elementary-transformation case analysis rather than recomputed from
+polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,33 +40,22 @@ class StepCapExceeded(EngineError):
 
 
 @dataclass(frozen=True)
-class PendingPoint:
-    """A not-yet-active infinitely near base point: becomes a proper point of
-    the model once its parent is blown up."""
-
-    mult: int
-    on_cubic: bool
-    children: tuple = ()
-
-
-@dataclass(frozen=True)
 class TrackedPoint:
     id: int
     mult: int
     on_cubic: bool
     on_negative_section: bool = False
     fiber_tangent_to_cubic: bool = False
-    children: tuple = ()  # PendingPoint chain over this point
+    children: tuple = ()  # infinitely near points over this one, id -1
 
 
 @dataclass(frozen=True)
 class CubicTracker:
-    cls: tuple
-    point_mults: dict = field(default_factory=dict)  # id -> mult of C there
-    nonsingular: bool = True
+    """The boundary C on the current model: its class and whether it is still
+    nonsingular.  C's multiplicity at a base point is the point's on_cubic."""
 
-    def mult_at(self, point_id: int) -> int:
-        return self.point_mults.get(point_id, 0)
+    cls: tuple
+    nonsingular: bool = True
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class FactorizationState:
     model: SurfaceModel
     system: tuple
     points: tuple
-    cubic: Optional[CubicTracker]
+    cubic: CubicTracker
     step: int = 0
     next_id: int = 0
 
@@ -93,7 +85,7 @@ class FactorizationState:
         return (
             f"State(step={self.step}, {self.model}, system={self.system}, "
             f"points={[(p.id, p.mult, p.on_cubic) for p in self.points]}, "
-            f"cubic={self.cubic.cls if self.cubic else None})"
+            f"cubic={self.cubic.cls})"
         )
 
 
@@ -127,41 +119,23 @@ class SarkisovTrace:
 # -- state construction -------------------------------------------------------
 
 
-def plane_state(degree: int, points, track_cubic: bool = True) -> FactorizationState:
+def plane_state(degree: int, points) -> FactorizationState:
     """Enriched starting state on P^2.
 
-    `points` is a list of (mult, on_cubic, children) with children nested the
-    same way; ids are assigned in order.
+    `points` is a list of (mult, on_cubic[, children]) with children nested
+    the same way; ids are assigned in order.
     """
-    counter = [0]
 
-    def build_pending(spec):
-        mult, on_c, kids = _point_spec(spec)
-        return PendingPoint(mult, on_c, tuple(build_pending(k) for k in kids))
+    def build(spec, pid=-1):
+        mult, on_c, *rest = spec
+        kids = tuple(build(k) for k in (rest[0] if rest else ()))
+        return TrackedPoint(pid, int(mult), bool(on_c), children=kids)
 
-    tracked = []
-    mults = {}
-    for spec in points:
-        mult, on_c, kids = _point_spec(spec)
-        pid = counter[0]
-        counter[0] += 1
-        tracked.append(
-            TrackedPoint(pid, mult, on_c, children=tuple(build_pending(k) for k in kids))
-        )
-        mults[pid] = 1 if on_c else 0
-    cubic = CubicTracker((3,), mults) if track_cubic else None
+    tracked = tuple(build(spec, pid) for pid, spec in enumerate(points))
     return FactorizationState(
-        SurfaceModel.plane(), (int(degree),), tuple(tracked), cubic,
-        next_id=counter[0],
+        SurfaceModel.plane(), (int(degree),), tracked, CubicTracker((3,)),
+        next_id=len(tracked),
     )
-
-
-def _point_spec(spec):
-    if isinstance(spec, dict):
-        return int(spec["mult"]), bool(spec.get("on_cubic", False)), spec.get("children", ())
-    mult, on_c, *rest = spec
-    kids = rest[0] if rest else ()
-    return int(mult), bool(on_c), kids
 
 
 def state_from_map(f, curve) -> FactorizationState:
@@ -174,22 +148,16 @@ def state_from_map(f, curve) -> FactorizationState:
     for n in forest:
         by_parent.setdefault(n.parent, []).append(n)
 
-    def pending(node):
-        kids = tuple(pending(k) for k in by_parent.get(node.id, ()))
-        return PendingPoint(node.mult, node.on_cubic, kids)
+    def build(node, pid=-1):
+        kids = tuple(build(k) for k in by_parent.get(node.id, ()))
+        return TrackedPoint(pid, node.mult, node.on_cubic, children=kids)
 
-    tracked = []
-    mults = {}
-    for root in forest.roots():
-        kids = tuple(pending(k) for k in by_parent.get(root.id, ()))
-        tracked.append(TrackedPoint(root.id, root.mult, root.on_cubic, children=kids))
-        mults[root.id] = 1 if root.on_cubic else 0
     next_id = max((n.id for n in forest), default=-1) + 1
     return FactorizationState(
         SurfaceModel.plane(),
         (f.degree,),
-        tuple(tracked),
-        CubicTracker((3,), mults),
+        tuple(build(root, root.id) for root in forest.roots()),
+        CubicTracker((3,)),
         next_id=next_id,
     )
 
@@ -205,20 +173,11 @@ def _on_negative_section(state: FactorizationState, pt: TrackedPoint) -> bool:
 
 
 def _activate_children(pt: TrackedPoint, on_e: bool):
-    """Pending chain children become proper points of the next model."""
-    out = []
-    for child in pt.children:
-        out.append(
-            TrackedPoint(
-                id=-1,  # re-assigned by caller
-                mult=child.mult,
-                on_cubic=child.on_cubic,
-                on_negative_section=on_e,
-                fiber_tangent_to_cubic=False,
-                children=child.children,
-            )
-        )
-    return out
+    """Infinitely near children become proper points of the next model."""
+    return [
+        replace(c, id=-1, on_negative_section=on_e, fiber_tangent_to_cubic=False)
+        for c in pt.children
+    ]
 
 
 def _assign_ids(points, next_id):
@@ -231,18 +190,10 @@ def _assign_ids(points, next_id):
     return out, next_id
 
 
-def _cubic_after(cubic, new_cls, center_id, new_points, drop_center=True,
-                 singular_hit=False):
-    if cubic is None:
-        return None
-    mults = dict(cubic.point_mults)
-    if drop_center:
-        mults.pop(center_id, None)
-    for p in new_points:
-        mults[p.id] = 1 if p.on_cubic else 0
-    return CubicTracker(
-        tuple(new_cls), mults, nonsingular=cubic.nonsingular and not singular_hit
-    )
+def _cubic_after(state, new_cls, c_dot_contracted):
+    """C on the next model: the image of C through a contracted curve it meets
+    twice or more is singular there."""
+    return CubicTracker(tuple(new_cls), state.cubic.nonsingular and c_dot_contracted < 2)
 
 
 def link_I_update(state: FactorizationState, center_id: int):
@@ -255,8 +206,9 @@ def link_I_update(state: FactorizationState, center_id: int):
     new_model = SurfaceModel.hirzebruch(1)
     new_system = (d, d - m)
 
-    mc = state.cubic.mult_at(center_id) if state.cubic else 0
+    mc = int(pt.on_cubic)
     vp, disc = blowup_vp(mc)
+    (kc,) = state.cubic.cls
 
     kids = _activate_children(pt, on_e=True)
     others = [
@@ -265,11 +217,6 @@ def link_I_update(state: FactorizationState, center_id: int):
         if p.id != center_id
     ]
     points, next_id = _assign_ids(others + kids, state.next_id)
-
-    cubic = None
-    if state.cubic is not None:
-        (kc,) = state.cubic.cls
-        cubic = _cubic_after(state.cubic, (kc, kc - mc), center_id, points[len(others):])
 
     link = SarkisovLink(
         kind="I",
@@ -283,7 +230,8 @@ def link_I_update(state: FactorizationState, center_id: int):
         vp_discrepancy=(disc == 0),
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points), cubic, state.step + 1, next_id
+        new_model, new_system, tuple(points), replace(state.cubic, cls=(kc, kc - mc)),
+        state.step + 1, next_id,
     )
     return link, new_state
 
@@ -316,24 +264,14 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
     new_system = (new_a, b)
 
     # boundary bookkeeping
-    mc = state.cubic.mult_at(center_id) if state.cubic else 0
+    mc = int(pt.on_cubic)
     vp_blowup, disc = blowup_vp(mc)
-    if state.cubic is not None:
-        ac, bc = state.cubic.cls
-        c_dot_fiber = bc - mc  # C-check . F-tilde
-        vp_blowdown = blowdown_vp(c_dot_fiber)
-        new_cubic_cls = (ac + bc - mc, bc) if on_e else (ac - mc, bc)
-        q_on_cubic = c_dot_fiber >= 1
-        singular_hit = c_dot_fiber >= 2
-    else:
-        c_dot_fiber = None
-        vp_blowdown = False
-        new_cubic_cls = None
-        q_on_cubic = False
-        singular_hit = False
-    vp = bool(state.cubic is not None and vp_blowup and vp_blowdown)
+    ac, bc = state.cubic.cls
+    c_dot_fiber = bc - mc  # C-check . F-tilde
+    vp_blowdown = blowdown_vp(c_dot_fiber)
+    new_cubic_cls = (ac + bc - mc, bc) if on_e else (ac - mc, bc)
 
-    if state.cubic is None or not pt.on_cubic:
+    if not pt.on_cubic:
         case = "off-cubic"
     elif on_e:
         case = 2 if tangent else 1
@@ -350,7 +288,7 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
             TrackedPoint(
                 id=-1,
                 mult=q_mult,
-                on_cubic=q_on_cubic,
+                on_cubic=c_dot_fiber >= 1,
                 on_negative_section=(not on_e) and new_n >= 1,
                 fiber_tangent_to_cubic=tangent,
             )
@@ -359,27 +297,21 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
     others = [p for p in state.points if p.id != center_id]
     points, next_id = _assign_ids(others + kids + new_points, state.next_id)
 
-    cubic = None
-    if state.cubic is not None:
-        cubic = _cubic_after(
-            state.cubic, new_cubic_cls, center_id, points[len(others):],
-            singular_hit=singular_hit,
-        )
-
     link = SarkisovLink(
         kind="II",
         center=center_id,
         from_model=state.model,
         to_model=new_model,
-        vp=vp,
+        vp=vp_blowup and vp_blowdown,
         case_tag=case,
         center_on_cubic=pt.on_cubic,
         system_after=new_system,
-        vp_incidence=pt.on_cubic and (c_dot_fiber == 1 if c_dot_fiber is not None else False),
+        vp_incidence=pt.on_cubic and c_dot_fiber == 1,
         vp_discrepancy=(disc == 0) and vp_blowdown,
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points), cubic, state.step + 1, next_id
+        new_model, new_system, tuple(points),
+        _cubic_after(state, new_cubic_cls, c_dot_fiber), state.step + 1, next_id,
     )
     return link, new_state
 
@@ -396,36 +328,19 @@ def link_III_update(state: FactorizationState):
     new_model = SurfaceModel.plane()
     new_system = (a,)
 
-    if state.cubic is not None:
-        ac, bc = state.cubic.cls
-        c_dot_e = intersect(state.model, state.cubic.cls, (0, 1))
-        vp = blowdown_vp(c_dot_e)
-        new_cubic_cls = (ac,)
-        q_on_cubic = c_dot_e >= 1
-        singular_hit = c_dot_e >= 2
-    else:
-        c_dot_e = None
-        vp = False
-        new_cubic_cls = None
-        q_on_cubic = False
-        singular_hit = False
+    ac = state.cubic.cls[0]
+    c_dot_e = intersect(state.model, state.cubic.cls, (0, 1))
+    vp = blowdown_vp(c_dot_e)
 
     new_points = []
     q_mult = a - b
     if q_mult > 0:
-        new_points.append(TrackedPoint(id=-1, mult=q_mult, on_cubic=q_on_cubic))
+        new_points.append(TrackedPoint(id=-1, mult=q_mult, on_cubic=c_dot_e >= 1))
     others = [
         replace(p, on_negative_section=False, fiber_tangent_to_cubic=False)
         for p in state.points
     ]
     points, next_id = _assign_ids(others + new_points, state.next_id)
-
-    cubic = None
-    if state.cubic is not None:
-        cubic = _cubic_after(
-            state.cubic, new_cubic_cls, None, points[len(others):],
-            drop_center=False, singular_hit=singular_hit,
-        )
 
     link = SarkisovLink(
         kind="III",
@@ -434,11 +349,12 @@ def link_III_update(state: FactorizationState):
         to_model=new_model,
         vp=vp,
         system_after=new_system,
-        vp_incidence=(c_dot_e == 1 if c_dot_e is not None else False),
+        vp_incidence=c_dot_e == 1,
         vp_discrepancy=vp,
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points), cubic, state.step + 1, next_id
+        new_model, new_system, tuple(points), _cubic_after(state, (ac,), c_dot_e),
+        state.step + 1, next_id,
     )
     return link, new_state
 
@@ -449,23 +365,20 @@ def link_IV_update(state: FactorizationState):
         raise EngineError("type IV link needs F_0")
     a, b = state.system
     new_system = (b, a)
-    cubic = None
-    if state.cubic is not None:
-        ac, bc = state.cubic.cls
-        cubic = CubicTracker((bc, ac), dict(state.cubic.point_mults),
-                             state.cubic.nonsingular)
+    ac, bc = state.cubic.cls
     link = SarkisovLink(
         kind="IV",
         center=None,
         from_model=state.model,
         to_model=state.model,
-        vp=state.cubic is not None,  # an automorphism: always volume preserving
+        vp=True,  # an automorphism: always volume preserving
         system_after=new_system,
-        vp_incidence=state.cubic is not None,
-        vp_discrepancy=state.cubic is not None,
+        vp_incidence=True,
+        vp_discrepancy=True,
     )
     new_state = FactorizationState(
-        state.model, new_system, state.points, cubic, state.step + 1, state.next_id
+        state.model, new_system, state.points, replace(state.cubic, cls=(bc, ac)),
+        state.step + 1, state.next_id,
     )
     return link, new_state
 
@@ -520,10 +433,7 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
 
     if isinstance(state_or_map, CremonaMap):
         if state_or_map.degree == 1:
-            state = FactorizationState(
-                SurfaceModel.plane(), (1,), (),
-                CubicTracker((3,), {}) if curve is not None else None,
-            )
+            state = plane_state(1, ())
         else:
             if curve is None:
                 raise EngineError("factorizing a polynomial map needs its cubic")
@@ -540,11 +450,10 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
                 f"no termination within {step_cap} links; state: {state!r}"
             )
         link, state = next_link(state)
-        if link.vp_incidence is not None and link.vp_discrepancy is not None:
-            if bool(link.vp_incidence) != bool(link.vp_discrepancy):
-                raise EngineError(
-                    f"incidence and discrepancy volume checks disagree on {link}"
-                )
+        if bool(link.vp_incidence) != bool(link.vp_discrepancy):
+            raise EngineError(
+                f"incidence and discrepancy volume checks disagree on {link}"
+            )
         links.append(link)
         states.append(state)
 
@@ -589,13 +498,10 @@ def jonquieres_centers(trace: SarkisovTrace) -> JonquieresReport:
     links = trace.links
     grouped = True
     while i < len(links):
-        if links[i].kind == "I":
-            block_center = links[i]
-        elif links[i].kind == "II":
-            block_center = links[i]
-        else:
+        if links[i].kind not in ("I", "II"):
             grouped = False
             break
+        block_center = links[i]
         j = i + 1
         while j < len(links) and links[j].kind == "II":
             j += 1

@@ -46,6 +46,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    def test_sample_count_in_config_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_count": 5}))
+        code, out = run_with_config(["curve-add", "--config", str(cfg)])
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    @pytest.mark.parametrize("command", ["factorize", "vp-verify"])
+    @pytest.mark.parametrize("track", [True, False])
+    def test_track_cubic_in_state_is_1(self, command, track, capsys):
+        # the engine always tracks the boundary cubic, so the key is not a
+        # field; without it the engine runs this off-cubic state to the end
+        state = {"degree": 2, "points": [{"mult": 1, "on_cubic": False}] * 3,
+                 "track_cubic": track}
+        code, out = run([command], {"state": state})
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
     def test_zero_component_map_is_1(self, translate_output, capsys):
         from planecubic import jsonio
         from planecubic.exact import HomPoly, variables
@@ -415,7 +435,7 @@ class TestDeterminism:
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"step_cap": 32, "sample_count": 5}))
+        cfg.write_text(json.dumps({"step_cap": 32}))
         code, _ = run_with_config(["curve-add", "--config", str(cfg)])
         assert code == EX_OK
 

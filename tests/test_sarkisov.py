@@ -1,6 +1,6 @@
 import pytest
 
-from planecubic.cremona import CremonaMap
+from planecubic.cremona import CremonaMap, base_forest
 from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
 from planecubic.sarkisov import (
     CubicTracker,
@@ -10,7 +10,6 @@ from planecubic.sarkisov import (
     StepCapExceeded,
     StuckState,
     TrackedPoint,
-    PendingPoint,
     elementary_transform_update,
     factorize,
     jonquieres_centers,
@@ -30,15 +29,12 @@ def neg_k(model):
     return tuple(-c for c in canonical_class(model))
 
 
-def hirz_state(n, system, points, cubic_cls=None, mults=None):
-    cubic = None
-    if cubic_cls is not None:
-        cubic = CubicTracker(tuple(cubic_cls), dict(mults or {}))
+def hirz_state(n, system, points, cubic_cls):
     return FactorizationState(
         SurfaceModel.hirzebruch(n),
         tuple(system),
         tuple(points),
-        cubic,
+        CubicTracker(tuple(cubic_cls)),
         next_id=max((p.id for p in points), default=-1) + 1,
     )
 
@@ -79,9 +75,7 @@ class TestQuadraticOracle:
 
 class TestElementaryTransform:
     def test_off_section_drops_n(self):
-        st = hirz_state(
-            2, (4, 2), [TrackedPoint(0, 2, True)], cubic_cls=(4, 2), mults={0: 1}
-        )
+        st = hirz_state(2, (4, 2), [TrackedPoint(0, 2, True)], cubic_cls=(4, 2))
         link, new = elementary_transform_update(st, 0)
         assert new.model == SurfaceModel.hirzebruch(1)
         assert new.system == (2, 2)
@@ -93,7 +87,7 @@ class TestElementaryTransform:
         st = hirz_state(
             1, (3, 1),
             [TrackedPoint(0, 1, True, on_negative_section=True)],
-            cubic_cls=(3, 2), mults={0: 1},
+            cubic_cls=(3, 2),
         )
         link, new = elementary_transform_update(st, 0)
         assert new.model == SurfaceModel.hirzebruch(2)
@@ -102,9 +96,7 @@ class TestElementaryTransform:
         assert link.case_tag == 1
 
     def test_new_point_mult_is_b_minus_m(self):
-        st = hirz_state(
-            1, (3, 2), [TrackedPoint(0, 1, True)], cubic_cls=(3, 2), mults={0: 1}
-        )
+        st = hirz_state(1, (3, 2), [TrackedPoint(0, 1, True)], cubic_cls=(3, 2))
         link, new = elementary_transform_update(st, 0)
         assert new.system == (2, 2)
         assert len(new.points) == 1
@@ -114,9 +106,7 @@ class TestElementaryTransform:
         assert link.vp
 
     def test_off_cubic_center_not_vp_and_singular_image(self):
-        st = hirz_state(
-            1, (3, 2), [TrackedPoint(0, 1, False)], cubic_cls=(3, 2), mults={0: 0}
-        )
+        st = hirz_state(1, (3, 2), [TrackedPoint(0, 1, False)], cubic_cls=(3, 2))
         link, new = elementary_transform_update(st, 0)
         assert not link.vp
         assert link.case_tag == "off-cubic"
@@ -126,8 +116,8 @@ class TestElementaryTransform:
         st = hirz_state(
             1, (3, 2),
             [TrackedPoint(0, 1, True, fiber_tangent_to_cubic=True,
-                          children=(PendingPoint(1, True),))],
-            cubic_cls=(3, 2), mults={0: 1},
+                          children=(TrackedPoint(-1, 1, True),))],
+            cubic_cls=(3, 2),
         )
         with pytest.raises(EngineError):
             elementary_transform_update(st, 0)
@@ -339,3 +329,61 @@ class TestTraceInvariants:
         for link, before, after in zip(trace.links, states, states[1:]):
             if link.kind in ("I", "II"):
                 assert remaining_mult_total(after) < remaining_mult_total(before)
+
+
+def _forest_case(pt):
+    """phi_pt's base forest as plane_state specs, any subset set off the cubic."""
+    phi = translation_map(CURVE, pt)
+    forest = base_forest(phi, cubic=CURVE.equation)
+    assert all(n.on_cubic for n in forest) and len(forest) == 7
+    by_parent = {}
+    for n in forest:
+        by_parent.setdefault(n.parent, []).append(n)
+
+    def specs(off):
+        def spec(node):
+            kids = [spec(k) for k in by_parent.get(node.id, ())]
+            return (node.mult, node.id not in off, kids)
+
+        return [spec(r) for r in forest.roots()]
+
+    return phi.degree, [n.id for n in forest], specs, factorize(phi, CURVE)
+
+
+def _quadratic_case():
+    return 2, [0, 1, 2], lambda off: [(1, i not in off) for i in range(3)], None
+
+
+class TestOffCubicExhaustive:
+    """Every subset of base points set off the cubic: the link sequence is
+    unchanged, the trace is volume preserving iff the subset is empty, and
+    the boundary stays anticanonical until the first non-VP link."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [lambda: _forest_case(P), lambda: _forest_case(CurvePoint.affine(0, 1)),
+         _quadratic_case],
+        ids=["phi_(2,3)", "phi_(0,1)", "(2;1,1,1)"],
+    )
+    def test_every_subset(self, case):
+        degree, ids, specs, from_map = case()
+
+        def sequence(trace):
+            return [(l.kind, l.center, l.system_after) for l in trace.links]
+
+        base = factorize(plane_state(degree, specs(frozenset())))
+        if from_map is not None:
+            assert [(l.kind, l.system_after) for l in base.links] == [
+                (l.kind, l.system_after) for l in from_map.links
+            ]
+        for mask in range(1 << len(ids)):
+            off = frozenset(i for k, i in enumerate(ids) if mask >> k & 1)
+            trace = factorize(plane_state(degree, specs(off)))
+            assert sequence(trace) == sequence(base)
+            assert trace.all_vp == (not off)
+            first_bad = next(
+                (i for i, l in enumerate(trace.links) if not l.vp), len(trace.links)
+            )
+            states = [trace.initial] + list(trace.states)
+            for s in states[: first_bad + 1]:
+                assert s.cubic.cls == neg_k(s.model)
