@@ -301,13 +301,7 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
     nonzero = [r for r in restrictions if not r.is_zero]
     if not nonzero:
         raise CremonaError("exceptional valuation exceeded multiplicity (bug)")
-    dirs = None
-    for r in nonzero:
-        roots = set(rational_roots(r.univariate_in(1)))
-        dirs = roots if dirs is None else (dirs & roots)
-        if not dirs:
-            break
-    for t0 in sorted(dirs or ()):
+    for t0 in rational_roots(*(r.univariate_in(1) for r in nonzero)):
         shifted = [g.shift((0, t0)) for g in chart_a]
         cm = _system_mult_affine(shifted)
         if cm == 0:
@@ -319,14 +313,15 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
         _blow_up(shifted, cm, cub_next, nid, level + 1, nodes, new_id)
 
     # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
-    # (the direction missed by chart A) needs a separate look
-    chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
-    if all(g.eval((0, 0)) == 0 for g in chart_b):
+    # (the direction missed by chart A) needs a separate look.  u^a v^b goes
+    # to s^a t^(a + b - m), so the chart's constant term is the v^m term.
+    if all((0, m) not in g.terms for g in locals_):
+        chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
         cm = _system_mult_affine(chart_b)
         cub_b = None
         if cub_local is not None:
             cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
-        on_c = cub_b is not None and cub_b.eval((0, 0)) == 0
+        on_c = cub_b is not None and (0, 0) not in cub_b.terms
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
         _blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id)

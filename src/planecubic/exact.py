@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import gcd as int_gcd
 from math import isqrt
@@ -189,14 +190,25 @@ class AffinePoly:
         return type(self)._of(self.nvars, terms)
 
     def eval(self, point) -> Fraction:
+        """Value at a point, summed in integers: with the point's coordinates
+        n_i / D and the coefficients a_e / cden, p = sum a_e prod n_i^e_i
+        D^(d - |e|) / (cden D^d) for d the degree (0 for the zero polynomial)."""
         point = [Fraction(c) for c in point]
-        total = Fraction(0)
+        D = int_lcm(*(c.denominator for c in point))
+        nums = [c.numerator * (D // c.denominator) for c in point]
+        cden = int_lcm(*(c.denominator for c in self.terms.values()))
+        d = self.degree or 0
+        total = 0
         for e, c in self.terms.items():
-            for coord, k in zip(point, e):
+            v = c.numerator * (cden // c.denominator)
+            for n, k in zip(nums, e):
                 if k:
-                    c *= coord**k
-            total += c
-        return total
+                    if not n:
+                        break
+                    v *= n**k
+            else:
+                total += v * D ** (d - sum(e))
+        return Fraction(total, cden * D**d)
 
     # -- chart operations ---------------------------------------------------
 
@@ -308,6 +320,22 @@ def _shift_var(terms: dict, i: int, c: Fraction) -> dict:
     return out
 
 
+def _pack(e, base: int) -> int:
+    """An exponent vector as one int in the given base; when every exponent
+    is below the base, exponents add as ints and lex order is int order."""
+    key = 0
+    for k in e:
+        key = key * base + k
+    return key
+
+
+def _unpack(key: int, base: int, nvars: int) -> tuple:
+    exp = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, exp[i] = divmod(key, base)
+    return tuple(exp)
+
+
 def _mul_packed(a: dict, b: dict) -> dict:
     """Product of two {packed exponent: int} polynomials (may keep zeros)."""
     out = {}
@@ -404,6 +432,13 @@ def poly_divide(f: HomPoly, g: HomPoly):
 
     Returns (quotient, ok). Single-divisor reduction in lex order; the
     remainder is unique, so ok=True iff g divides f exactly.
+
+    Works in integers: with f = F / fden and g = cont G / gden for integral F
+    and primitive integral G, G divides F over Q iff over Z (Gauss's lemma),
+    so a remainder whose leading coefficient lc(G) does not divide ends the
+    division at once; f / g = (F / G) gden / (fden cont).  Exponents are
+    packed in base max(deg f, deg g) + 1, which no exponent of f, g or a
+    remainder term reaches, and the remainder's leading term comes off a heap.
     """
     if g.is_zero:
         raise ExactError("division by zero polynomial")
@@ -411,36 +446,53 @@ def poly_divide(f: HomPoly, g: HomPoly):
         return HomPoly.zero(f.nvars), True
     if f.nvars != g.nvars:
         raise DimensionMismatch("mixed variable counts")
-    rem = dict(f.terms)
+    if any(len({sum(e) for e in p.terms}) > 1 for p in (f, g)):
+        raise ExactError("poly_divide needs homogeneous polynomials")
+    n, base = f.nvars, max(f.degree, g.degree) + 1
+    fden = int_lcm(*(c.denominator for c in f.terms.values()))
+    gden = int_lcm(*(c.denominator for c in g.terms.values()))
+    rem = {_pack(e, base): c.numerator * (fden // c.denominator) for e, c in f.terms.items()}
+    G = {_pack(e, base): c.numerator * (gden // c.denominator) for e, c in g.terms.items()}
+    cont = int_gcd(*G.values())
+    g_key = max(G)
+    g_lead, g_c = _unpack(g_key, base, n), G.pop(g_key) // cont
+    G = [(e, c // cont) for e, c in G.items()]
+    heap = [-key for key in rem]
+    heapify(heap)
     quo = {}
-    g_lead = max(g.terms)
-    g_c = g.terms[g_lead]
     while rem:
-        lead = max(rem)
-        if any(a < b for a, b in zip(lead, g_lead)):
-            return HomPoly.zero(f.nvars), False
-        q_exp = tuple(a - b for a, b in zip(lead, g_lead))
-        q_c = rem[lead] / g_c
-        quo[q_exp] = quo.get(q_exp, Fraction(0)) + q_c
-        for e, c in g.terms.items():
-            e2 = tuple(a + b for a, b in zip(q_exp, e))
-            nc = rem.get(e2, Fraction(0)) - q_c * c
-            if nc == 0:
-                rem.pop(e2, None)
-            else:
+        lead = -heappop(heap)
+        if lead not in rem:
+            continue  # cancelled, or a second entry for a processed term
+        q_c, r = divmod(rem.pop(lead), g_c)
+        if r or any(a < b for a, b in zip(_unpack(lead, base, n), g_lead)):
+            return HomPoly.zero(n), False
+        q_key = lead - g_key
+        quo[q_key] = q_c
+        for e, c in G:
+            e2 = q_key + e
+            if e2 not in rem:
+                heappush(heap, -e2)
+            nc = rem.get(e2, 0) - q_c * c
+            if nc:
                 rem[e2] = nc
-    return HomPoly(f.nvars, quo), True
+            else:
+                del rem[e2]
+    scale = fden * cont
+    quo = {_unpack(key, base, n): Fraction(c * gden, scale) for key, c in quo.items()}
+    return HomPoly._of(n, quo), True
 
 
 def divides(g: HomPoly, f: HomPoly) -> bool:
     return poly_divide(f, g)[1]
 
 
-def rational_roots(coeffs):
-    """All rational roots of sum(coeffs[k] t^k), via factorization over Q."""
-    if not any(coeffs):
+def rational_roots(*coeff_lists):
+    """The rational roots common to every sum(coeffs[k] t^k), ascending: the
+    roots of their gcd, factored once over Q."""
+    if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
-    return sorted(set(_ring_roots(_univariate(coeffs))))
+    return sorted(set(_ring_roots(_ring_gcd(map(_univariate, coeff_lists)))))
 
 
 def is_irreducible(coeffs) -> bool:
@@ -514,17 +566,10 @@ def substitute(p: HomPoly, maps) -> HomPoly:
         return HomPoly.zero(nvars)
     (dm,), dp = degs, p.degree
     base = dm * max(dp, 1) + 1  # dp = 0 uses only 0th powers
-
-    def pack(e):
-        key = 0
-        for k in e:
-            key = key * base + k
-        return key
-
     den = int_lcm(*(c.denominator for m in maps for c in m.terms.values()))
     pden = int_lcm(*(c.denominator for c in p.terms.values()))
     powers = [
-        [{0: 1}, {pack(e): c.numerator * (den // c.denominator) for e, c in m.terms.items()}]
+        [{0: 1}, {_pack(e, base): c.numerator * (den // c.denominator) for e, c in m.terms.items()}]
         for m in maps
     ]
     out = {}
@@ -540,14 +585,7 @@ def substitute(p: HomPoly, maps) -> HomPoly:
         for key, v in term.items():
             out[key] = get(key, 0) + c * v
     scale = pden * den**dp
-    terms = {}
-    for key, v in out.items():
-        if v:
-            exp = []
-            for _ in range(nvars):
-                key, k = divmod(key, base)
-                exp.append(k)
-            terms[tuple(reversed(exp))] = Fraction(v, scale)
+    terms = {_unpack(key, base, nvars): Fraction(v, scale) for key, v in out.items() if v}
     return HomPoly._of(nvars, terms)
 
 
@@ -569,23 +607,18 @@ def content_normalize(maps) -> list:
                 raise ExactError("gcd does not divide a component (bug)")
             out.append(q)
         maps = out
-    # canonical scaling
-    denoms = [c.denominator for m in maps for c in m.terms.values()]
-    scale = Fraction(int_lcm(*denoms) if denoms else 1)
-    maps = [m * scale for m in maps]
-    content = 0
-    for m in maps:
-        for c in m.terms.values():
-            content = int_gcd(content, c.numerator)
-    if content > 1:
-        maps = [m * Fraction(1, content) for m in maps]
-    for m in maps:
-        if m.is_zero:
-            continue
-        if m.terms[max(m.terms)] < 0:
-            maps = [mm * Fraction(-1) for mm in maps]
-        break
-    return maps
+    # canonical scaling, in integers: clear denominators, divide by the
+    # content, signed so the first nonzero lex-leading coefficient is positive
+    den = int_lcm(*(c.denominator for m in maps for c in m.terms.values()))
+    ints = [{e: c.numerator * (den // c.denominator) for e, c in m.terms.items()} for m in maps]
+    content = int_gcd(*(c for t in ints for c in t.values()))
+    lead = next(t for t in ints if t)
+    if lead[max(lead)] < 0:
+        content = -content
+    return [
+        type(m)._of(m.nvars, {e: Fraction(c // content) for e, c in t.items()})
+        for m, t in zip(maps, ints)
+    ]
 
 
 def common_zeros_plane(polys, weierstrass=None):

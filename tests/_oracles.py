@@ -12,11 +12,15 @@ The AffinePoly references are the plain term-by-term expansions that the
 chart kernels in `exact.py` must agree with.  `reference_substitute` and
 `reference_poly_gcd` are the rational-arithmetic versions of the integer
 kernels: Fraction products of cached powers, and the homogeneous gcd in
-QQ[x0, ..., x{n-1}].
+QQ[x0, ..., x{n-1}].  `reference_eval`, `reference_poly_divide` and
+`reference_content_normalize` are likewise the Fraction versions of point
+evaluation, lex-order long division and canonical scaling.
 """
 
 from fractions import Fraction
 from math import comb
+from math import gcd as int_gcd
+from math import lcm as int_lcm
 
 from sympy import QQ, lex
 from sympy.polys.rings import PolyRing
@@ -147,3 +151,60 @@ def reference_poly_gcd(polys) -> HomPoly:
         g = g.gcd(to_ring(p))
     g = g.monic().primitive()[1]
     return HomPoly(nvars, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()})
+
+
+def reference_eval(p: AffinePoly, point) -> Fraction:
+    """p at a point, as a sum of Fraction products."""
+    point = [Fraction(c) for c in point]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for coord, k in zip(point, e):
+            if k:
+                c *= coord**k
+        total += c
+    return total
+
+
+def reference_poly_divide(f: HomPoly, g: HomPoly):
+    """(f / g, True) if g divides f, else (0, False): lex-order long division
+    in Fractions, with the remainder's leading term found by max."""
+    rem = dict(f.terms)
+    quo = {}
+    g_lead = max(g.terms)
+    g_c = g.terms[g_lead]
+    while rem:
+        lead = max(rem)
+        if any(a < b for a, b in zip(lead, g_lead)):
+            return HomPoly.zero(f.nvars), False
+        q_exp = tuple(a - b for a, b in zip(lead, g_lead))
+        q_c = rem[lead] / g_c
+        quo[q_exp] = quo.get(q_exp, Fraction(0)) + q_c
+        for e, c in g.terms.items():
+            e2 = tuple(a + b for a, b in zip(q_exp, e))
+            nc = rem.get(e2, Fraction(0)) - q_c * c
+            if nc == 0:
+                rem.pop(e2, None)
+            else:
+                rem[e2] = nc
+    return HomPoly(f.nvars, quo), True
+
+
+def reference_content_normalize(maps) -> list:
+    """Divide by the gcd (reference_poly_gcd, reference_poly_divide), then
+    scale by Fraction products to integer primitive form with the first
+    nonzero component's lex-leading coefficient positive."""
+    maps = list(maps)
+    g = reference_poly_gcd(maps)
+    if g.degree:
+        maps = [m if m.is_zero else reference_poly_divide(m, g)[0] for m in maps]
+    denoms = [c.denominator for m in maps for c in m.terms.values()]
+    maps = [m * Fraction(int_lcm(*denoms)) for m in maps]
+    content = 0
+    for m in maps:
+        for c in m.terms.values():
+            content = int_gcd(content, c.numerator)
+    maps = [m * Fraction(1, content) for m in maps]
+    lead = next(m for m in maps if not m.is_zero)
+    if lead.terms[max(lead.terms)] < 0:
+        maps = [m * Fraction(-1) for m in maps]
+    return maps

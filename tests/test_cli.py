@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -444,6 +445,42 @@ class TestDeterminism:
         cfg.write_text(json.dumps({"step_cap": 0}))
         code, _ = run_with_config(["curve-add", "--config", str(cfg)])
         assert code == EX_MALFORMED
+
+
+class TestBytePin:
+    """compose -> dec-check -> base-forest -> factorize on phi_Q o phi_P over
+    y^2 = x^3 - 2, P = G = (3, 5), Q = 2G: the sha256 of each call's stdout
+    (and of factorize's stderr, since the engine stops there with exit 1 and
+    no stdout) must not move when a kernel changes."""
+
+    CURVE = {"p": "0", "q": "-2"}
+    G = {"x": "3", "y": "5"}
+    EXPECTED = {
+        "compose": (0, "76aea6bb2f47fdd34344c7ac17bc927be34de1fde0392cdce259af6c3ecd98bc"),
+        "dec-check": (0, "0e72a34551e36697ddd839bc758ff0ef32b0c56911a965b9da6b84424825e646"),
+        "base-forest": (0, "0eb3397327f2faf5bd20415e00286cacdfb8dbf5c1242d5a87a989b045c4f95e"),
+        "factorize": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    }
+    FACTORIZE_STDERR = "5998120201baf0bbfdce8b5ff9c43d11697ca82a96cbea384446e872526221ea"
+
+    def test_pipeline_digests(self, capsys):
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        _, added = run(["curve-add"], {"curve": self.CURVE, "P": self.G, "Q": self.G})
+        Q = json.loads(added)["result"]
+        assert Q == {"x": "129/100", "y": "-383/1000"}
+        _, phi_p = run(["translate"], {"curve": self.CURVE, "P": self.G})
+        _, phi_q = run(["translate"], {"curve": self.CURVE, "P": Q})
+        code, out = run(["compose"], {"f": json.loads(phi_q), "g": json.loads(phi_p)})
+        got = {"compose": (code, sha(out))}
+        payload = {"curve": self.CURVE, "map": json.loads(out)["map"]}
+        for command in ("dec-check", "base-forest", "factorize"):
+            capsys.readouterr()
+            code, out = run([command], payload)
+            got[command] = (code, sha(out))
+        assert got == self.EXPECTED
+        assert sha(capsys.readouterr().err) == self.FACTORIZE_STDERR
 
 
 def run_with_config(args):

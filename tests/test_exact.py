@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from _oracles import (
+    reference_content_normalize,
+    reference_eval,
+    reference_poly_divide,
     reference_poly_gcd,
     reference_shift,
     reference_substitute,
@@ -379,6 +382,29 @@ class TestSympyBridge:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ExactError):
             rational_roots([0, 0])
+        with pytest.raises(ExactError):
+            rational_roots([1, -1], [0, 0])
+        with pytest.raises(ExactError):
+            rational_roots()
+
+    def test_common_roots_of_two_lists(self):
+        # (t - 1)(t - 2)(3t + 1) and (t - 2)(3t + 1)(t + 5)
+        assert rational_roots([2, 3, -8, 3], [-10, -27, 10, 3]) == [Fraction(-1, 3), 2]
+
+    def test_common_roots_of_three_lists(self):
+        # t^2 (t - 2)(2t - 1), (t - 2) t (t^2 + 1), t (2t - 1)(t - 2)^2
+        lists = [[0, 0, 2, -5, 2], [0, -2, 1, -2, 1], [0, -4, 12, -9, 2]]
+        assert rational_roots(*lists) == [0, 2]
+        assert rational_roots(*lists[::2]) == [0, Fraction(1, 2), 2]
+
+    def test_no_common_root(self):
+        assert rational_roots([-1, 1], [-2, 1]) == []  # t - 1, t - 2
+        assert rational_roots([0, 1], [2, 0, 1], [0, 0, 1]) == []
+
+    def test_one_list_is_the_single_polynomial_search(self):
+        for coeffs in ([0, 0, -2, 3], [4, -4, 1], [Fraction(1, 2), Fraction(-3, 4)], [7]):
+            assert rational_roots(coeffs) == rational_roots(coeffs, coeffs)
+        assert rational_roots([Fraction(1, 2), Fraction(-3, 4)]) == [Fraction(2, 3)]
 
     def test_irreducibility(self):
         from planecubic.threefold import desk_instance, restrict_to_line
@@ -612,3 +638,118 @@ class TestIntegerKernels:
         got = poly_gcd(polys)
         assert got == reference_poly_gcd(polys)
         assert got.degree >= 3
+
+    # poly_divide, AffinePoly.eval and content_normalize against the Fraction
+    # references
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("degrees", [(0, 1), (1, 1), (2, 3), (4, 2), (3, 6)])
+    def test_poly_divide_exact_quotients(self, nvars, degrees):
+        rng = random.Random(500 + 10 * nvars + sum(degrees))
+        p = rand_poly(rng, degrees[0], nvars, terms=6)
+        q = rand_poly(rng, degrees[1], nvars, terms=5)
+        assert poly_divide(p * q, q) == reference_poly_divide(p * q, q) == (p, True)
+
+    def test_poly_divide_non_unit_content_and_lead(self):
+        g = 6 * x - 9 * y  # content 3, leading coefficient 6 (2 in 2x - 3y)
+        h = x * x * Fraction(1, 2) - 5 * (y * z) + z * z * Fraction(7, 3)
+        for f in (g * h, (2 * x - 3 * y) * h, (x * Fraction(2, 5) - y * Fraction(3, 5)) * h):
+            quo, ok = poly_divide(f, g)
+            assert ok and quo * g == f
+            assert (quo, ok) == reference_poly_divide(f, g)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (y * y + y * z, x + y),  # lead y^2 is not a multiple of x
+            (x * x + y * y, x + y),  # x^2 divides, then the remainder 2 y^2 does not
+            (5 * (y * z) + x * y * Fraction(2, 3), 2 * x + 7 * z),  # F = 2xy + 15yz, then 8yz
+            (x, y * y),  # a divisor of higher degree
+            (x * z * Fraction(1, 2), 2 * y**3 + z**3),
+        ],
+        ids=["first-lead", "later-lead", "rational-lead", "higher-degree", "higher-degree-lc"],
+    )
+    def test_poly_divide_exponent_shortfall(self, f, g):
+        assert poly_divide(f, g) == reference_poly_divide(f, g) == (HomPoly.zero(3), False)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (3 * x + y, 2 * x + y),  # Fraction quotient 3/2 leaves -y/2: no shortfall yet
+            (2 * (x * y) + y * z, 6 * x + 2 * z),  # G = 3x + z, lead 2 x y
+            ((x * 2 + y) * (x + y) + x * y, 2 * x + y),  # integral first step, then 3
+            (x * x * Fraction(5, 3) - y * y, x * Fraction(2, 3) + y),  # F = 5x^2 - 3y^2, G = 2x + 3y
+        ],
+        ids=["linear", "content", "second-step", "rational"],
+    )
+    def test_poly_divide_lead_not_divisible(self, f, g):
+        assert poly_divide(f, g) == reference_poly_divide(f, g) == (HomPoly.zero(3), False)
+
+    def test_poly_divide_rejects_non_homogeneous(self):
+        u, v = AffinePoly.variable(2, 0), AffinePoly.variable(2, 1)
+        g = u - v**3
+        with pytest.raises(ExactError):
+            poly_divide(g * (u + v), g)
+        with pytest.raises(ExactError):
+            poly_divide(AffinePoly(2, {(3, 0): 1, (1, 2): 1}), g)
+
+    def test_poly_divide_degree_ten_pullback(self):
+        f, curve = degree_ten_composite()
+        pull = substitute(curve.equation, f.components)
+        assert poly_divide(pull, curve.equation) == reference_poly_divide(pull, curve.equation)
+        assert poly_divide(pull + z**30, curve.equation) == (HomPoly.zero(3), False)
+
+    EVAL_POINTS = [
+        (Fraction(3, 4), Fraction(-5, 6), 2),
+        (0, Fraction(7, 2), Fraction(-1, 3)),
+        (Fraction(2, 9), 0, 0),
+        (0, 0, 0),
+        (-4, 11, 1),
+    ]
+
+    @pytest.mark.parametrize("point", EVAL_POINTS)
+    def test_eval_forms(self, point):
+        rng = random.Random(600)
+        for degree in (0, 1, 4, 9):
+            p = rand_poly(rng, degree, terms=8)
+            assert p.eval(point) == reference_eval(p, point)
+
+    @pytest.mark.parametrize("point", EVAL_POINTS)
+    def test_eval_non_homogeneous(self, point):
+        for degree in (1, 3, 8):
+            p = rand_affine(random.Random(700 + degree), 3, degree)
+            assert p.eval(point) == reference_eval(p, point)
+            q = rand_affine(random.Random(710 + degree), 2, degree)
+            assert q.eval(point[:2]) == reference_eval(q, point[:2])
+
+    @pytest.mark.parametrize("point", [(0, 0), (Fraction(5, 3), 0), (0, -2)])
+    def test_eval_zero_and_constant(self, point):
+        assert AffinePoly(2, {}).eval(point) == 0 == reference_eval(AffinePoly(2, {}), point)
+        const = AffinePoly(2, {(0, 0): Fraction(-4, 9)})
+        assert const.eval(point) == Fraction(-4, 9)
+        assert isinstance(HomPoly.zero(3).eval((1, 2, 3)), Fraction)
+
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            [-3 * x + y, x * Fraction(1, 2), z],  # negative lex-leading coefficient
+            [HomPoly.zero(3), y * Fraction(-2, 3) + z, x * Fraction(4, 9)],  # zero first
+            [HomPoly.zero(3), HomPoly.zero(3), z * Fraction(-6, 5)],
+            [-(x * z) * Fraction(2, 7), HomPoly.zero(3), y * z * Fraction(4, 21)],  # gcd z
+            [(x - 2 * y) * (x * x - y * z), (x - 2 * y) * (z * z) * -4, (x - 2 * y) * x * y],
+        ],
+        ids=["negative-lead", "zero-first", "one-nonzero", "gcd-and-zero", "linear-gcd"],
+    )
+    def test_content_normalize_cases(self, maps):
+        got = content_normalize(maps)
+        assert got == reference_content_normalize(maps)
+        assert all(c.denominator == 1 for m in got for c in m.terms.values())
+        assert [type(m) for m in got] == [type(m) for m in maps]
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_content_normalize_random(self, nvars, seed):
+        rng = random.Random(800 + 10 * nvars + seed)
+        common = rand_poly(rng, seed, nvars) * rand_rat(rng)
+        maps = [common * rand_poly(rng, 2, nvars) for _ in range(nvars)]
+        assert content_normalize(maps) == reference_content_normalize(maps)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecubic.exact import AffinePoly, ExactError, HomPoly, evaluate, normalize_point
+from _oracles import reference_poly_divide
+
+from planecubic.exact import (
+    AffinePoly,
+    ExactError,
+    HomPoly,
+    evaluate,
+    normalize_point,
+    poly_divide,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -84,3 +93,13 @@ def test_sum_of_different_degrees_rejected(data, nvars, d, gap):
         p + q
     with pytest.raises(ExactError):
         q - p
+
+
+@SETTINGS
+@given(st.data(), nvars_st, st.integers(0, 3), st.integers(0, 2))
+def test_poly_divide_recovers_a_factor(data, nvars, dp, dq):
+    p = data.draw(forms(nvars, dp).filter(lambda f: not f.is_zero))
+    q = data.draw(forms(nvars, dq).filter(lambda f: not f.is_zero))
+    assert poly_divide(p * q, q) == (p, True)
+    f = p * q + data.draw(forms(nvars, dp + dq))
+    assert poly_divide(f, q)[1] == reference_poly_divide(f, q)[1]
