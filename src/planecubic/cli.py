@@ -177,8 +177,9 @@ def cmd_vp_verify(payload, cfg, out):
     if f is not None:
         in_dec = cremona.is_in_dec(f, curve.equation, curve=curve)
     neg_k = lambda m: tuple(-k for k in canonical_class(m))
-    cy = all(s.cubic.cls == neg_k(s.model) for s in trace.states)
-    routes = all(bool(l.vp_incidence) == bool(l.vp_discrepancy) for l in trace.links)
+    cy = all(s.cubic == neg_k(s.model) for s in trace.states)
+    # the per-link discrepancy route against the boundary-class route
+    routes = trace.all_vp == cy
     admissible = all(is_mf_cy_admissible(s.model) for s in trace.states)
     ok = trace.all_vp and cy and routes and admissible and in_dec is not False
     _emit(
@@ -218,7 +219,7 @@ def cmd_threefold_check(payload, cfg, out):
             jsonio.poly_from_json(payload["A"]),
             jsonio.poly_from_json(payload["B"]),
             jsonio.poly_from_json(payload["C"]),
-            validate=bool(payload.get("validate", True)),
+            validate=jsonio._json_bool(payload.get("validate", True)),
         )
     phi = threefold.build_involution(q)
     checks = {}

@@ -43,6 +43,13 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_bool(x) -> bool:
+    """A JSON boolean as is; strings, numbers and null are rejected, not cast."""
+    if type(x) is not bool:
+        raise DecodeError(f"expected a JSON boolean, got {x!r}")
+    return x
+
+
 def poly_from_json(obj) -> HomPoly:
     try:
         nvars = _json_int(obj["vars"])
@@ -144,7 +151,7 @@ def forest_from_json(obj) -> BubbleForest:
                     parent=parent,
                     level=_json_int(entry["level"]),
                     mult=_json_int(entry["mult"]),
-                    on_cubic=bool(entry["on_cubic"]),
+                    on_cubic=_json_bool(entry["on_cubic"]),
                     point=point,
                     direction=direction,
                 )
@@ -201,7 +208,7 @@ def link_from_json(obj) -> SarkisovLink:
             center=obj["center"],
             from_model=model_from_json(obj["from"]),
             to_model=model_from_json(obj["to"]),
-            vp=bool(obj["vp"]),
+            vp=_json_bool(obj["vp"]),
             case_tag=obj.get("case"),
             system_after=tuple(_json_int(c) for c in obj["system"]),
         )
@@ -218,7 +225,7 @@ def state_from_json(obj) -> FactorizationState:
         try:
             return (
                 _json_int(node["mult"]),
-                bool(node.get("on_cubic", False)),
+                _json_bool(node.get("on_cubic", False)),
                 [spec(k) for k in node.get("children", [])],
             )
         except (KeyError, TypeError, ValueError) as e:

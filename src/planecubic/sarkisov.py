@@ -50,20 +50,11 @@ class TrackedPoint:
 
 
 @dataclass(frozen=True)
-class CubicTracker:
-    """The boundary C on the current model: its class and whether it is still
-    nonsingular.  C's multiplicity at a base point is the point's on_cubic."""
-
-    cls: tuple
-    nonsingular: bool = True
-
-
-@dataclass(frozen=True)
 class FactorizationState:
     model: SurfaceModel
     system: tuple
     points: tuple
-    cubic: CubicTracker
+    cubic: tuple  # C's class; C's multiplicity at a base point is its on_cubic
     step: int = 0
     next_id: int = 0
 
@@ -85,7 +76,7 @@ class FactorizationState:
         return (
             f"State(step={self.step}, {self.model}, system={self.system}, "
             f"points={[(p.id, p.mult, p.on_cubic) for p in self.points]}, "
-            f"cubic={self.cubic.cls})"
+            f"cubic={self.cubic})"
         )
 
 
@@ -99,8 +90,6 @@ class SarkisovLink:
     case_tag: object = None  # type II: 1..4 or "off-cubic"
     center_on_cubic: Optional[bool] = None
     system_after: tuple = ()
-    vp_incidence: Optional[bool] = None
-    vp_discrepancy: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,7 @@ def plane_state(degree: int, points) -> FactorizationState:
 
     tracked = tuple(build(spec, pid) for pid, spec in enumerate(points))
     return FactorizationState(
-        SurfaceModel.plane(), (int(degree),), tracked, CubicTracker((3,)),
+        SurfaceModel.plane(), (int(degree),), tracked, (3,),
         next_id=len(tracked),
     )
 
@@ -157,7 +146,7 @@ def state_from_map(f, curve) -> FactorizationState:
         SurfaceModel.plane(),
         (f.degree,),
         tuple(build(root, root.id) for root in forest.roots()),
-        CubicTracker((3,)),
+        (3,),
         next_id=next_id,
     )
 
@@ -190,12 +179,6 @@ def _assign_ids(points, next_id):
     return out, next_id
 
 
-def _cubic_after(state, new_cls, c_dot_contracted):
-    """C on the next model: the image of C through a contracted curve it meets
-    twice or more is singular there."""
-    return CubicTracker(tuple(new_cls), state.cubic.nonsingular and c_dot_contracted < 2)
-
-
 def link_I_update(state: FactorizationState, center_id: int):
     """Blow up a point of P^2: P^2 -> F_1."""
     if not state.model.is_plane:
@@ -207,8 +190,8 @@ def link_I_update(state: FactorizationState, center_id: int):
     new_system = (d, d - m)
 
     mc = int(pt.on_cubic)
-    vp, disc = blowup_vp(mc)
-    (kc,) = state.cubic.cls
+    vp, _ = blowup_vp(mc)
+    (kc,) = state.cubic
 
     kids = _activate_children(pt, on_e=True)
     others = [
@@ -226,11 +209,9 @@ def link_I_update(state: FactorizationState, center_id: int):
         vp=vp,
         center_on_cubic=pt.on_cubic,
         system_after=new_system,
-        vp_incidence=pt.on_cubic,
-        vp_discrepancy=(disc == 0),
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points), replace(state.cubic, cls=(kc, kc - mc)),
+        new_model, new_system, tuple(points), (kc, kc - mc),
         state.step + 1, next_id,
     )
     return link, new_state
@@ -265,11 +246,11 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
 
     # boundary bookkeeping
     mc = int(pt.on_cubic)
-    vp_blowup, disc = blowup_vp(mc)
-    ac, bc = state.cubic.cls
+    vp_blowup, _ = blowup_vp(mc)
+    ac, bc = state.cubic
     c_dot_fiber = bc - mc  # C-check . F-tilde
     vp_blowdown = blowdown_vp(c_dot_fiber)
-    new_cubic_cls = (ac + bc - mc, bc) if on_e else (ac - mc, bc)
+    new_cubic = (ac + bc - mc, bc) if on_e else (ac - mc, bc)
 
     if not pt.on_cubic:
         case = "off-cubic"
@@ -306,12 +287,9 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
         case_tag=case,
         center_on_cubic=pt.on_cubic,
         system_after=new_system,
-        vp_incidence=pt.on_cubic and c_dot_fiber == 1,
-        vp_discrepancy=(disc == 0) and vp_blowdown,
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points),
-        _cubic_after(state, new_cubic_cls, c_dot_fiber), state.step + 1, next_id,
+        new_model, new_system, tuple(points), new_cubic, state.step + 1, next_id,
     )
     return link, new_state
 
@@ -328,8 +306,7 @@ def link_III_update(state: FactorizationState):
     new_model = SurfaceModel.plane()
     new_system = (a,)
 
-    ac = state.cubic.cls[0]
-    c_dot_e = intersect(state.model, state.cubic.cls, (0, 1))
+    c_dot_e = intersect(state.model, state.cubic, (0, 1))
     vp = blowdown_vp(c_dot_e)
 
     new_points = []
@@ -349,11 +326,9 @@ def link_III_update(state: FactorizationState):
         to_model=new_model,
         vp=vp,
         system_after=new_system,
-        vp_incidence=c_dot_e == 1,
-        vp_discrepancy=vp,
     )
     new_state = FactorizationState(
-        new_model, new_system, tuple(points), _cubic_after(state, (ac,), c_dot_e),
+        new_model, new_system, tuple(points), (state.cubic[0],),
         state.step + 1, next_id,
     )
     return link, new_state
@@ -365,7 +340,7 @@ def link_IV_update(state: FactorizationState):
         raise EngineError("type IV link needs F_0")
     a, b = state.system
     new_system = (b, a)
-    ac, bc = state.cubic.cls
+    ac, bc = state.cubic
     link = SarkisovLink(
         kind="IV",
         center=None,
@@ -373,11 +348,9 @@ def link_IV_update(state: FactorizationState):
         to_model=state.model,
         vp=True,  # an automorphism: always volume preserving
         system_after=new_system,
-        vp_incidence=True,
-        vp_discrepancy=True,
     )
     new_state = FactorizationState(
-        state.model, new_system, state.points, replace(state.cubic, cls=(bc, ac)),
+        state.model, new_system, state.points, (bc, ac),
         state.step + 1, state.next_id,
     )
     return link, new_state
@@ -450,10 +423,6 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
                 f"no termination within {step_cap} links; state: {state!r}"
             )
         link, state = next_link(state)
-        if bool(link.vp_incidence) != bool(link.vp_discrepancy):
-            raise EngineError(
-                f"incidence and discrepancy volume checks disagree on {link}"
-            )
         links.append(link)
         states.append(state)
 
@@ -469,7 +438,7 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
 
     return SarkisovTrace(
         links=tuple(links),
-        all_vp=all(l.vp for l in links) if links else True,
+        all_vp=all(l.vp for l in links),
         initial=initial,
         final=state,
         states=tuple(states),

@@ -174,7 +174,7 @@ def test_criterion_06_sarkisov_positive():
         "all links vp": trace.all_vp,
         "models in {P2, F0, F1, F2}": {s.model for s in trace.states} <= allowed,
         "cubic class = -K throughout": all(
-            s.cubic.cls == neg_k(s.model) for s in trace.states
+            s.cubic == neg_k(s.model) for s in trace.states
         ),
     }
     report(6, "Sarkisov engine on phi_P: terminating, all vp, admissible models, CY",
@@ -189,7 +189,7 @@ def test_criterion_07_sarkisov_oracle():
         (SurfaceModel.hirzebruch(1), (1, 1), (3, 2)),
         (SurfaceModel.plane(), (1,), (3,)),
     ]
-    matches = [(s.model, s.system, s.cubic.cls) for s in on_c.states] == hand
+    matches = [(s.model, s.system, s.cubic) for s in on_c.states] == hand
     kinds_ok = on_c.kinds() == ["I", "II", "II", "III"] and on_c.all_vp
     off_c = factorize(plane_state(2, [(1, True), (1, True), (1, False)]))
     flipped = not off_c.all_vp and False in [l.vp for l in off_c.links]

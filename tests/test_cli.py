@@ -19,6 +19,13 @@ P = {"x": "2", "y": "3"}
 Q = {"x": "0", "y": "1"}
 
 
+def desk_payload(**extra):
+    from planecubic import jsonio, threefold
+
+    q = threefold.desk_instance()
+    return dict({k: jsonio.poly_to_json(getattr(q, k)) for k in "ABC"}, **extra)
+
+
 @pytest.fixture(scope="module")
 def translate_output():
     code, out = run(["translate"], {"curve": CURVE, "P": P})
@@ -115,11 +122,16 @@ class TestExitCodes:
             ("noether", {"d": 2, "mults": [1, 1, "1"]}),
             ("factorize", {"state": {"degree": 2.0, "points": [{"mult": 1}] * 3}}),
             ("factorize", {"state": {"degree": 2, "points": [{"mult": 1.0}] * 3}}),
+            ("vp-verify", {"state": {"degree": 2, "points": [
+                {"mult": 1, "on_cubic": True}, {"mult": 1, "on_cubic": True},
+                {"mult": 1, "on_cubic": "false"}]}}),
+            ("threefold-check", desk_payload(validate="false")),
         ],
-        ids=["noether-float", "noether-bool", "noether-string", "state-degree", "state-mult"],
+        ids=["noether-float", "noether-bool", "noether-string", "state-degree", "state-mult",
+             "state-on-cubic", "threefold-validate"],
     )
     def test_non_integer_field_is_1(self, command, payload, capsys):
-        # a cast would read each of these as an integer and exit 0
+        # a cast would read each of these as an integer or a boolean and exit 0
         code, out = run([command], payload)
         assert code == EX_MALFORMED and out == ""
         err = capsys.readouterr().err.strip().splitlines()
@@ -491,14 +503,15 @@ def run_with_config(args):
 
 
 class TestStrictDecoders:
-    """Decoders the CLI does not reach take JSON integers only, too."""
+    """Decoders the CLI does not reach take JSON integers and booleans only, too."""
 
     def test_forest(self):
         from planecubic import jsonio
 
         node = {"id": 0, "parent": None, "level": 0, "mult": 1, "on_cubic": True}
         assert len(jsonio.forest_from_json([node])) == 1
-        for key, bad in (("id", 0.0), ("parent", True), ("level", "0"), ("mult", 1.5)):
+        for key, bad in (("id", 0.0), ("parent", True), ("level", "0"), ("mult", 1.5),
+                         ("on_cubic", "true"), ("on_cubic", 1)):
             with pytest.raises(jsonio.DecodeError):
                 jsonio.forest_from_json([dict(node, **{key: bad})])
 
@@ -517,6 +530,8 @@ class TestStrictDecoders:
         jsonio.link_from_json(link)
         with pytest.raises(jsonio.DecodeError):
             jsonio.link_from_json(dict(link, system=[float(c) for c in link["system"]]))
+        with pytest.raises(jsonio.DecodeError):
+            jsonio.link_from_json(dict(link, vp="true"))
 
 
 class TestRoundTrips:

@@ -1,9 +1,14 @@
-import pytest
+import io
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planecubic.cli import EX_OK, EX_VERIFY, main
 from planecubic.cremona import CremonaMap, base_forest
 from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
 from planecubic.sarkisov import (
-    CubicTracker,
     EngineError,
     FactorizationState,
     SarkisovTrace,
@@ -34,7 +39,7 @@ def hirz_state(n, system, points, cubic_cls):
         SurfaceModel.hirzebruch(n),
         tuple(system),
         tuple(points),
-        CubicTracker(tuple(cubic_cls)),
+        tuple(cubic_cls),
         next_id=max((p.id for p in points), default=-1) + 1,
     )
 
@@ -53,9 +58,9 @@ class TestQuadraticOracle:
             (SurfaceModel.hirzebruch(1), (1, 1), (3, 2)),
             (SurfaceModel.plane(), (1,), (3,)),
         ]
-        got = [(s.model, s.system, s.cubic.cls) for s in trace.states]
+        got = [(s.model, s.system, s.cubic) for s in trace.states]
         assert got == expected
-        assert all(s.cubic.cls == neg_k(s.model) for s in trace.states)
+        assert all(s.cubic == neg_k(s.model) for s in trace.states)
 
     def test_one_point_off_cubic_flips_vp(self):
         trace = factorize(plane_state(2, [(1, True), (1, True), (1, False)]))
@@ -80,7 +85,7 @@ class TestElementaryTransform:
         assert new.model == SurfaceModel.hirzebruch(1)
         assert new.system == (2, 2)
         assert new.points == ()  # b - m = 0: no new point
-        assert new.cubic.cls == (3, 2) == neg_k(new.model)
+        assert new.cubic == (3, 2) == neg_k(new.model)
         assert link.vp and link.case_tag == 3
 
     def test_on_section_raises_n(self):
@@ -92,7 +97,7 @@ class TestElementaryTransform:
         link, new = elementary_transform_update(st, 0)
         assert new.model == SurfaceModel.hirzebruch(2)
         assert new.system == (3, 1)
-        assert new.cubic.cls == (4, 2) == neg_k(new.model)
+        assert new.cubic == (4, 2) == neg_k(new.model)
         assert link.case_tag == 1
 
     def test_new_point_mult_is_b_minus_m(self):
@@ -110,7 +115,8 @@ class TestElementaryTransform:
         link, new = elementary_transform_update(st, 0)
         assert not link.vp
         assert link.case_tag == "off-cubic"
-        assert not new.cubic.nonsingular  # C-check . fiber = 2
+        # C-check . fiber = 2: the image of C is no longer anticanonical
+        assert new.cubic == (3, 2) != neg_k(new.model)
 
     def test_tangent_with_chain_unsupported(self):
         st = hirz_state(
@@ -180,11 +186,9 @@ class TestTranslationMapRun:
             SurfaceModel.hirzebruch(2),
         }
         assert {s.model for s in trace.states} <= allowed
-        assert all(s.cubic.cls == neg_k(s.model) for s in trace.states)
+        assert all(s.cubic == neg_k(s.model) for s in trace.states)
         assert trace.final.system == (1,)
         assert trace.lints == ()
-        for link in trace.links:
-            assert bool(link.vp_incidence) == bool(link.vp_discrepancy)
 
     def test_enrichment_structure(self):
         st = state_from_map(translation_map(CURVE, P), CURVE)
@@ -386,4 +390,35 @@ class TestOffCubicExhaustive:
             )
             states = [trace.initial] + list(trace.states)
             for s in states[: first_bad + 1]:
-                assert s.cubic.cls == neg_k(s.model)
+                assert s.cubic == neg_k(s.model)
+
+
+# homaloidal types whose enriched plane states finish under every on_cubic pattern
+PLANE_TYPES = [
+    (2, (1,) * 3),
+    (3, (2,) + (1,) * 4),
+    (4, (3,) + (1,) * 6),
+    (4, (2,) * 3 + (1,) * 3),
+    (5, (4,) + (1,) * 8),
+]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.data())
+def test_vp_links_iff_boundary_stays_anticanonical(data):
+    """The per-link vp flags and the boundary class are two routes to one
+    verdict: a trace from P^2 is all vp exactly when C stays -K, and vp-verify
+    reports the routes agreeing."""
+    degree, mults = data.draw(st.sampled_from(PLANE_TYPES))
+    flags = data.draw(st.lists(st.booleans(), min_size=len(mults), max_size=len(mults)))
+    points = data.draw(st.permutations(list(zip(mults, flags))))
+    trace = factorize(plane_state(degree, points))
+    assert trace.all_vp == all(s.cubic == neg_k(s.model) for s in trace.states)
+
+    state = {"degree": degree, "points": [{"mult": m, "on_cubic": c} for m, c in points]}
+    out = io.StringIO()
+    code = main(["vp-verify"], stdin=io.StringIO(json.dumps({"state": state})), stdout=out)
+    report = json.loads(out.getvalue())
+    assert report["routes_agree"] is True
+    assert report["ok"] == trace.all_vp
+    assert code == (EX_OK if trace.all_vp else EX_VERIFY)
