@@ -18,6 +18,7 @@ from .exact import (
     normalize_point,
     poly_divide,
     rational_roots,
+    reduce_on_cubic,
     substitute,
     _all_proportional,
 )
@@ -399,11 +400,21 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
     True iff the cubic divides its pullback exactly and the restriction to
     sample points is non-constant and injective (birationality proxy; the
     samples come from the curve's group law when a curve is supplied).
+
+    For a Weierstrass cubic C the pullback is taken through the components
+    reduced modulo C (`reduce_on_cubic`: h' = c z^m h mod C, of y-degree
+    <= 1).  Then C(h') = c^3 z^(3m) C(h) mod C, and C is irreducible and does
+    not divide z, so C divides C(h') iff it divides C(h).  A zero C(h') means
+    h contracts C to a point of C; the samples decide that case.
     """
     check_cubic_nonsingular(cubic)
-    pullback = substitute(cubic, f.components)
-    if pullback.is_zero:
-        return False
+    weierstrass = _is_weierstrass(cubic)
+    if weierstrass is None:
+        pullback = substitute(cubic, f.components)
+        if pullback.is_zero:
+            return False  # h maps the plane into the cubic
+    else:
+        pullback = substitute(cubic, reduce_on_cubic(f.components, *weierstrass))
     _, ok = poly_divide(pullback, cubic)
     if not ok:
         return False

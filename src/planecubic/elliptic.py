@@ -3,6 +3,7 @@ order, and the explicit degree-4 translation maps."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -193,15 +194,17 @@ def default_samples(curve: WeierstrassCurve, count: int = 10, base: Optional[Cur
     for b in bases:
         curve._require(b)
     out, seen = [], {O}
-    queue = list(bases)
+    # each entry stands for the point prev + b (b itself when prev is None),
+    # added only when popped: the queue's tail is mostly never reached
+    queue = deque((None, b) for b in bases)
     steps = 0
     while queue and len(out) < count and steps < 40 * count:
         steps += 1
-        pt = queue.pop(0)
+        prev, b = queue.popleft()
+        pt = b if prev is None else add(curve, prev, b)
         if pt in seen:
             continue
         seen.add(pt)
         out.append(pt)
-        for b in bases:
-            queue.append(add(curve, pt, b))
+        queue.extend((pt, b) for b in bases)
     return out

@@ -696,13 +696,7 @@ def _cubic_candidates(polys, p, q) -> set:
     imposes no condition.
     """
     p, q = Fraction(p), Fraction(q)
-    delta = int_lcm(p.denominator, q.denominator)
-    w = [  # delta w, ascending
-        q.numerator * (delta // q.denominator),
-        p.numerator * (delta // p.denominator),
-        0,
-        delta,
-    ]
+    w = _delta_w(p, q)
     zz = _ring(1, "ZZ")
     norms = (
         zz.from_dict({(k,): c for k, c in enumerate(_norm_on_cubic(f, w)) if c})
@@ -718,19 +712,29 @@ def _cubic_candidates(polys, p, q) -> set:
     return candidates
 
 
-def _norm_on_cubic(f: HomPoly, w) -> list:
-    """A positive integer multiple of the norm a^2 - w b^2 of f(x, y, 1) =
-    a(x) + y b(x) mod y^2 = w, as ascending coefficients; w is given as the
-    integral delta w with delta its leading coefficient.
+def _delta_w(p: Fraction, q: Fraction) -> list:
+    """delta w for w(x) = x^3 + p x + q, with delta = lcm of the denominators
+    of p and q: an integral ascending coefficient list with leading delta."""
+    delta = int_lcm(p.denominator, q.denominator)
+    return [
+        q.numerator * (delta // q.denominator),
+        p.numerator * (delta // p.denominator),
+        0,
+        delta,
+    ]
 
-    With f's denominators cleared by den, k = deg f // 2 and y^(2e) =
-    (delta w)^e / delta^e, the integral A = delta^k den a and B = delta^k
-    den b give delta A^2 - (delta w) B^2 = delta^(2k+1) den^2 (a^2 - w b^2).
+
+def _halves_on_cubic(f: HomPoly, w, den: int, k: int) -> tuple:
+    """The integral halves (A, B) = delta^k den (a, b) of f(x, y, 1) = a(x) +
+    y b(x) mod y^2 = w, as ascending coefficient lists of length deg f + k + 1;
+    w is given as the integral delta w with delta its leading coefficient.
+
+    den must clear f's denominators and k must be at least deg f // 2: a term
+    x^i y^(2e + r) becomes delta^(k - e) x^i y^r (delta w)^e, of x-degree
+    i + 3e <= deg f + e.
     """
     delta = w[-1]
-    den = int_lcm(*(c.denominator for c in f.terms.values()))
-    k = f.degree // 2
-    size = f.degree + k + 1  # deg a, deg b <= i + 3 (j // 2) <= d + d // 2
+    size = f.degree + k + 1
     halves = ([0] * size, [0] * size)  # A, B
     powers = [[1]]
     for (i, j, _), c in f.terms.items():
@@ -741,10 +745,52 @@ def _norm_on_cubic(f: HomPoly, w) -> list:
         acc = halves[j % 2]
         for t, wt in enumerate(powers[e]):
             acc[i + t] += c * wt
-    a, b = halves
+    return halves
+
+
+def _norm_on_cubic(f: HomPoly, w) -> list:
+    """A positive integer multiple of the norm a^2 - w b^2 of f(x, y, 1) =
+    a(x) + y b(x) mod y^2 = w, as ascending coefficients; w is given as the
+    integral delta w with delta its leading coefficient.
+
+    With f's denominators cleared by den and k = deg f // 2, the integral
+    halves A = delta^k den a and B = delta^k den b give delta A^2 - (delta w)
+    B^2 = delta^(2k+1) den^2 (a^2 - w b^2).
+    """
+    delta = w[-1]
+    den = int_lcm(*(c.denominator for c in f.terms.values()))
+    a, b = _halves_on_cubic(f, w, den, f.degree // 2)
     out = [-v for v in _int_poly_mul(w, _int_poly_mul(b, b))]
     for t, v in enumerate(_int_poly_mul(a, a)):
         out[t] += delta * v
+    return out
+
+
+def reduce_on_cubic(components, p, q) -> list:
+    """Nonzero forms f_i of one degree d reduced modulo the Weierstrass cubic
+    C = y^2 z - x^3 - p x z^2 - q z^3: forms of degree D = d + d // 2 and
+    y-degree <= 1, the i-th congruent to c z^(D - d) f_i modulo C for one
+    positive integer c shared by all i (a zero output means C divides f_i).
+
+    Modulo C, y^2 z = W(x, z) = x^3 + p x z^2 + q z^3, so a term x^i y^(2e + r)
+    z^l times z^(D - d) is x^i y^r z^(l + D - d - e) W^e, and e <= d // 2.  The
+    output is the homogenization of the halves a(x) + y b(x) of f_i(x, y, 1),
+    with c = delta^(d // 2) den clearing the denominators of p, q and every f_i.
+    """
+    comps = list(components)
+    if any(f.is_zero or f.nvars != 3 for f in comps) or len({f.degree for f in comps}) != 1:
+        raise ExactError("reduce_on_cubic needs nonzero plane forms of one degree")
+    d = comps[0].degree
+    k = d // 2
+    top = d + k
+    w = _delta_w(Fraction(p), Fraction(q))
+    den = int_lcm(*(c.denominator for f in comps for c in f.terms.values()))
+    out = []
+    for f in comps:
+        a, b = _halves_on_cubic(f, w, den, k)
+        terms = {(t, 0, top - t): Fraction(v) for t, v in enumerate(a) if v}
+        terms.update({(t, 1, top - 1 - t): Fraction(v) for t, v in enumerate(b) if v})
+        out.append(HomPoly._of(3, terms))
     return out
 
 

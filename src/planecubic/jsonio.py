@@ -201,15 +201,34 @@ def link_to_json(link: SarkisovLink) -> dict:
     return out
 
 
+_LINK_KINDS = ("I", "II", "III", "IV")
+
+
+def _link_case(kind, obj):
+    """A type II link's case, 1..4 or "off-cubic"; other kinds carry none."""
+    if kind != "II":
+        if "case" in obj:
+            raise DecodeError(f"a type {kind} link has no case")
+        return None
+    case = obj["case"]
+    if case == "off-cubic" or _json_int(case) in (1, 2, 3, 4):
+        return case
+    raise DecodeError(f"a type II case is 1..4 or 'off-cubic', got {case!r}")
+
+
 def link_from_json(obj) -> SarkisovLink:
     try:
+        kind = obj["kind"]
+        if kind not in _LINK_KINDS:
+            raise DecodeError(f"link kind must be one of {_LINK_KINDS}, got {kind!r}")
+        center = obj["center"]
         return SarkisovLink(
-            kind=obj["kind"],
-            center=obj["center"],
+            kind=kind,
+            center=None if center is None else _json_int(center),
             from_model=model_from_json(obj["from"]),
             to_model=model_from_json(obj["to"]),
             vp=_json_bool(obj["vp"]),
-            case_tag=obj.get("case"),
+            case_tag=_link_case(kind, obj),
             system_after=tuple(_json_int(c) for c in obj["system"]),
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -15,6 +15,10 @@ kernels: Fraction products of cached powers, and the homogeneous gcd in
 QQ[x0, ..., x{n-1}].  `reference_eval`, `reference_poly_divide` and
 `reference_content_normalize` are likewise the Fraction versions of point
 evaluation, lex-order long division and canonical scaling.
+
+`reference_default_samples` is the eager breadth-first enumeration that
+`elliptic.default_samples` must reproduce point for point: every popped
+point's sums with the bases are computed as it is popped.
 """
 
 from fractions import Fraction
@@ -25,7 +29,8 @@ from math import lcm as int_lcm
 from sympy import QQ, lex
 from sympy.polys.rings import PolyRing
 
-from planecubic.elliptic import CurvePoint, O, to_projective
+from planecubic import elliptic
+from planecubic.elliptic import CurvePoint, O, small_points, to_projective
 from planecubic.exact import AffinePoly, HomPoly, evaluate
 
 
@@ -208,3 +213,22 @@ def reference_content_normalize(maps) -> list:
     if lead.terms[max(lead.terms)] < 0:
         maps = [m * Fraction(-1) for m in maps]
     return maps
+
+
+def reference_default_samples(curve, count=10, base=None):
+    """default_samples with a queue of points: each output point's sums with
+    every base are formed as soon as the point is popped."""
+    bases = [base] if base is not None else small_points(curve)
+    out, seen = [], {O}
+    queue = list(bases)
+    steps = 0
+    while queue and len(out) < count and steps < 40 * count:
+        steps += 1
+        pt = queue.pop(0)
+        if pt in seen:
+            continue
+        seen.add(pt)
+        out.append(pt)
+        for b in bases:
+            queue.append(elliptic.add(curve, pt, b))  # looked up per call: countable
+    return out

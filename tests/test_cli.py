@@ -247,6 +247,30 @@ class TestDecCheck:
         assert code == EX_OK
         assert json.loads(out)["in_dec"] is False
 
+    @pytest.mark.parametrize(
+        "curve, P",
+        [(CURVE, P), ({"p": "-1/4", "q": "1/4"}, {"x": "1/2", "y": "1/2"})],
+        ids=["integral", "fractional"],
+    )
+    def test_curve_and_its_weierstrass_cubic_agree(self, curve, P):
+        # "curve" adds group-law samples; "cubic" alone is divisibility only
+        from planecubic import jsonio
+        from planecubic.exact import variables
+
+        x, y, z = variables(3)
+        cubic = jsonio.poly_to_json(jsonio.curve_from_json(curve).equation)
+        _, added = run(["curve-add"], {"curve": curve, "P": P, "Q": P})
+        _, phi = run(["translate"], {"curve": curve, "P": P})
+        _, phi_2 = run(["translate"], {"curve": curve, "P": json.loads(added)["result"]})
+        _, composite = run(["compose"], {"f": json.loads(phi_2), "g": json.loads(phi)})
+        shear = {"deg": 1, "components": [jsonio.poly_to_json(c) for c in (x + y, y, z)]}
+        verdicts = []
+        for m in (json.loads(phi), json.loads(composite)["map"], shear):
+            by_curve = run(["dec-check"], {"curve": curve, "map": m})
+            assert by_curve == run(["dec-check"], {"cubic": cubic, "map": m})
+            verdicts.append(json.loads(by_curve[1])["in_dec"])
+        assert verdicts == [True, True, False]
+
 
 class TestBaseForestCmd:
     def test_type_and_flags(self, translate_output):
@@ -463,7 +487,9 @@ class TestBytePin:
     """compose -> dec-check -> base-forest -> factorize on phi_Q o phi_P over
     y^2 = x^3 - 2, P = G = (3, 5), Q = 2G: the sha256 of each call's stdout
     (and of factorize's stderr, since the engine stops there with exit 1 and
-    no stdout) must not move when a kernel changes."""
+    no stdout) must not move when a kernel changes.  vp-verify on phi_P
+    itself, which factorizes and runs is_in_dec with group-law samples, is
+    pinned beside them."""
 
     CURVE = {"p": "0", "q": "-2"}
     G = {"x": "3", "y": "5"}
@@ -474,6 +500,7 @@ class TestBytePin:
         "factorize": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     }
     FACTORIZE_STDERR = "5998120201baf0bbfdce8b5ff9c43d11697ca82a96cbea384446e872526221ea"
+    VP_VERIFY_PHI_P = (0, "6b2835cafe836a336bf7f35ab25c6e922abf905dc6b5fd179c1a6140b882f8c0")
 
     def test_pipeline_digests(self, capsys):
         def sha(text):
@@ -484,6 +511,8 @@ class TestBytePin:
         assert Q == {"x": "129/100", "y": "-383/1000"}
         _, phi_p = run(["translate"], {"curve": self.CURVE, "P": self.G})
         _, phi_q = run(["translate"], {"curve": self.CURVE, "P": Q})
+        code, out = run(["vp-verify"], {"curve": self.CURVE, "map": json.loads(phi_p)})
+        assert (code, sha(out)) == self.VP_VERIFY_PHI_P
         code, out = run(["compose"], {"f": json.loads(phi_q), "g": json.loads(phi_p)})
         got = {"compose": (code, sha(out))}
         payload = {"curve": self.CURVE, "map": json.loads(out)["map"]}
@@ -532,6 +561,30 @@ class TestStrictDecoders:
             jsonio.link_from_json(dict(link, system=[float(c) for c in link["system"]]))
         with pytest.raises(jsonio.DecodeError):
             jsonio.link_from_json(dict(link, vp="true"))
+        type_ii = json.loads(out.splitlines()[1])
+        assert link["kind"] == "I" and type_ii["kind"] == "II"
+        for case in (1, 4, "off-cubic"):
+            assert jsonio.link_from_json(dict(type_ii, case=case)).case_tag == case
+        assert jsonio.link_from_json(dict(link, center=None)).center is None
+        bad = [
+            dict(link, kind="V"),
+            dict(link, kind=None),
+            dict(link, kind=["I"]),
+            dict(link, center="3"),
+            dict(link, center=3.0),
+            dict(link, center=True),
+            dict(link, case=1),  # a case on a type I link
+            dict(link, kind="III", case=None),
+            dict(type_ii, case=0),
+            dict(type_ii, case=5),
+            dict(type_ii, case="3"),
+            dict(type_ii, case=True),
+            dict(type_ii, case=None),
+            {k: v for k, v in type_ii.items() if k != "case"},
+        ]
+        for obj in bad:
+            with pytest.raises(jsonio.DecodeError):
+                jsonio.link_from_json(obj)
 
 
 class TestRoundTrips:
@@ -557,6 +610,30 @@ class TestRoundTrips:
         for raw in lines:
             link = jsonio.link_from_json(json.loads(raw))
             assert json.dumps(jsonio.link_to_json(link), sort_keys=True) == raw
+
+    def test_trace_links_decode_to_their_fields(self):
+        # every kind and every type II case tag, from real traces
+        from planecubic import jsonio
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
+        from planecubic.sarkisov import (
+            FactorizationState,
+            factorize,
+            link_IV_update,
+            plane_state,
+        )
+        from planecubic.surfaces import SurfaceModel
+
+        curve = WeierstrassCurve(0, 1)
+        links = list(factorize(translation_map(curve, CurvePoint.affine(2, 3)), curve).links)
+        links += factorize(plane_state(2, [(1, True), (1, True), (1, False)])).links
+        f0 = FactorizationState(SurfaceModel.hirzebruch(0), (3, 1), (), (2, 2))
+        links.append(link_IV_update(f0)[0])
+        assert {l.kind for l in links} == {"I", "II", "III", "IV"}
+        assert {l.case_tag for l in links if l.kind == "II"} == {1, 3, "off-cubic"}
+        fields = ("kind", "center", "from_model", "to_model", "vp", "case_tag", "system_after")
+        for link in links:
+            decoded = jsonio.link_from_json(json.loads(json.dumps(jsonio.link_to_json(link))))
+            assert [getattr(decoded, k) for k in fields] == [getattr(link, k) for k in fields]
 
     def test_curve_point_round_trip(self):
         from planecubic import jsonio

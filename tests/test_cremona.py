@@ -31,7 +31,7 @@ from planecubic.elliptic import (
     to_projective,
     translation_map,
 )
-from planecubic.exact import HomPoly, variables
+from planecubic.exact import HomPoly, poly_divide, substitute, variables
 from planecubic.threefold import SpaceMap, is_involution
 
 x, y, z = variables(3)
@@ -371,6 +371,82 @@ class TestDecMembership:
         binary = HomPoly(2, {(3, 0): 1, (0, 3): 1})
         with pytest.raises(CremonaError):
             is_in_dec(phi(P), binary)
+
+
+def plain_divisibility(f, cubic):
+    """The cubic divides its pullback through f's own components."""
+    pullback = substitute(cubic, f.components)
+    return not pullback.is_zero and poly_divide(pullback, cubic)[1]
+
+
+def dec_and_non_dec_maps(curve, P):
+    """(map, expected verdict) pairs: translations and their composite,
+    linear maps, sigma o L and translation o linear."""
+    phi_p, phi_2p = translation_map(curve, P), translation_map(curve, multiple(curve, 2, P))
+    inversion = CremonaMap([x, -y, z])
+    shear = CremonaMap([x + y, y, z])
+    generic = CremonaMap([2 * x - y + z, x + 3 * z, y - z])
+    return [
+        (phi_p, True),
+        (translation_map(curve, neg(curve, P)), True),
+        (compose(phi_2p, phi_p), True),
+        (CremonaMap.identity(), True),
+        (inversion, True),
+        (shear, False),
+        (generic, False),
+        (compose(SIGMA, generic), False),
+        (compose(SIGMA, inversion), False),
+        (compose(phi_p, inversion), True),
+        (compose(phi_p, shear), False),
+    ]
+
+
+class TestDecReducedRoute:
+    """On a Weierstrass cubic is_in_dec pulls the cubic back through the map
+    reduced modulo the cubic; its verdict must be the plain route's."""
+
+    @pytest.mark.parametrize(
+        "curve, P",
+        [
+            (WeierstrassCurve(0, 1), CurvePoint.affine(2, 3)),
+            (WeierstrassCurve(0, -2), CurvePoint.affine(3, 5)),
+            (
+                WeierstrassCurve(Fraction(-1, 4), Fraction(1, 4)),
+                CurvePoint.affine(Fraction(1, 2), Fraction(1, 2)),
+            ),
+            (
+                WeierstrassCurve(Fraction(1, 3), Fraction(-13, 12)),
+                CurvePoint.affine(1, Fraction(1, 2)),
+            ),
+        ],
+        ids=["y2=x3+1", "y2=x3-2", "p=-1/4,q=1/4", "p=1/3,q=-13/12"],
+    )
+    def test_same_verdict_as_plain_route(self, curve, P, monkeypatch):
+        import planecubic.cremona as cremona
+
+        calls = []
+        real = cremona.reduce_on_cubic
+        monkeypatch.setattr(
+            cremona, "reduce_on_cubic", lambda *a: calls.append(a) or real(*a)
+        )
+        cubic = curve.equation
+        for scale in (1, Fraction(-3, 2)):  # a scaled equation is Weierstrass too
+            for f, expected in dec_and_non_dec_maps(curve, P):
+                assert plain_divisibility(f, cubic * scale) == expected
+                assert is_in_dec(f, cubic * scale) == expected
+                assert is_in_dec(f, cubic * scale, curve=curve) == expected
+        assert len(calls) == 2 * 2 * len(dec_and_non_dec_maps(curve, P))
+
+    def test_non_weierstrass_cubic_takes_the_plain_route(self, monkeypatch):
+        # y -> y + z conjugates Dec(C) to Dec(C o L)
+        import planecubic.cremona as cremona
+
+        monkeypatch.setattr(cremona, "reduce_on_cubic", None)
+        L, L_inv = CremonaMap([x, y + z, z]), CremonaMap([x, y - z, z])
+        cubic = substitute(CURVE.equation, L.components)
+        for f, expected in dec_and_non_dec_maps(CURVE, P):
+            g = compose(L_inv, compose(f, L))
+            assert is_in_dec(g, cubic) == plain_divisibility(g, cubic) == expected
 
 
 class TestInertia:

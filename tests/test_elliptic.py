@@ -19,7 +19,7 @@ from planecubic.elliptic import (
 )
 from planecubic.exact import evaluate, variables
 
-from _oracles import chord_reflect
+from _oracles import chord_reflect, reference_default_samples
 
 TORSION = WeierstrassCurve(0, 1)  # y^2 = x^3 + 1, torsion Z/6
 RANK1 = WeierstrassCurve(0, -2)  # y^2 = x^3 - 2, generator (3, 5)
@@ -195,3 +195,36 @@ class TestSampling:
     def test_samples_are_on_curve(self):
         for pt in default_samples(RANK1, 8):
             assert RANK1.contains(pt)
+
+    @pytest.mark.parametrize(
+        "curve, base",
+        [
+            (RANK1, None),
+            (RANK1, G),
+            (TORSION, None),  # a finite closure: both queues run dry
+            (WeierstrassCurve(0, 17), None),  # eight small points as bases
+            (
+                WeierstrassCurve(Fraction(-1, 4), Fraction(1, 4)),
+                CurvePoint.affine(Fraction(1, 2), Fraction(1, 2)),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 3, 10, 16])
+    def test_lazy_queue_matches_eager_reference(self, curve, base, count, monkeypatch):
+        import planecubic.elliptic as elliptic
+
+        calls = [0]
+        real = elliptic.add
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        expected = reference_default_samples(curve, count, base)
+        monkeypatch.setattr(elliptic, "add", counted)
+        assert default_samples(curve, count, base) == expected
+        lazy = calls[0]
+        calls[0] = 0
+        assert reference_default_samples(curve, count, base) == expected
+        # the eager queue has already added the last point to every base
+        assert lazy < calls[0] if len(expected) == count else lazy <= calls[0]

@@ -1,9 +1,13 @@
 import ast
+import hashlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     reference_content_normalize,
@@ -31,6 +35,7 @@ from planecubic.exact import (
     poly_divide,
     poly_gcd,
     rational_roots,
+    reduce_on_cubic,
     substitute,
     variables,
 )
@@ -366,6 +371,40 @@ class TestCommonZerosOnCubic:
         assert common_zeros_plane(polys, (Fraction(-1, 4), Fraction(1, 4))) == [
             (Fraction(1, 2), Fraction(1, 2), 1)
         ]
+
+    def test_norms_pinned(self):
+        # the norms of every component in the cases above, as computed before
+        # the y^2 -> w loop was shared with reduce_on_cubic
+        from planecubic.cremona import compose
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, add, multiple, translation_map
+        from planecubic.exact import _delta_w, _norm_on_cubic
+
+        curve = WeierstrassCurve(*W)
+        G = CurvePoint.affine(3, 5)
+        cases = [
+            (translation_map(curve, multiple(curve, k, G)).components, W)
+            for k in range(-6, 7) if k
+        ]
+        composite = compose(translation_map(curve, add(curve, G, G)), translation_map(curve, G))
+        cases += [
+            (composite.components, W),
+            ([y * z, (x - z) * (x + z)], (-1, 0)),
+            ([x, z], W),
+            ([x - 2 * z, y * y - 6 * z * z], W),
+            ([x - z, y * y + z * z], W),
+            ([(x - 3 * z) * y, y * (y - 5 * z), C_W], W),
+            ([(x - 2 * z) * (x + z), y - 3 * z], (0, 1)),
+            ([x - 3 * z, y + 5 * z], W),
+            ([y * z, x * z, x * y], W),
+            ([2 * x - z, 2 * y - z], (Fraction(-1, 4), Fraction(1, 4))),
+        ]
+        norms = [
+            [_norm_on_cubic(f, _delta_w(Fraction(p), Fraction(q))) for f in polys]
+            for polys, (p, q) in cases
+        ]
+        assert norms[-1] == [[4, -16, 16, 0, 0, 0], [0, 4, 0, -16, 0, 0]]
+        digest = hashlib.sha256(json.dumps(norms).encode()).hexdigest()
+        assert digest == "4898861d8cbab118646636640bf74202bd9eee36e0c37dc5fda1a7c24a200e34"
 
 
 class TestSympyBridge:
@@ -753,3 +792,57 @@ class TestIntegerKernels:
         common = rand_poly(rng, seed, nvars) * rand_rat(rng)
         maps = [common * rand_poly(rng, 2, nvars) for _ in range(nvars)]
         assert content_normalize(maps) == reference_content_normalize(maps)
+
+
+fractional = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 9)).filter(
+    lambda r: r.denominator > 1
+)
+
+
+@st.composite
+def same_degree_forms(draw):
+    """One to three nonzero plane forms of one degree d <= 6."""
+    d = draw(st.integers(0, 6))
+    exps = st.tuples(st.integers(0, d), st.integers(0, d)).filter(lambda e: sum(e) <= d)
+    coef = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    terms = st.dictionaries(exps, coef, min_size=1, max_size=6)
+    return [
+        HomPoly(3, {(i, j, d - i - j): c for (i, j), c in draw(terms).items()})
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestReduceOnCubic:
+    """reduce_on_cubic(fs, p, q)[i] = c z^(D - d) f_i mod C, with D = d + d // 2
+    and one c = delta^(d // 2) den for every i."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(same_degree_forms(), fractional, fractional)
+    def test_congruent_modulo_the_cubic(self, fs, p, q):
+        from math import lcm
+
+        cubic = y * y * z - x**3 - p * (x * z * z) - q * z**3
+        d = fs[0].degree
+        top = d + d // 2
+        den = lcm(*(c.denominator for f in fs for c in f.terms.values()))
+        c = lcm(p.denominator, q.denominator) ** (d // 2) * den
+        reduced = reduce_on_cubic(fs, p, q)
+        assert len(reduced) == len(fs)
+        for f, r in zip(fs, reduced):
+            assert r.is_zero or (r.degree == top and all(e[1] <= 1 for e in r.terms))
+            assert all(v.denominator == 1 for v in r.terms.values())
+            _, ok = poly_divide(z ** (top - d) * f * c - r, cubic)
+            assert ok
+
+    def test_small_cases(self):
+        # C divides the first form; y^3 z = y (x^3 - 2 z^3) on y^2 = x^3 - 2
+        r = reduce_on_cubic([C_W, y**3 * Fraction(1, 2)], *W)
+        assert r == [HomPoly.zero(3), x**3 * y - 2 * y * z**3]  # c = 2
+        # y^2 z = x^3 - x z^2 / 4 + z^3 / 4, cleared by c = 4
+        r = reduce_on_cubic([y * y, x * z], Fraction(-1, 4), Fraction(1, 4))
+        assert r == [4 * x**3 - x * z * z + z**3, 4 * x * z * z]
+
+    @pytest.mark.parametrize("forms", [[x, y * y], [x, HomPoly.zero(3)], [HomPoly.zero(3)]])
+    def test_rejects_mixed_degrees_and_zero_forms(self, forms):
+        with pytest.raises(ExactError):
+            reduce_on_cubic(forms, *W)
