@@ -42,7 +42,7 @@ class Config:
     step_cap: int = 64
 
     def __post_init__(self):
-        if self.step_cap < 1:
+        if jsonio._json_int(self.step_cap) < 1:
             raise ValueError("step_cap must be >= 1")
 
 
@@ -151,9 +151,12 @@ def cmd_factorize(payload, cfg, out, trace_file=None):
     trace, _f, _curve = _run_factorize(payload, cfg)
     lines = [jsonio.link_to_json(l) for l in trace.links]
     if trace_file:
-        with open(trace_file, "w") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        try:
+            with open(trace_file, "w") as fh:
+                for line in lines:
+                    fh.write(json.dumps(line, sort_keys=True) + "\n")
+        except OSError as e:
+            raise ValueError(f"bad trace file: {e}") from e
     else:
         for line in lines:
             _emit(line, out)

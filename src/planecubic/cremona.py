@@ -406,6 +406,10 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
     <= 1).  Then C(h') = c^3 z^(3m) C(h) mod C, and C is irreducible and does
     not divide z, so C divides C(h') iff it divides C(h).  A zero C(h') means
     h contracts C to a point of C; the samples decide that case.
+
+    A linear f needs no samples: its components are not all proportional, so
+    it has rank >= 2, and a form in two linear forms is no irreducible cubic.
+    So C dividing C(f) means C(f) = c C, and f is an automorphism of C.
     """
     check_cubic_nonsingular(cubic)
     weierstrass = _is_weierstrass(cubic)
@@ -416,8 +420,8 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
     else:
         pullback = substitute(cubic, reduce_on_cubic(f.components, *weierstrass))
     _, ok = poly_divide(pullback, cubic)
-    if not ok:
-        return False
+    if not ok or f.degree == 1:
+        return ok
     if samples is None and curve is not None:
         from .elliptic import default_samples, to_projective
 

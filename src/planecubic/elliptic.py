@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cremona import CremonaMap
-from .exact import HomPoly, variables
+from .exact import HomPoly, _rational_sqrt, variables
 
 
 class EllipticError(Exception):
@@ -158,13 +158,9 @@ def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     """Affine rational points with small integer x (sampling seeds)."""
     found = []
     for ax in range(-bound, bound + 1):
-        v = Fraction(ax) ** 3 + curve.p * ax + curve.q
-        if v < 0:
+        y0 = _rational_sqrt(Fraction(ax) ** 3 + curve.p * ax + curve.q)
+        if y0 is None:
             continue
-        rn, rd = _isqrt_exact(v.numerator), _isqrt_exact(v.denominator)
-        if rn is None or rd is None:
-            continue
-        y0 = Fraction(rn, rd)
         found.append(CurvePoint(Fraction(ax), y0))
         if y0 != 0:
             found.append(CurvePoint(Fraction(ax), -y0))
@@ -173,13 +169,6 @@ def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     if not found:
         raise EllipticError("no small rational point found; supply one explicitly")
     return found
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def default_samples(curve: WeierstrassCurve, count: int = 10, base: Optional[CurvePoint] = None):

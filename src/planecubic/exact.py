@@ -347,57 +347,31 @@ def _mul_packed(a: dict, b: dict) -> dict:
     return out
 
 
-# -- sympy bridge: sparse rings over QQ and ZZ (gcd / resultants / factorization)
+# -- sympy bridge: sparse rings over ZZ, reached by poly_gcd, rational_roots
+# (and is_irreducible) and the resultant in _affine_y_candidates only
 
 
 @cache
-def _ring(nvars: int, domain: str):
-    """QQ[u0, ..., u{nvars-1}] or ZZ[...] (domain "QQ" or "ZZ") in lex order,
-    built on first use: sympy is imported only when a gcd, a resultant or a
-    root search needs it."""
-    from sympy import QQ, ZZ, lex
+def _ring(nvars: int):
+    """ZZ[u0, ..., u{nvars-1}] in lex order, built on first use: sympy is
+    imported only when a gcd, a resultant or a root search needs it."""
+    from sympy import ZZ, lex
     from sympy.polys.rings import PolyRing
 
-    return PolyRing([f"u{i}" for i in range(nvars)], {"QQ": QQ, "ZZ": ZZ}[domain], lex)
-
-
-def _to_ring(terms: dict, nvars: int):
-    """{exponent tuple: rational} as an element of QQ[u0, ..., u{nvars-1}], lex."""
-    ring = _ring(nvars, "QQ")
-    return ring.from_dict(
-        {e: ring.domain(c.numerator, c.denominator) for e, c in terms.items()}
-    )
+    return PolyRing([f"u{i}" for i in range(nvars)], ZZ, lex)
 
 
 def _to_zz_ring(terms: dict, nvars: int):
     """{exponent tuple: rational} times the lcm of its denominators, as an
     element of ZZ[u0, ..., u{nvars-1}], lex."""
     den = int_lcm(*(c.denominator for c in terms.values()))
-    return _ring(nvars, "ZZ").from_dict(
+    return _ring(nvars).from_dict(
         {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     )
 
 
-def _ring_gcd(polys):
-    return reduce(lambda f, g: f.gcd(g), polys)
-
-
-def _from_ring(p) -> dict:
-    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.items()}
-
-
-def _ring_roots(p) -> list:
-    """Rational roots of a univariate ring element, read off its linear factors."""
-    roots = []
-    for fac, _mult in p.factor_list()[1]:
-        if fac.degree() == 1:
-            t = _from_ring(fac)  # {(1,): a, (0,): b} for a t + b
-            roots.append(-t.get((0,), Fraction(0)) / t[(1,)])
-    return roots
-
-
 def _univariate(coeffs):
-    return _to_ring({(k,): c for k, c in enumerate(coeffs) if c}, 1)
+    return _to_zz_ring({(k,): c for k, c in enumerate(coeffs) if c}, 1)
 
 
 def poly_gcd(polys) -> HomPoly:
@@ -489,14 +463,21 @@ def divides(g: HomPoly, f: HomPoly) -> bool:
 
 def rational_roots(*coeff_lists):
     """The rational roots common to every sum(coeffs[k] t^k), ascending: the
-    roots of their gcd, factored once over Q."""
+    roots of their gcd, factored once over Z.  Each list is first scaled to
+    integers; the integer content the factorization splits off is no factor."""
     if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
-    return sorted(set(_ring_roots(_ring_gcd(map(_univariate, coeff_lists)))))
+    g = reduce(lambda f, h: f.gcd(h), map(_univariate, coeff_lists))
+    roots = set()
+    for fac, _mult in g.factor_list()[1]:
+        if fac.degree() == 1:  # a t + b
+            roots.add(Fraction(-int(fac.get((0,), 0)), int(fac[(1,)])))
+    return sorted(roots)
 
 
 def is_irreducible(coeffs) -> bool:
-    """Whether the nonzero sum(coeffs[k] t^k) is irreducible over Q."""
+    """Whether the nonzero sum(coeffs[k] t^k) is irreducible over Q (over Z
+    up to its content)."""
     return _univariate(coeffs).is_irreducible
 
 
@@ -625,13 +606,15 @@ def common_zeros_plane(polys, weierstrass=None):
     """All rational projective common zeros of >= 2 polynomials in 3 variables;
     with weierstrass = (p, q), only those on y^2 z = x^3 + p x z^2 + q z^3.
 
-    Without a cubic, candidates come from bivariate resultants and rational
-    root extraction.  On the cubic, the affine candidates have as x the
-    rational roots of the gcd of the components' norms to Q[x] (a univariate
-    degree <= 3 deg), and at z = 0 the only candidate is O = (0:1:0).  Every
-    candidate is then verified against the full system.  Completeness holds
-    over Q only.  A common curve component raises PositiveDimensionalError
-    carrying the component.
+    Every search for a coordinate is one rational_roots call.  Without a
+    cubic, the y of an affine candidate is a root of a resultant (or of an
+    x-free equation), its x a common root at that y, and on z = 0 the
+    candidates are (1:0:0) and the common roots at y = 1.  On the cubic, the
+    affine candidates have as x the common roots of the components' norms
+    (univariate, of degree <= 3 deg), and at z = 0 the only candidate is
+    O = (0:1:0).  Every candidate is then verified against the full system.
+    Completeness holds over Q only.  A common curve component raises
+    PositiveDimensionalError carrying the component.
     """
     polys = [p for p in polys if not p.is_zero]
     if len(polys) < 2:
@@ -662,26 +645,21 @@ def common_zeros_plane(polys, weierstrass=None):
 
 def _plane_candidates(polys) -> set:
     """Candidate common zeros anywhere in the plane (a superset of the zeros)."""
-    candidates = set()
+    # on z = 0: (1:0:0), and the common roots of the nonzero rows at y = 1
+    # (a row that vanishes identically imposes no condition)
+    candidates = {(Fraction(1), Fraction(0), Fraction(0))}
+    rows = [p.dehomogenize(1).restrict_zero(1).univariate_in(0) for p in polys]
+    rows = [r for r in rows if r]
+    if rows:
+        candidates.update((x0, Fraction(1), Fraction(0)) for x0 in rational_roots(*rows))
 
     # points with z != 0: affine system in (x, y)
-    affine = [_to_ring(p.dehomogenize(2).terms, 2) for p in polys]
+    affine = [p.dehomogenize(2) for p in polys]
     for y0 in _affine_y_candidates(affine):
-        specs = [s for s in (f.evaluate(1, y0) for f in affine) if s]
+        specs = [a.shift((0, y0)).restrict_zero(1).univariate_in(0) for a in affine]
+        specs = [s for s in specs if s]
         if specs:
-            for x0 in _ring_roots(_ring_gcd(specs)):
-                candidates.add((x0, y0, Fraction(1)))
-
-    # points with z = 0: common roots of the nonzero binary-form restrictions
-    # (identically-zero restrictions impose no condition; the caller
-    # re-checks the full system anyway)
-    forms = []
-    for p in polys:
-        terms = {e[:2]: c for e, c in p.terms.items() if e[2] == 0}
-        if terms:
-            forms.append(terms)
-    if forms:
-        candidates.update(_binary_common_roots(forms))
+            candidates.update((x0, y0, Fraction(1)) for x0 in rational_roots(*specs))
     return candidates
 
 
@@ -697,15 +675,10 @@ def _cubic_candidates(polys, p, q) -> set:
     """
     p, q = Fraction(p), Fraction(q)
     w = _delta_w(p, q)
-    zz = _ring(1, "ZZ")
-    norms = (
-        zz.from_dict({(k,): c for k, c in enumerate(_norm_on_cubic(f, w)) if c})
-        for f in polys
-    )
+    norms = (_norm_on_cubic(f, w) for f in polys)
     # some norm is nonzero: the caller ruled out a common curve component
-    g = _ring_gcd([n for n in norms if n])
     candidates = {(Fraction(0), Fraction(1), Fraction(0))}
-    for x0 in _ring_roots(g):
+    for x0 in rational_roots(*(n for n in norms if any(n))):
         y0 = _rational_sqrt(x0**3 + p * x0 + q)
         if y0 is not None:
             candidates.update({(x0, y0, Fraction(1)), (x0, -y0, Fraction(1))})
@@ -833,42 +806,31 @@ def _all_proportional(polys) -> bool:
 
 def _affine_y_candidates(affine):
     """y-values that can appear in a common zero of the affine system, given
-    as elements of QQ[x, y] (resultants are taken in ZZ[x, y]).
+    as AffinePolys in (x, y) (resultants are taken in ZZ[x, y]).
 
     Over-generation is fine (candidates get verified); the only requirement
     is that every true common zero's y-value appears.
     """
-    with_x = [f for f in affine if f.degree(0) > 0]
-    pure_y = [f for f in affine if f.degree(0) <= 0 and f]
+    def has_x(f):
+        return any(e[0] for e in f.terms)
+
+    with_x = [f for f in affine if has_x(f)]
+    pure_y = [f for f in affine if not has_x(f)]
     if pure_y:
         # any nonzero x-free equation already pins y to its root set
-        return set(_ring_roots(pure_y[0].drop(0)))
-    # resultants eliminate x and land in QQ[y]
+        return rational_roots(pure_y[0].univariate_in(1))
+    # resultants eliminate x and land in ZZ[y]
     pairs = combinations(with_x, 2)
     if len(with_x) >= 3:
         # if every pair shares a factor, a combination breaks the coincidence
         # (the full system has trivial gcd, so generic t works)
-        combos = (
-            with_x[1] + t * with_x[k] for k in range(2, len(with_x)) for t in range(1, 32)
-        )
-        pairs = chain(pairs, ((with_x[0], c) for c in combos if c.degree(0) > 0))
+        combos = (with_x[1] + t * with_x[k] for k in range(2, len(with_x)) for t in range(1, 32))
+        pairs = chain(pairs, ((with_x[0], c) for c in combos if has_x(c)))
     for f, g in pairs:
         # Res(a f, b g) is a nonzero constant times Res(f, g): same roots
-        res = _to_zz_ring(_from_ring(f), 2).resultant(_to_zz_ring(_from_ring(g), 2))
+        res = _to_zz_ring(f.terms, 2).resultant(_to_zz_ring(g.terms, 2))
         if res:
-            return set(_ring_roots(res))
+            return rational_roots([int(c) for c in reversed(res.to_dense())])
     if with_x:
         raise ExactError("could not isolate y-candidates (degenerate system)")
-    return set()
-
-
-def _binary_common_roots(forms):
-    """Rational projective roots (x:y:0) of common binary forms given as
-    {(i,j): coef} exponent maps."""
-    rows = (_to_ring({(a,): c for (a, _b), c in terms.items()}, 1) for terms in forms)
-    g = _ring_gcd(rows)  # gcd of the forms at y = 1
-    points = {(x0, Fraction(1), Fraction(0)) for x0 in _ring_roots(g)}
-    # (1:0:0): every form must miss a pure-x term... i.e. have no term with b=0
-    if all(all(b > 0 for (_a, b) in terms) for terms in forms):
-        points.add((Fraction(1), Fraction(0), Fraction(0)))
-    return points
+    return []

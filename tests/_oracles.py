@@ -16,12 +16,20 @@ QQ[x0, ..., x{n-1}].  `reference_eval`, `reference_poly_divide` and
 `reference_content_normalize` are likewise the Fraction versions of point
 evaluation, lex-order long division and canonical scaling.
 
+`reference_common_zeros_plane` is the earlier route of
+`exact.common_zeros_plane`, with candidates found in sympy's QQ rings: the
+affine specializations evaluated in QQ[x, y], the binary forms on z = 0 as
+rows in QQ[t] with (1:0:0) added only when no form has a pure-x term, and on
+a Weierstrass cubic the gcd of the norms factored in QQ[t].
+
 `reference_default_samples` is the eager breadth-first enumeration that
 `elliptic.default_samples` must reproduce point for point: every popped
 point's sums with the bases are computed as it is popped.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations
 from math import comb
 from math import gcd as int_gcd
 from math import lcm as int_lcm
@@ -31,7 +39,19 @@ from sympy.polys.rings import PolyRing
 
 from planecubic import elliptic
 from planecubic.elliptic import CurvePoint, O, small_points, to_projective
-from planecubic.exact import AffinePoly, HomPoly, evaluate
+from planecubic.exact import (
+    AffinePoly,
+    DimensionMismatch,
+    ExactError,
+    HomPoly,
+    PositiveDimensionalError,
+    _all_proportional,
+    _delta_w,
+    _norm_on_cubic,
+    _rational_sqrt,
+    evaluate,
+    normalize_point,
+)
 
 
 def binary_restriction(p: HomPoly, u, v):
@@ -232,3 +252,88 @@ def reference_default_samples(curve, count=10, base=None):
         for b in bases:
             queue.append(elliptic.add(curve, pt, b))  # looked up per call: countable
     return out
+
+
+def _to_qq(terms: dict, nvars: int):
+    ring = PolyRing([f"u{i}" for i in range(nvars)], QQ, lex)
+    return ring.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
+
+
+def _qq_roots(p) -> set:
+    """Rational roots of a univariate QQ-ring element, from its linear factors."""
+    roots = set()
+    for fac, _mult in p.factor_list()[1]:
+        if fac.degree() == 1:
+            r = -fac.get((0,), QQ(0)) / fac[(1,)]
+            roots.add(Fraction(int(r.numerator), int(r.denominator)))
+    return roots
+
+
+def _qq_gcd(polys):
+    return reduce(lambda f, g: f.gcd(g), polys)
+
+
+def reference_common_zeros_plane(polys, weierstrass=None):
+    """Every rational common zero of >= 2 plane forms (on the cubic y^2 z =
+    x^3 + p x z^2 + q z^3 when weierstrass = (p, q)), sorted; the checks,
+    errors and final verification of exact.common_zeros_plane, with the
+    candidates found in QQ rings."""
+    polys = [p for p in polys if not p.is_zero]
+    if len(polys) < 2:
+        raise ExactError("need at least two nonzero polynomials")
+    if any(p.nvars != 3 for p in polys):
+        raise DimensionMismatch("common_zeros_plane expects 3-variable polynomials")
+    if _all_proportional(polys):
+        raise ExactError("polynomials are all proportional")
+    g = reference_poly_gcd(polys)
+    if g.degree:
+        raise PositiveDimensionalError(g)
+    if weierstrass is None:
+        candidates = _reference_plane_candidates(polys)
+    else:
+        p, q = (Fraction(c) for c in weierstrass)
+        w = _delta_w(p, q)
+        norms = [_to_qq({(k,): Fraction(c) for k, c in enumerate(_norm_on_cubic(f, w)) if c}, 1)
+                 for f in polys]
+        candidates = {(0, 1, 0)}
+        for x0 in _qq_roots(_qq_gcd([n for n in norms if n])):
+            y0 = _rational_sqrt(x0**3 + p * x0 + q)
+            if y0 is not None:
+                candidates |= {(x0, y0, 1), (x0, -y0, 1)}
+    points = {normalize_point(c) for c in candidates}
+    return sorted(pt for pt in points if all(evaluate(f, pt) == 0 for f in polys))
+
+
+def _reference_plane_candidates(polys) -> set:
+    candidates = set()
+    affine = [_to_qq(p.dehomogenize(2).terms, 2) for p in polys]
+    for y0 in _reference_y_candidates(affine):
+        specs = [s for s in (f.evaluate(1, y0) for f in affine) if s]
+        if specs:
+            candidates |= {(x0, y0, 1) for x0 in _qq_roots(_qq_gcd(specs))}
+    forms = [{e[:2]: c for e, c in p.terms.items() if e[2] == 0} for p in polys]
+    forms = [f for f in forms if f]
+    if forms:
+        rows = [_to_qq({(a,): c for (a, _b), c in f.items()}, 1) for f in forms]
+        candidates |= {(x0, 1, 0) for x0 in _qq_roots(_qq_gcd(rows))}
+        if all(all(b > 0 for _a, b in f) for f in forms):
+            candidates.add((1, 0, 0))
+    return candidates
+
+
+def _reference_y_candidates(affine) -> set:
+    with_x = [f for f in affine if f.degree(0) > 0]
+    pure_y = [f for f in affine if f.degree(0) <= 0 and f]
+    if pure_y:
+        return _qq_roots(pure_y[0].drop(0))
+    pairs = combinations(with_x, 2)
+    if len(with_x) >= 3:
+        combos = (with_x[1] + t * with_x[k] for k in range(2, len(with_x)) for t in range(1, 32))
+        pairs = chain(pairs, ((with_x[0], c) for c in combos if c.degree(0) > 0))
+    for f, g in pairs:
+        res = f.resultant(g)
+        if res:
+            return _qq_roots(res)
+    if with_x:
+        raise ExactError("could not isolate y-candidates (degenerate system)")
+    return set()

@@ -62,6 +62,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @pytest.mark.parametrize(
+        "raw", ["true", "2.5", "1e400", '"64"'], ids=["bool", "float", "overflow", "string"]
+    )
+    def test_non_integer_step_cap_is_1(self, raw, tmp_path, capsys):
+        # a cast would run true as a cap of 1 and 1e400 (inf) as no cap at all
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"step_cap": %s}' % raw)
+        code, out = run_with_config(["curve-add", "--config", str(cfg)])
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"].startswith("bad config")
+
+    def test_unwritable_trace_file_is_1(self, translate_output, tmp_path, capsys):
+        target = tmp_path / "missing" / "trace.jsonl"
+        payload = {"curve": CURVE, "map": translate_output}
+        code, out = run(["factorize", "--trace-file", str(target)], payload)
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err
+        assert "error" in json.loads(err)  # one JSON object, no traceback
+
     @pytest.mark.parametrize("command", ["factorize", "vp-verify"])
     @pytest.mark.parametrize("track", [True, False])
     def test_track_cubic_in_state_is_1(self, command, track, capsys):
@@ -246,6 +266,17 @@ class TestDecCheck:
         code, out = run(["dec-check"], {"curve": CURVE, "map": lin})
         assert code == EX_OK
         assert json.loads(out)["in_dec"] is False
+
+    @pytest.mark.parametrize("command", ["dec-check", "vp-verify"])
+    @pytest.mark.parametrize("y_sign", ["1", "-1"], ids=["identity", "inversion"])
+    def test_linear_member_needs_no_curve_points(self, command, y_sign):
+        # y^2 = x^3 + 7 has no affine rational point to sample; a linear map
+        # whose pullback the cubic divides is an automorphism of the cubic
+        comps = [{"vars": 3, "terms": [{"exp": e, "coef": c}]}
+                 for e, c in (([1, 0, 0], "1"), ([0, 1, 0], y_sign), ([0, 0, 1], "1"))]
+        code, out = run([command], {"curve": {"p": "0", "q": "7"}, "map": {"components": comps}})
+        assert code == EX_OK
+        assert json.loads(out)["in_dec"] is True
 
     @pytest.mark.parametrize(
         "curve, P",

@@ -1,8 +1,10 @@
 import ast
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    reference_common_zeros_plane,
     reference_content_normalize,
     reference_eval,
     reference_poly_divide,
@@ -407,6 +410,121 @@ class TestCommonZerosOnCubic:
         assert digest == "4898861d8cbab118646636640bf74202bd9eee36e0c37dc5fda1a7c24a200e34"
 
 
+small_rats = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+nonzero_rats = small_rats.filter(bool)
+
+
+def line(a, b, c):
+    return a * x + b * y + c * z
+
+
+def chord(P, Q):
+    """The line through two projective points."""
+    (x1, y1, z1), (x2, y2, z2) = P, Q
+    return line(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+
+
+lines = st.builds(line, small_rats, small_rats, small_rats).filter(lambda f: not f.is_zero)
+# lines through (1:0:0), and through a point (t:1:0) of z = 0
+lines_at_infinity = st.one_of(
+    st.builds(line, st.just(0), small_rats, nonzero_rats),
+    st.builds(line, st.just(1), small_rats.map(operator.neg), small_rats),
+)
+
+
+@st.composite
+def plane_forms(draw, factors=lines, most=3):
+    """A product of one to `most` linear forms, perturbed by up to two
+    monomials of its degree (which keeps some products' rational zeros)."""
+    f = reduce(operator.mul, draw(st.lists(factors, min_size=1, max_size=most)))
+    d = f.degree
+    monomials = [x**a * y**b * z ** (d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    for m in draw(st.lists(st.sampled_from(monomials), max_size=2)):
+        f = f + m * draw(nonzero_rats)
+    return f
+
+
+def zeros_outcome(search, polys, *weierstrass):
+    """The sorted zeros, or the error: its type and its component (or message)."""
+    try:
+        return search(polys, *weierstrass)
+    except ExactError as e:
+        return type(e).__name__, getattr(e, "component", str(e))
+
+
+# curves (p, q) with some of their rational points, O first
+CURVES = [
+    ((0, 1), [(0, 1, 0), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (2, 3, 1), (2, -3, 1)]),
+    ((0, -2), [(0, 1, 0), (3, 5, 1), (3, -5, 1),
+               (Fraction(129, 100), Fraction(-383, 1000), 1)]),
+    ((Fraction(-1, 4), Fraction(1, 4)),
+     [(0, 1, 0), (Fraction(1, 2), Fraction(1, 2), 1), (0, Fraction(-1, 2), 1), (1, 1, 1)]),
+    ((-1, 0), [(0, 1, 0), (-1, 0, 1), (0, 0, 1), (1, 0, 1)]),
+]
+
+
+class TestCommonZerosAgainstQQRoute:
+    """common_zeros_plane, its candidates found in ZZ rings and by
+    rational_roots, against the QQ-ring route it replaced: the same sorted
+    zeros, or the same error (and the same common component)."""
+
+    SETTINGS = settings(max_examples=20, deadline=None, database=None)
+
+    @SETTINGS
+    @given(st.lists(plane_forms(), min_size=2, max_size=3))
+    def test_rational_coefficients(self, polys):
+        assert zeros_outcome(common_zeros_plane, polys) == zeros_outcome(
+            reference_common_zeros_plane, polys
+        )
+
+    @SETTINGS
+    @given(plane_forms(), st.lists(plane_forms(), min_size=2, max_size=3))
+    def test_shared_factor(self, h, cofactors):
+        polys = [h * f for f in cofactors]
+        got = zeros_outcome(common_zeros_plane, polys)
+        assert got == zeros_outcome(reference_common_zeros_plane, polys)
+        if got[0] == "PositiveDimensionalError":
+            assert divides(got[1], h * reduce(operator.mul, cofactors))
+
+    @SETTINGS
+    @given(*[plane_forms(most=2)] * 3)
+    def test_pairwise_shared_factors(self, a, b, c):
+        polys = [a * b, b * c, c * a]
+        assert zeros_outcome(common_zeros_plane, polys) == zeros_outcome(
+            reference_common_zeros_plane, polys
+        )
+
+    @SETTINGS
+    @given(st.lists(plane_forms(st.one_of(lines_at_infinity, lines)), min_size=2, max_size=3))
+    def test_zeros_on_the_line_at_infinity(self, polys):
+        assert zeros_outcome(common_zeros_plane, polys) == zeros_outcome(
+            reference_common_zeros_plane, polys
+        )
+
+    def test_one_zero_zero_found(self):
+        # y = 0 meets z x = 0 at (1:0:0) and (0:0:1); x = y meets y (y + 2 z) = 0
+        polys = [y * (x - y), z * (x + y) + y * y]
+        expected = [(-2, -2, 1), (0, 0, 1), (1, 0, 0)]
+        assert common_zeros_plane(polys) == reference_common_zeros_plane(polys) == expected
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(CURVES))
+    def test_on_cubic_route(self, data, case):
+        (p, q), points = case
+        chords = st.builds(chord, st.sampled_from(points), st.sampled_from(points)).filter(
+            lambda f: not f.is_zero
+        )
+        polys = data.draw(st.lists(plane_forms(st.one_of(chords, lines)), min_size=2, max_size=3))
+        cubic = y * y * z - x**3 - p * (x * z * z) - q * z**3
+        if data.draw(st.booleans()):
+            polys.append(cubic * data.draw(lines))  # a norm of zero: no condition
+        got = zeros_outcome(common_zeros_plane, polys, (p, q))
+        assert got == zeros_outcome(reference_common_zeros_plane, polys, (p, q))
+        plane = zeros_outcome(reference_common_zeros_plane, polys)
+        if isinstance(got, list) and isinstance(plane, list):
+            assert got == [pt for pt in plane if evaluate(cubic, pt) == 0]
+
+
 class TestSympyBridge:
     def test_zero_and_non_monic_roots(self):
         assert rational_roots([0, 0, -2, 3]) == [0, Fraction(2, 3)]
@@ -453,6 +571,27 @@ class TestSympyBridge:
         assert is_irreducible(quartic)
         assert not is_irreducible([2, 0, 3, 0, 1])  # (t^2 + 1)(t^2 + 2)
 
+    @pytest.mark.parametrize(
+        "coeffs, roots, irreducible",
+        [
+            ([2, 4], [Fraction(-1, 2)], True),  # 2 (2t + 1)
+            ([6, 0, 2], [], True),  # 2 (t^2 + 3)
+            ([-6, 6], [1], True),  # 6 (t - 1)
+            ([0, 0, -4, 6], [0, Fraction(2, 3)], False),  # 2 t^2 (3t - 2)
+            ([4, 0, 6, 0, 2], [], False),  # 2 (t^2 + 1)(t^2 + 2)
+            ([Fraction(1, 2), Fraction(-3, 4)], [Fraction(2, 3)], True),
+            ([Fraction(2, 3), 0, Fraction(-8, 3)], [Fraction(-1, 2), Fraction(1, 2)], False),
+            ([Fraction(3, 5), 0, Fraction(9, 5)], [], True),  # (3/5)(1 + 3 t^2)
+        ],
+    )
+    def test_content_is_no_factor(self, coeffs, roots, irreducible):
+        # over Z the content splits off; it is neither a root nor a factor
+        for scale in (1, 6, Fraction(-10, 7)):
+            scaled = [c * scale for c in coeffs]
+            assert rational_roots(scaled) == roots
+            assert rational_roots(scaled, [c * 2 for c in coeffs]) == roots
+            assert is_irreducible(scaled) is irreducible
+
     def test_gcd_keeps_repeated_factors(self):
         assert poly_gcd([z**2 * (x + y), z**3 * (x + y) * (x - y)]).degree == 3
 
@@ -482,6 +621,20 @@ def test_import_confined(module, allowed):
             if any(n == module or n.startswith(module + ".") for n in names):
                 importers.add(path.name)
     assert importers == allowed
+
+
+def test_sympy_names_confined():
+    """src/ takes from sympy only the ring ZZ[u0, ...] in lex order: no
+    second domain can come back unnoticed."""
+    src = Path(__file__).resolve().parents[1] / "src" / "planecubic"
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy"):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("sympy") for a in node.names), path.name
+    assert names == {"ZZ", "lex", "PolyRing"}
 
 
 class TestDivision:
