@@ -148,18 +148,17 @@ def _run_factorize(payload, cfg):
 
 
 def cmd_factorize(payload, cfg, out, trace_file=None):
-    trace, _f, _curve = _run_factorize(payload, cfg)
-    lines = [jsonio.link_to_json(l) for l in trace.links]
+    """Link lines go to stdout, or to --trace-file.  The file is opened before
+    the engine runs, so a bad path fails first; an engine error leaves it
+    empty."""
     if trace_file:
         try:
             with open(trace_file, "w") as fh:
-                for line in lines:
-                    fh.write(json.dumps(line, sort_keys=True) + "\n")
+                trace = _write_links(payload, cfg, fh)
         except OSError as e:
             raise ValueError(f"bad trace file: {e}") from e
     else:
-        for line in lines:
-            _emit(line, out)
+        trace = _write_links(payload, cfg, out)
     _emit(
         {
             "all_vp": trace.all_vp,
@@ -170,6 +169,13 @@ def cmd_factorize(payload, cfg, out, trace_file=None):
         out,
     )
     return EX_OK
+
+
+def _write_links(payload, cfg, stream):
+    trace, _f, _curve = _run_factorize(payload, cfg)
+    for link in trace.links:
+        _emit(jsonio.link_to_json(link), stream)
+    return trace
 
 
 def cmd_vp_verify(payload, cfg, out):

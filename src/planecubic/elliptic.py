@@ -6,10 +6,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm as int_lcm
 from typing import Optional
 
 from .cremona import CremonaMap
-from .exact import HomPoly, _rational_sqrt, variables
+from .exact import HomPoly, _rational_sqrt, substitute
 
 
 class EllipticError(Exception):
@@ -64,8 +65,7 @@ class WeierstrassCurve:
 
     @property
     def equation(self) -> HomPoly:
-        x, y, z = variables(3)
-        return y**2 * z - x**3 - self.p * (x * z**2) - self.q * z**3
+        return HomPoly(3, {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -self.p, (0, 0, 3): -self.q})
 
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
@@ -139,13 +139,18 @@ def translation_map(curve: WeierstrassCurve, P: CurvePoint) -> CremonaMap:
     if P.is_infinity:
         return CremonaMap.identity()
     a, b = P.x, P.y
-    x, y, z = variables(3)
-    xa = x - a * z
-    yb = y - b * z
-    F1 = z * yb**2 * xa - (x + a * z) * xa**3
-    F2 = -(z * yb**3) + yb * (x + 2 * a * z) * xa**2 - b * (z * xa**3)
-    F3 = z * xa**3
-    return CremonaMap([F1, F2, F3])
+    # the forms in X = x - a z, Y = y - b z and z, then one substitution each
+    templates = (
+        {(1, 2, 1): 1, (4, 0, 0): -1, (3, 0, 1): -2 * a},
+        {(0, 3, 1): -1, (3, 1, 0): 1, (2, 1, 1): 3 * a, (3, 0, 1): -b},
+        {(3, 0, 1): 1},
+    )
+    shifted = [
+        HomPoly(3, {(1, 0, 0): 1, (0, 0, 1): -a}),
+        HomPoly(3, {(0, 1, 0): 1, (0, 0, 1): -b}),
+        HomPoly(3, {(0, 0, 1): 1}),
+    ]
+    return CremonaMap([substitute(HomPoly(3, t), shifted) for t in templates])
 
 
 def to_projective(pt: CurvePoint):
@@ -156,9 +161,13 @@ def to_projective(pt: CurvePoint):
 
 def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     """Affine rational points with small integer x (sampling seeds)."""
+    # x^3 + p x + q = (den x^3 + P x + Q) / den with integral P, Q
+    den = int_lcm(curve.p.denominator, curve.q.denominator)
+    P = curve.p.numerator * (den // curve.p.denominator)
+    Q = curve.q.numerator * (den // curve.q.denominator)
     found = []
     for ax in range(-bound, bound + 1):
-        y0 = _rational_sqrt(Fraction(ax) ** 3 + curve.p * ax + curve.q)
+        y0 = _rational_sqrt(Fraction(den * ax**3 + P * ax + Q, den))
         if y0 is None:
             continue
         found.append(CurvePoint(Fraction(ax), y0))

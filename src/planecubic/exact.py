@@ -48,15 +48,18 @@ class AffinePoly:
             raise DimensionMismatch(f"nvars must be a positive integer, got {nvars!r}")
         clean = {}
         for exp, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if not c:
                 continue
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ExactError(f"bad exponent vector {exp}")
-            clean[exp] = clean.get(exp, Fraction(0)) + c
+            if exp in clean:  # int() merged two keys, e.g. ("1", 0) and (1, 0)
+                c += clean[exp]
+            clean[exp] = c
         self.nvars = nvars
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = {e: c for e, c in clean.items() if c}
         self._hash = None
         self._validate()
 
@@ -378,20 +381,31 @@ def poly_gcd(polys) -> HomPoly:
     """Gcd of the nonzero polynomials, as an integer primitive polynomial with
     positive lex-leading coefficient.
 
-    Computed at x_last = 1 in ZZ: the gcd of the dehomogenized inputs,
-    homogenized to its own degree, times x_last^k for the least x_last-exponent
-    k over all terms (the x_last-free part of a homogeneous gcd is determined
-    by its dehomogenization).
+    Two or more inputs first meet the exact coprimality certificate
+    `_coprime_on_line`, which needs no sympy; when it holds the gcd is 1.
+    Otherwise the gcd is computed at x_last = 1 in ZZ: the gcd of the
+    dehomogenized inputs, homogenized to its own degree, times x_last^k for
+    the least x_last-exponent k over all terms (the x_last-free part of a
+    homogeneous gcd is determined by its dehomogenization).  From the third
+    input on, an input that the running gcd already divides skips its gcd
+    call.
     """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         raise ExactError("gcd of all-zero input")
     nvars = polys[0].nvars
+    if len(polys) > 1 and _coprime_on_line(polys):
+        return HomPoly(nvars, {(0,) * nvars: 1})
     k = min(e[-1] for p in polys for e in p.terms)
     g = None
-    for p in polys:
+    for i, p in enumerate(polys):
         f = _to_zz_ring({e[:-1]: c for e, c in p.terms.items()}, nvars - 1)
-        g = f if g is None else g.gcd(f)
+        if g is None:
+            g = f
+        # from the third input on, g is a gcd and may divide f: a
+        # single-divisor remainder is 0 iff g | f over Z
+        elif i == 1 or f.rem(g):
+            g = g.gcd(f)
         if g.is_ground:
             break
     g = g.primitive()[1]
@@ -399,6 +413,62 @@ def poly_gcd(polys) -> HomPoly:
         g = -g
     d = max(sum(e) for e in g.keys())
     return HomPoly(nvars, {e + (d - sum(e) + k,): int(c) for e, c in g.items()})
+
+
+_PRIME = 2**61 - 1  # a Mersenne prime: the modulus of the coprimality certificate
+
+
+def _coprime_on_line(polys) -> bool:
+    """True only if the nonzero forms share no nonconstant factor; a False
+    decides nothing.
+
+    Each form, cleared of denominators, is restricted to the line x_1 = ... =
+    x_last through (1:0:...:0): its s^i t^(d-i) coefficient there is the sum
+    of its coefficients with x_0-exponent i, taken mod the prime _PRIME.  The
+    certificate holds when some form keeps its x_0^d coefficient mod the
+    prime and the restrictions' gcd mod the prime (Euclid in s at t = 1) is
+    a nonzero constant.
+
+    Exact: a common factor H of the integral forms is, up to a unit,
+    integral and primitive, and H(1, 0, ..., 0) divides each form's x_0^d
+    coefficient (Gauss's lemma).  So where that coefficient survives mod the
+    prime, H's restriction mod the prime has degree deg H and divides every
+    restriction mod the prime.
+    """
+    kept = False
+    g = []
+    for p in polys:
+        den = int_lcm(*(c.denominator for c in p.terms.values()))
+        rows = {}
+        for e, c in p.terms.items():
+            rows[e[0]] = rows.get(e[0], 0) + c.numerator * (den // c.denominator)
+        d = sum(next(iter(p.terms)))
+        kept = kept or rows.get(d, 0) % _PRIME != 0
+        row = [rows.get(i, 0) % _PRIME for i in range(max(rows) + 1)]
+        while row and not row[-1]:
+            row.pop()
+        g = _gcd_mod_prime(g, row)
+        if kept and len(g) == 1:
+            return True
+    return False
+
+
+def _gcd_mod_prime(a: list, b: list) -> list:
+    """Gcd of two ascending coefficient lists without trailing zeros over
+    Z/_PRIME, by Euclid; [] stands for zero."""
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        n = len(b) - 1
+        a = list(a)
+        while len(a) > n:
+            q = a.pop() * inv % _PRIME
+            s = len(a) - n
+            for i in range(n):
+                a[s + i] = (a[s + i] - q * b[i]) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 def poly_divide(f: HomPoly, g: HomPoly):
@@ -656,11 +726,28 @@ def _plane_candidates(polys) -> set:
     # points with z != 0: affine system in (x, y)
     affine = [p.dehomogenize(2) for p in polys]
     for y0 in _affine_y_candidates(affine):
-        specs = [a.shift((0, y0)).restrict_zero(1).univariate_in(0) for a in affine]
-        specs = [s for s in specs if s]
+        specs = [s for s in (_x_coeffs_at(a, y0) for a in affine) if s]
         if specs:
             candidates.update((x0, y0, Fraction(1)) for x0 in rational_roots(*specs))
     return candidates
+
+
+def _x_coeffs_at(a: AffinePoly, y0: Fraction) -> list:
+    """Ascending coefficients of a(x, y0) in x, without trailing zeros, for an
+    AffinePoly a in (x, y): each x-row is evaluated at y0 = n / m in
+    integers, as sum A_ij n^j m^(top - j) / (den m^top)."""
+    n, m = y0.numerator, y0.denominator
+    den = int_lcm(*(c.denominator for c in a.terms.values()))
+    top = max(j for _, j in a.terms)
+    rows = {}
+    for (i, j), c in a.terms.items():
+        v = c.numerator * (den // c.denominator) * n**j * m ** (top - j)
+        rows[i] = rows.get(i, 0) + v
+    scale = den * m**top
+    out = [Fraction(rows.get(i, 0), scale) for i in range(max(rows) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _cubic_candidates(polys, p, q) -> set:

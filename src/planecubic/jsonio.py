@@ -21,7 +21,11 @@ def rat_to_json(r) -> str:
 
 def rat_from_json(s) -> Fraction:
     try:
-        return Fraction(str(s))
+        text = str(s)
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():  # -?[0-9]+, the common case
+            return Fraction(int(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise DecodeError(f"bad rational {s!r}: {e}")
 

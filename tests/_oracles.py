@@ -22,9 +22,18 @@ affine specializations evaluated in QQ[x, y], the binary forms on z = 0 as
 rows in QQ[t] with (1:0:0) added only when no form has a pure-x term, and on
 a Weierstrass cubic the gcd of the norms factored in QQ[t].
 
+`reference_poly_gcd` is also the sympy-only route that `exact.poly_gcd`
+must match whether or not its coprimality certificate decides the case.
+`reference_x_coeffs_at` is the earlier way `_plane_candidates` read the
+x-coefficients at a y-candidate: a Taylor shift of the whole polynomial.
+
 `reference_default_samples` is the eager breadth-first enumeration that
 `elliptic.default_samples` must reproduce point for point: every popped
 point's sums with the bases are computed as it is popped.
+
+`reference_equation`, `reference_translation_map` and
+`reference_small_points` are the Fraction-operator versions of the curve's
+equation, the degree-4 translation map and the small-point scan.
 """
 
 from fractions import Fraction
@@ -38,6 +47,7 @@ from sympy import QQ, lex
 from sympy.polys.rings import PolyRing
 
 from planecubic import elliptic
+from planecubic.cremona import CremonaMap
 from planecubic.elliptic import CurvePoint, O, small_points, to_projective
 from planecubic.exact import (
     AffinePoly,
@@ -51,6 +61,7 @@ from planecubic.exact import (
     _rational_sqrt,
     evaluate,
     normalize_point,
+    variables,
 )
 
 
@@ -178,6 +189,12 @@ def reference_poly_gcd(polys) -> HomPoly:
     return HomPoly(nvars, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()})
 
 
+def reference_x_coeffs_at(a: AffinePoly, y0) -> list:
+    """Ascending x-coefficients of a(x, y0) for an AffinePoly a in (x, y), by
+    shifting the whole polynomial to y = y0 and keeping its y-free row."""
+    return a.shift((0, y0)).restrict_zero(1).univariate_in(0)
+
+
 def reference_eval(p: AffinePoly, point) -> Fraction:
     """p at a point, as a sum of Fraction products."""
     point = [Fraction(c) for c in point]
@@ -252,6 +269,42 @@ def reference_default_samples(curve, count=10, base=None):
         for b in bases:
             queue.append(elliptic.add(curve, pt, b))  # looked up per call: countable
     return out
+
+
+def reference_equation(curve) -> HomPoly:
+    """y^2 z - x^3 - p x z^2 - q z^3 by polynomial operators."""
+    x, y, z = variables(3)
+    return y**2 * z - x**3 - curve.p * (x * z**2) - curve.q * z**3
+
+
+def reference_translation_map(curve, P) -> CremonaMap:
+    """The degree-4 translation map by P, built by polynomial operators from
+    its factored form in x - a z and y - b z."""
+    if P.is_infinity:
+        return CremonaMap.identity()
+    a, b = P.x, P.y
+    x, y, z = variables(3)
+    xa = x - a * z
+    yb = y - b * z
+    F1 = z * yb**2 * xa - (x + a * z) * xa**3
+    F2 = -(z * yb**3) + yb * (x + 2 * a * z) * xa**2 - b * (z * xa**3)
+    F3 = z * xa**3
+    return CremonaMap([F1, F2, F3])
+
+
+def reference_small_points(curve, bound=50, limit=8):
+    """small_points with the cubic evaluated in Fractions at each integer x."""
+    found = []
+    for ax in range(-bound, bound + 1):
+        y0 = _rational_sqrt(Fraction(ax) ** 3 + curve.p * ax + curve.q)
+        if y0 is None:
+            continue
+        found.append(CurvePoint(Fraction(ax), y0))
+        if y0 != 0:
+            found.append(CurvePoint(Fraction(ax), -y0))
+        if len(found) >= limit:
+            break
+    return found
 
 
 def _to_qq(terms: dict, nvars: int):

@@ -82,6 +82,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error" in json.loads(err)  # one JSON object, no traceback
 
+    def test_unwritable_trace_file_fails_before_the_engine(self, tmp_path, capsys, monkeypatch):
+        # the path is checked first: the engine never runs, and an input the
+        # engine would reject does not hide the bad path
+        from planecubic import sarkisov
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before the trace file was opened")
+
+        monkeypatch.setattr(sarkisov, "factorize", engine)
+        target = tmp_path / "missing" / "trace.jsonl"
+        state = {"degree": 2, "points": [{"mult": 1, "on_cubic": True}] * 3}
+        code, out = run(["factorize", "--trace-file", str(target)], {"state": state})
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"].startswith("ValueError: bad trace file")
+
+    def test_engine_error_leaves_the_trace_file_empty(self, tmp_path, capsys):
+        # a writable path, then an engine error (the cap stops a 4-link trace at 1)
+        target = tmp_path / "trace.jsonl"
+        target.write_text("stale\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"step_cap": 1}))
+        state = {"degree": 2, "points": [{"mult": 1, "on_cubic": True}] * 3}
+        out = io.StringIO()
+        code = main(
+            ["factorize", "--config", str(cfg), "--trace-file", str(target)],
+            stdin=io.StringIO(json.dumps({"state": state})),
+            stdout=out,
+        )
+        assert code == EX_MALFORMED and out.getvalue() == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"].startswith("StepCapExceeded")
+        assert target.read_text() == ""
+
     @pytest.mark.parametrize("command", ["factorize", "vp-verify"])
     @pytest.mark.parametrize("track", [True, False])
     def test_track_cubic_in_state_is_1(self, command, track, capsys):
@@ -482,6 +516,54 @@ print("sympy" in sys.modules)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_translate_and_dec_check_skip_sympy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # the coprimality certificate decides the content gcd of a
+        # translation map, so neither command needs sympy's gcd
+        curve = {"p": "0", "q": "-2"}
+        script = f"""
+import io, json, sys
+from planecubic.cli import main
+out = io.StringIO()
+raw = json.dumps({{"curve": {curve!r}, "P": {{"x": "3", "y": "5"}}}})
+assert main(["translate"], stdin=io.StringIO(raw), stdout=out) == 0
+translate = "sympy" in sys.modules
+raw = json.dumps({{"curve": {curve!r}, "map": json.loads(out.getvalue())}})
+assert main(["dec-check"], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
+print(translate, "sympy" in sys.modules)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False False"
+
+    def test_canonical_maps_decode_without_the_ring(self, translate_output, monkeypatch):
+        from planecubic import exact, jsonio
+        from planecubic.cremona import compose
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, add, translation_map
+
+        curve = WeierstrassCurve(0, -2)
+        G = CurvePoint.affine(3, 5)
+        composite = compose(translation_map(curve, add(curve, G, G)), translation_map(curve, G))
+        encoded = json.loads(json.dumps(jsonio.map_to_json(composite)))
+
+        def no_ring(nvars):
+            raise AssertionError("sympy's ring was reached")
+
+        monkeypatch.setattr(exact, "_ring", no_ring)
+        assert jsonio.map_from_json(encoded) == composite
+        assert jsonio.map_to_json(jsonio.map_from_json(translate_output)) == translate_output
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, translate_output):
@@ -564,6 +646,26 @@ def run_with_config(args):
 
 class TestStrictDecoders:
     """Decoders the CLI does not reach take JSON integers and booleans only, too."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["007", "-0", "+5", " 5", "1_0", "\u0661\u0662", "\u00b2", "-", "--1", "", "1/2", "1e3",
+         "-12", "3/0", "0.5", 7, -3],
+    )
+    def test_rational_parity_with_fraction(self, text):
+        # integers take a faster parse; what is accepted, and its value, must not change
+        from fractions import Fraction
+
+        from planecubic import jsonio
+
+        try:
+            expected = Fraction(str(text))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(jsonio.DecodeError):
+                jsonio.rat_from_json(text)
+        else:
+            got = jsonio.rat_from_json(text)
+            assert type(got) is Fraction and got == expected
 
     def test_forest(self):
         from planecubic import jsonio

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planecubic.cremona import compose
 from planecubic.elliptic import (
@@ -14,12 +16,19 @@ from planecubic.elliptic import (
     default_samples,
     multiple,
     neg,
+    small_points,
     to_projective,
     translation_map,
 )
 from planecubic.exact import evaluate, variables
 
-from _oracles import chord_reflect, reference_default_samples
+from _oracles import (
+    chord_reflect,
+    reference_default_samples,
+    reference_equation,
+    reference_small_points,
+    reference_translation_map,
+)
 
 TORSION = WeierstrassCurve(0, 1)  # y^2 = x^3 + 1, torsion Z/6
 RANK1 = WeierstrassCurve(0, -2)  # y^2 = x^3 - 2, generator (3, 5)
@@ -228,3 +237,51 @@ class TestSampling:
         assert reference_default_samples(curve, count, base) == expected
         # the eager queue has already added the last point to every base
         assert lazy < calls[0] if len(expected) == count else lazy <= calls[0]
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+class TestIntegerBuilders:
+    """The equation, the translation map and the small-point scan are built in
+    integers; the Fraction-operator versions in _oracles are the reference."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(small_rationals, small_rationals, small_rationals)
+    def test_translation_map_and_equation(self, p, a, b):
+        # the curve through (a, b) with this p; p, q and the point may all be non-integral
+        q = b * b - a**3 - p * a
+        assume(4 * p**3 + 27 * q**2 != 0)
+        curve = WeierstrassCurve(p, q)
+        P = CurvePoint(a, b)
+        assert curve.equation == reference_equation(curve)
+        assert translation_map(curve, P) == reference_translation_map(curve, P)
+
+    @pytest.mark.parametrize(
+        "curve, P",
+        [
+            (RANK1, G),
+            (TORSION, O),
+            (
+                WeierstrassCurve(Fraction(-1, 4), Fraction(1, 4)),
+                CurvePoint.affine(Fraction(1, 2), Fraction(1, 2)),
+            ),
+            (WeierstrassCurve(-1, 0), CurvePoint.affine(0, 0)),  # a = b = 0: sparse templates
+            (WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1)),  # P on y = z: sympy's gcd
+        ],
+    )
+    def test_fixed_cases(self, curve, P):
+        assert curve.equation == reference_equation(curve)
+        assert translation_map(curve, P) == reference_translation_map(curve, P)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(small_rationals, small_rationals, st.integers(1, 12))
+    def test_small_points(self, p, q, limit):
+        assume(4 * p**3 + 27 * q**2 != 0)
+        curve = WeierstrassCurve(p, q)
+        expected = reference_small_points(curve, limit=limit)
+        if not expected:
+            with pytest.raises(EllipticError):
+                small_points(curve, limit=limit)
+        else:
+            assert small_points(curve, limit=limit) == expected

@@ -20,6 +20,7 @@ from _oracles import (
     reference_shift,
     reference_substitute,
     reference_substitute_two,
+    reference_x_coeffs_at,
 )
 
 from planecubic.cremona import _S, _ST, _T  # the blowup charts' monomials
@@ -41,6 +42,9 @@ from planecubic.exact import (
     reduce_on_cubic,
     substitute,
     variables,
+    _PRIME,
+    _coprime_on_line,
+    _x_coeffs_at,
 )
 
 x, y, z = variables(3)
@@ -999,3 +1003,118 @@ class TestReduceOnCubic:
     def test_rejects_mixed_degrees_and_zero_forms(self, forms):
         with pytest.raises(ExactError):
             reduce_on_cubic(forms, *W)
+
+
+def planted_factors(nvars):
+    """Common factors for the coprimality certificate to face, by name."""
+    v = variables(nvars)
+    first, second, last = v[0], v[1], v[-1]
+    return {
+        "none": None,
+        "the line": second - last,  # y - z in the plane: vanishes on the line
+        "last": last,
+        "last^2": last * last,
+        "second": second,
+        "through (1:0:..:0)": first * second + last * last * Fraction(3, 2),
+        "x0 coefficient p": first * _PRIME + second,
+        "generic": first * 3 - second * Fraction(1, 2) + last,
+    }
+
+
+@st.composite
+def gcd_inputs(draw):
+    """One to three forms in 3 or 4 variables of mixed degrees 0..3 with
+    rational coefficients, each times one planted factor (or none)."""
+    nvars = draw(st.sampled_from([3, 4]))
+    factor = planted_factors(nvars)[draw(st.sampled_from(sorted(planted_factors(nvars))))]
+    coef = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            picks = draw(st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d))
+            terms[tuple(picks.count(i) for i in range(nvars))] = draw(coef)
+        f = HomPoly(nvars, terms)
+        polys.append(f if factor is None else f * factor)
+    return polys
+
+
+class TestCoprimeCertificate:
+    """poly_gcd tries the exact certificate _coprime_on_line before sympy; it
+    must agree with the sympy-only reference either way, and the certificate
+    may hold only where the gcd is 1."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(gcd_inputs())
+    def test_matches_sympy_reference(self, polys):
+        expected = reference_poly_gcd(polys)
+        assert poly_gcd(polys) == expected
+        if len(polys) > 1 and _coprime_on_line(polys):
+            assert expected.degree == 0
+
+    @pytest.mark.parametrize("name", sorted(planted_factors(3)))
+    def test_planted_factor_is_found(self, name):
+        h = planted_factors(3)[name]
+        polys = [x * x + y * z, x * y - 2 * z * z, x**3 + y**3 + z**3]
+        if h is not None:
+            polys = [f * h for f in polys]
+        assert not _coprime_on_line(polys) if h is not None else _coprime_on_line(polys)
+        assert poly_gcd(polys) == reference_poly_gcd(polys)
+
+    def test_holds_on_translation_maps_and_the_composite(self):
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
+
+        curve = WeierstrassCurve(0, -2)
+        f = translation_map(curve, CurvePoint.affine(3, 5))
+        assert _coprime_on_line(f.components)
+        assert _coprime_on_line(degree_ten_composite()[0].components)
+        # a base point on the line y = z is a common root of the restrictions
+        on_line = translation_map(WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1))
+        assert not _coprime_on_line(on_line.components)
+        assert poly_gcd(on_line.components) == HomPoly.constant(3, 1)
+
+    def test_lost_top_coefficient_falls_back(self):
+        # coprime, but neither form keeps its x^d coefficient mod the prime
+        polys = [x * _PRIME + y, x * z + y * y]
+        assert not _coprime_on_line(polys)
+        assert poly_gcd(polys) == HomPoly.constant(3, 1)
+        # one form that keeps it is enough
+        assert _coprime_on_line(polys + [x * x + z * z])
+
+    def test_single_and_constant_inputs(self):
+        assert poly_gcd([x * _PRIME + y]) == x * _PRIME + y
+        assert poly_gcd([HomPoly.constant(3, 5), x * y]) == HomPoly.constant(3, 1)
+        assert _coprime_on_line([HomPoly.constant(4, Fraction(2, 3)), HomPoly.variable(4, 1)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_divisible_third_input(self, seed):
+        # the running gcd of the first two divides the third: its gcd call is skipped
+        rng = random.Random(900 + seed)
+        common = rand_poly(rng, 2) * (y - z)
+        polys = [common * x, common * rand_poly(rng, 1), common * rand_poly(rng, 2) * z]
+        assert poly_gcd(polys) == reference_poly_gcd(polys)
+        assert poly_gcd(polys).degree >= 3
+
+
+class TestXCoeffsAt:
+    """_plane_candidates reads a(x, y0) row by row; the shift route is the reference."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)),
+    )
+    def test_matches_shift_route(self, terms, y0):
+        a = AffinePoly(2, terms)
+        assert _x_coeffs_at(a, y0) == reference_x_coeffs_at(a, y0)
+
+    def test_cancelling_rows(self):
+        a = AffinePoly(2, {(2, 1): 1, (2, 0): -3, (0, 2): Fraction(1, 2)})
+        assert _x_coeffs_at(a, Fraction(3)) == [Fraction(9, 2)] == reference_x_coeffs_at(a, 3)
+        assert _x_coeffs_at(a, Fraction(0)) == [0, 0, -3]
