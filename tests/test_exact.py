@@ -1089,7 +1089,7 @@ class TestCoprimeCertificate:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_divisible_third_input(self, seed):
-        # the running gcd of the first two divides the third: its gcd call is skipped
+        # the running gcd of the first two divides the third
         rng = random.Random(900 + seed)
         common = rand_poly(rng, 2) * (y - z)
         polys = [common * x, common * rand_poly(rng, 1), common * rand_poly(rng, 2) * z]
