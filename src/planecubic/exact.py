@@ -415,33 +415,61 @@ def _coprime_on_line(polys) -> bool:
     """True only if the nonzero forms share no nonconstant factor; a False
     decides nothing.
 
-    Each form, cleared of denominators, is restricted to the line x_1 = ... =
-    x_last through (1:0:...:0): its s^i t^(d-i) coefficient there is the sum
-    of its coefficients with x_0-exponent i, taken mod the prime _PRIME.  The
-    certificate holds when some form keeps its x_0^d coefficient mod the
-    prime and the restrictions' gcd mod the prime (Euclid in s at t = 1) is
-    a nonzero constant.
+    Each form, cleared of denominators, is restricted to a line through the
+    vertex e_j, reduced mod the prime _PRIME: the first j for which some form
+    keeps its x_j^d coefficient mod the prime.  Line 0 is x_1 = ... = x_last,
+    through (0:1:...:1); line j >= 1 goes through the point with coordinates
+    k + 2 (k != j), so it avoids (1:...:1).  The form's s^i coefficient there
+    (at t = 1) sums its coefficients with x_j-exponent i, each times the
+    point's coordinates to the other exponents.  The certificate holds when
+    the restrictions' gcd mod the prime (Euclid in s) is a nonzero constant;
+    no later line is tried, so a real common factor costs one line.
 
     Exact: a common factor H of the integral forms is, up to a unit,
-    integral and primitive, and H(1, 0, ..., 0) divides each form's x_0^d
-    coefficient (Gauss's lemma).  So where that coefficient survives mod the
-    prime, H's restriction mod the prime has degree deg H and divides every
-    restriction mod the prime.
+    integral and primitive, and H(e_j) divides each form's x_j^d coefficient
+    (Gauss's lemma).  So where that coefficient survives mod the prime, H's
+    restriction mod the prime has degree deg H and divides every restriction
+    mod the prime.
     """
-    kept = False
+    dens = [int_lcm(*(c.denominator for c in p.terms.values())) for p in polys]
+    for j in range(polys[0].nvars):
+        if any(_keeps_top(p, den, j) for p, den in zip(polys, dens)):
+            rows = (_line_restriction(p, den, j) for p, den in zip(polys, dens))
+            return _constant_gcd_mod_prime(rows)
+    return False
+
+
+def _keeps_top(p: HomPoly, den: int, j: int) -> bool:
+    """Whether den p, an integral form, keeps its x_j^d coefficient mod _PRIME."""
+    e = next(iter(p.terms))
+    c = p.terms.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
+    return c is not None and c.numerator * (den // c.denominator) % _PRIME != 0
+
+
+def _line_restriction(p: HomPoly, den: int, j: int) -> list:
+    """Ascending s-coefficients of the integral form den p on line j of
+    _coprime_on_line, at t = 1."""
+    rows = {}
+    for e, c in p.terms.items():
+        c = c.numerator * (den // c.denominator)
+        if j:
+            for k, ek in enumerate(e):
+                if ek and k != j:
+                    c *= (k + 2) ** ek
+        rows[e[j]] = rows.get(e[j], 0) + c
+    return [rows.get(i, 0) for i in range(max(rows) + 1)]
+
+
+def _constant_gcd_mod_prime(lists) -> bool:
+    """Whether the ascending integer coefficient lists' gcd over Z/_PRIME is
+    a nonzero constant; stops at the first list that makes it one."""
     g = []
-    for p in polys:
-        den = int_lcm(*(c.denominator for c in p.terms.values()))
-        rows = {}
-        for e, c in p.terms.items():
-            rows[e[0]] = rows.get(e[0], 0) + c.numerator * (den // c.denominator)
-        d = sum(next(iter(p.terms)))
-        kept = kept or rows.get(d, 0) % _PRIME != 0
-        row = [rows.get(i, 0) % _PRIME for i in range(max(rows) + 1)]
+    for f in lists:
+        row = [c % _PRIME for c in f]
         while row and not row[-1]:
             row.pop()
         g = _gcd_mod_prime(g, row)
-        if kept and len(g) == 1:
+        if len(g) == 1:
             return True
     return False
 
@@ -525,17 +553,64 @@ def divides(g: HomPoly, f: HomPoly) -> bool:
 
 
 def rational_roots(*coeff_lists):
-    """The rational roots common to every sum(coeffs[k] t^k), ascending: the
-    roots of their gcd, factored once over Z.  Each list is first scaled to
-    integers; the integer content the factorization splits off is no factor."""
+    """The rational roots common to every sum(coeffs[k] t^k), ascending.
+
+    Each list is first scaled to integers.  Two cases need no sympy: when the
+    lowest-degree list has degree <= 2 its roots come by formula and each is
+    checked against every list; and when some list keeps its leading
+    coefficient mod the prime _PRIME and the lists' gcd mod the prime is
+    constant, there is no common root (a root n/m makes the primitive m t - n
+    divide every list, and m divides that leading coefficient, so m t - n
+    survives mod the prime).  Otherwise the roots are those of the lists'
+    gcd, factored once over Z; the integer content the factorization splits
+    off is no factor."""
     if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
-    g = reduce(lambda f, h: f.gcd(h), map(_univariate, coeff_lists))
+    ints = [_int_coeffs(coeffs) for coeffs in coeff_lists]
+    low = min(ints, key=len)
+    if len(low) <= 3:
+        return sorted(r for r in _small_degree_roots(low) if all(_vanishes_at(f, r) for f in ints))
+    if len(ints) > 1 and any(f[-1] % _PRIME for f in ints) and _constant_gcd_mod_prime(ints):
+        return []
+    g = reduce(lambda f, h: f.gcd(h), map(_univariate, ints))
     roots = set()
     for fac, _mult in g.factor_list()[1]:
         if fac.degree() == 1:  # a t + b
             roots.add(Fraction(-int(fac.get((0,), 0)), int(fac[(1,)])))
     return sorted(roots)
+
+
+def _int_coeffs(coeffs) -> list:
+    """A nonzero ascending coefficient list times the lcm of its
+    denominators, as ints without trailing zeros."""
+    den = int_lcm(*(c.denominator for c in coeffs))
+    out = [c.numerator * (den // c.denominator) for c in coeffs]
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _small_degree_roots(f: list) -> set:
+    """The rational roots of an integer list of degree <= 2."""
+    if len(f) == 1:
+        return set()
+    if len(f) == 2:
+        return {Fraction(-f[0], f[1])}
+    s = _rational_sqrt(Fraction(f[1] * f[1] - 4 * f[2] * f[0]))
+    if s is None:
+        return set()
+    return {(-f[1] + s) / (2 * f[2]), (-f[1] - s) / (2 * f[2])}
+
+
+def _vanishes_at(f: list, r: Fraction) -> bool:
+    """Whether the integer list f vanishes at r = n / m: sum f_k n^k m^(deg-k),
+    by Horner."""
+    n, m = r.numerator, r.denominator
+    acc, mp = 0, 1
+    for c in reversed(f):
+        acc = acc * n + c * mp
+        mp *= m
+    return acc == 0
 
 
 def is_irreducible(coeffs) -> bool:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .cremona import CremonaMap, compose
 from .exact import (
     HomPoly,
+    PositiveDimensionalError,
     common_zeros_plane,
     is_irreducible,
     mult_at,
@@ -97,14 +98,17 @@ class QuarticData:
 
 def _certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
     """Restrict to lines through pairs of small rational points; an
-    irreducible degree-4 restriction certifies irreducibility of D."""
+    irreducible degree-4 restriction certifies irreducibility of D.  A
+    restriction with constant term D(u) = 0 is divisible by t, so reducible:
+    it is skipped without a factorization (the first 7 lines pass through the
+    double point P)."""
     pts = [
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 1, 1), (1, 2, 3, 4), (2, -1, 1, 3), (1, -1, 2, -2),
     ]
     for u, v in itertools.islice(itertools.combinations(pts, 2), tries):
         coeffs = restrict_to_line(D, u, v)
-        if len(coeffs) == 5 and coeffs[4] != 0 and is_irreducible(coeffs):
+        if len(coeffs) == 5 and coeffs[0] != 0 and is_irreducible(coeffs):
             return True
     return False
 
@@ -137,6 +141,20 @@ def build_involution(q: QuarticData) -> SpaceMap:
 
 
 def is_involution(f: CremonaMap) -> bool:
+    """Whether f o f is the identity: its components g_i = f_i(f) are H x_i
+    for one nonzero form H, read off g_0 = H x_0 by an exponent shift (no
+    content gcd).  Where they are not, compose decides; like compose, this
+    raises CremonaError on a degenerate f o f."""
+    comps = f.components
+    g0 = substitute(comps[0], comps).terms
+    if g0 and all(e[0] for e in g0):
+        H = {(e[0] - 1,) + e[1:]: c for e, c in g0.items()}
+        if all(
+            substitute(comp, comps).terms
+            == {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in H.items()}
+            for i, comp in enumerate(comps[1:], 1)
+        ):
+            return True
     return compose(f, f).is_identity
 
 
@@ -162,10 +180,16 @@ def base_lines(q: QuarticData):
     {A = 0} n {B = 0} in the plane (x1 : x2 : x3).
 
     Returns the six plane points (each encodes the line (s : t a1 : t a2 :
-    t a3)); raises when the conic and cubic meet in fewer than six distinct
-    rational points.
+    t a3)); raises ThreefoldError when the conic and cubic share a component
+    or meet in fewer than six distinct rational points.
     """
-    pts = common_zeros_plane([q.A, q.B])
+    try:
+        pts = common_zeros_plane([q.A, q.B])
+    except PositiveDimensionalError as e:
+        raise ThreefoldError(
+            "B not general enough: conic and cubic share the component "
+            f"{lift_plane_poly(e.component)}"
+        ) from e
     if len(pts) != 6:
         raise ThreefoldError(
             f"B not general enough: conic and cubic share {len(pts)} rational "

@@ -27,6 +27,13 @@ must match whether or not its coprimality certificate decides the case.
 `reference_x_coeffs_at` is the earlier way `_plane_candidates` read the
 x-coefficients at a y-candidate: a Taylor shift of the whole polynomial.
 
+`reference_rational_roots` is the sympy-only route of `exact.rational_roots`:
+the gcd of the lists in ZZ[t], factored over Z, its linear factors read off,
+with none of the small-degree or mod-prime shortcuts.
+`reference_certify_irreducible` is the earlier loop of
+`threefold._certify_irreducible`, which factors every degree-4 line
+restriction, those through a zero of D included.
+
 `reference_default_samples` is the eager breadth-first enumeration that
 `elliptic.default_samples` must reproduce point for point: every popped
 point's sums with the bases are computed as it is popped.
@@ -43,7 +50,7 @@ from math import comb
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from sympy import QQ, lex
+from sympy import QQ, ZZ, lex
 from sympy.polys.rings import PolyRing
 
 from planecubic import elliptic
@@ -187,6 +194,43 @@ def reference_poly_gcd(polys) -> HomPoly:
         g = g.gcd(to_ring(p))
     g = g.monic().primitive()[1]
     return HomPoly(nvars, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()})
+
+
+def reference_rational_roots(*coeff_lists):
+    """The rational roots common to every nonzero coefficient list
+    (ascending), sorted: each list scaled to integers, their gcd in ZZ[t]
+    factored over Z."""
+    ring = PolyRing(["t"], ZZ, lex)
+
+    def to_ring(coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        den = int_lcm(*(c.denominator for c in coeffs))
+        return ring.from_dict({(k,): int(c * den) for k, c in enumerate(coeffs) if c})
+
+    g = reduce(lambda f, h: f.gcd(h), map(to_ring, coeff_lists))
+    roots = set()
+    for fac, _mult in g.factor_list()[1]:
+        if fac.degree() == 1:
+            roots.add(Fraction(-int(fac.get((0,), 0)), int(fac[(1,)])))
+    return sorted(roots)
+
+
+def reference_certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
+    """True iff one of the first `tries` line restrictions of D through
+    pairs of the eight small points has degree 4 and is irreducible over Q;
+    every such restriction is factored."""
+    pts = [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (1, 1, 1, 1), (1, 2, 3, 4), (2, -1, 1, 3), (1, -1, 2, -2),
+    ]
+    ring = PolyRing(["t"], QQ, lex)
+    for u, v in list(combinations(pts, 2))[:tries]:
+        coeffs = binary_restriction(D, u, v)
+        if coeffs[4] != 0:
+            terms = {(k,): QQ(c.numerator, c.denominator) for k, c in enumerate(coeffs) if c}
+            if ring.from_dict(terms).is_irreducible:
+                return True
+    return False
 
 
 def reference_x_coeffs_at(a: AffinePoly, y0) -> list:

@@ -467,6 +467,25 @@ class TestThreefoldCmd:
         assert code == EX_VERIFY
         assert json.loads(out)["checks"]["bs_not_in_quartic"] is False
 
+    def test_shared_component_is_a_verdict(self):
+        # B = A (x1 + x2): base_lines finds a common curve, not six points;
+        # the report says so and exits 2 (it used to exit 1 with an error)
+        from planecubic import jsonio
+        from planecubic.exact import variables
+
+        x1, x2, _ = variables(3)
+        payload = desk_payload()
+        A = jsonio.poly_from_json(payload["A"])
+        payload["B"] = jsonio.poly_to_json(A * (x1 + x2))
+        code, out = run(["threefold-check"], payload)
+        assert code == EX_VERIFY
+        checks = json.loads(out)["checks"]
+        assert checks["six_distinct_base_lines"] is False
+        assert checks["bs_not_in_quartic"] is False
+        assert checks["base_lines_error"] == (
+            "B not general enough: conic and cubic share the component x1*x3 - x2^2"
+        )
+
 
     @pytest.mark.parametrize("name", ["desk", "tangent", "rigged"])
     def test_quotient_degree_without_a_second_pullback(self, name, monkeypatch):
@@ -614,6 +633,14 @@ class TestBytePin:
     }
     FACTORIZE_STDERR = "5998120201baf0bbfdce8b5ff9c43d11697ca82a96cbea384446e872526221ea"
     VP_VERIFY_PHI_P = (0, "6b2835cafe836a336bf7f35ab25c6e922abf905dc6b5fd179c1a6140b882f8c0")
+    # threefold-check on the library's instances, the desk one validated
+    # (irreducibility certificate included), recorded before the integer
+    # shortcuts in rational_roots, _coprime_on_line and is_involution
+    THREEFOLD = {
+        "desk": (0, "682701f6f2916c8b5944774c93477780f6f5d65c87cd896c7472a092935cb776"),
+        "tangent": (2, "758e47b24c20ec164cd57851c3ac62b2fa8c30350868518e9f69059c092ca9c8"),
+        "rigged": (2, "f2ea36cd83a2b9993222a612ca18001eee41eaf6a946aee62d233262359e03e6"),
+    }
 
     def test_pipeline_digests(self, capsys):
         def sha(text):
@@ -635,6 +662,17 @@ class TestBytePin:
             got[command] = (code, sha(out))
         assert got == self.EXPECTED
         assert sha(capsys.readouterr().err) == self.FACTORIZE_STDERR
+
+    @pytest.mark.parametrize("name", sorted(THREEFOLD))
+    def test_threefold_digests(self, name):
+        from planecubic import jsonio, threefold
+
+        q = getattr(threefold, f"{name}_instance")()
+        payload = {k: jsonio.poly_to_json(getattr(q, k)) for k in "ABC"}
+        if name != "desk":
+            payload["validate"] = False
+        code, out = run(["threefold-check"], payload)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.THREEFOLD[name]
 
 
 def run_with_config(args):

@@ -17,6 +17,7 @@ from _oracles import (
     reference_eval,
     reference_poly_divide,
     reference_poly_gcd,
+    reference_rational_roots,
     reference_shift,
     reference_substitute,
     reference_substitute_two,
@@ -1075,12 +1076,29 @@ class TestCoprimeCertificate:
         assert poly_gcd(on_line.components) == HomPoly.constant(3, 1)
 
     def test_lost_top_coefficient_falls_back(self):
-        # coprime, but neither form keeps its x^d coefficient mod the prime
+        # coprime, and neither form keeps its x^d coefficient mod the prime:
+        # line 0 decides nothing, and line 1, through (0:1:0) and (2:0:4),
+        # keeps y's and certifies (restrictions s and s^2 + 8)
         polys = [x * _PRIME + y, x * z + y * y]
+        assert _coprime_on_line(polys)
+        assert poly_gcd(polys) == HomPoly.constant(3, 1)
+        # one form that keeps it on line 0 is enough there
+        assert _coprime_on_line(polys + [x * x + z * z])
+
+    def test_no_pure_power_falls_back_to_sympy(self):
+        # no form has an x^2, y^2 or z^2 term: no line is tried
+        polys = [x * (y - z), y * (z + x)]
         assert not _coprime_on_line(polys)
         assert poly_gcd(polys) == HomPoly.constant(3, 1)
-        # one form that keeps it is enough
-        assert _coprime_on_line(polys + [x * x + z * z])
+
+    def test_holds_on_the_threefold_involution(self):
+        from planecubic.threefold import build_involution, desk_instance
+
+        # (1:0:0:0) and (0:1:0:0) are base points of the involution, and no
+        # component keeps its x0^3 or x1^3 coefficient: line 2 certifies
+        comps = build_involution(desk_instance()).components
+        assert _coprime_on_line(comps)
+        assert poly_gcd(comps) == HomPoly.constant(4, 1)
 
     def test_single_and_constant_inputs(self):
         assert poly_gcd([x * _PRIME + y]) == x * _PRIME + y
@@ -1095,6 +1113,78 @@ class TestCoprimeCertificate:
         polys = [common * x, common * rand_poly(rng, 1), common * rand_poly(rng, 2) * z]
         assert poly_gcd(polys) == reference_poly_gcd(polys)
         assert poly_gcd(polys).degree >= 3
+
+
+def _times_roots(coeffs, roots):
+    """Ascending coefficients of sum(coeffs[k] t^k) * prod (t - r)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [a - r * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    return coeffs
+
+
+@st.composite
+def root_searches(draw):
+    """One to three coefficient lists for rational_roots, each a constant, a
+    linear list, a quadratic with a square or a non-square discriminant, a
+    random list of degree <= 5, or _PRIME t + c (leading coefficient 0 mod
+    _PRIME); each times planted shared roots (some with denominator _PRIME)
+    and scaled by a Fraction."""
+    small = st.integers(-6, 6)
+    rat = st.builds(Fraction, small, st.integers(1, 4))
+    nonzero = rat.filter(bool)
+    over_prime = st.builds(Fraction, small.filter(bool), st.just(_PRIME))
+    shared = draw(st.lists(st.one_of(rat, over_prime), max_size=2))
+    lists = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["constant", "linear", "square", "nonsquare", "random", "lead p"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "constant":
+            base = [draw(nonzero)]
+        elif kind == "linear":
+            base = [draw(rat), draw(nonzero)]
+        elif kind == "square":
+            base = _times_roots([draw(nonzero)], [draw(rat), draw(rat)])
+        elif kind == "nonsquare":  # lead ((t - a)^2 - k), k no rational square
+            a, k = draw(rat), draw(st.sampled_from([2, 3, -1, 5, Fraction(1, 2)]))
+            base = [c * draw(nonzero) for c in (a * a - k, -2 * a, 1)]
+        elif kind == "random":
+            base = draw(st.lists(small, min_size=1, max_size=6).filter(any))
+        else:  # (_PRIME t + c) times a small list
+            base = [draw(small.filter(bool)), _PRIME]
+        scale = draw(nonzero)
+        lists.append([c * scale for c in _times_roots(base, shared)])
+    return lists
+
+
+class TestRationalRootsAgainstSympy:
+    """rational_roots decides small degrees by formula and coprime lists mod
+    _PRIME before it reaches sympy; the sympy-only route is the reference."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(root_searches())
+    def test_matches_reference(self, lists):
+        assert rational_roots(*lists) == reference_rational_roots(*lists)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=6).filter(lambda c: c[-1]),
+                    min_size=2, max_size=3))
+    def test_lists_of_degree_three_and_more(self, lists):
+        # mostly coprime: the mod-prime gcd decides
+        assert rational_roots(*lists) == reference_rational_roots(*lists)
+
+    def test_small_degree_cases(self):
+        for lists in ([[5]], [[3, -2]], [[-2, 0, 1]], [[-4, 0, 9]], [[1, 2, 1]],
+                      [[-4, 0, 9], [-2, 3]], [[-4, 0, 9], [2, 3, 0, 0]]):
+            assert rational_roots(*lists) == reference_rational_roots(*lists)
+        assert rational_roots([-4, 0, 9], [2, 3]) == [Fraction(-2, 3)]
+
+    def test_root_with_denominator_prime(self):
+        # every list keeps the root 1 / _PRIME: no list keeps its leading
+        # coefficient mod the prime, so sympy decides
+        r = Fraction(1, _PRIME)
+        lists = [_times_roots([_PRIME], [1, 2, 3, r]), _times_roots([_PRIME], [5, 7, 11, r])]
+        assert rational_roots(*lists) == [Fraction(1, _PRIME)] == reference_rational_roots(*lists)
 
 
 class TestXCoeffsAt:

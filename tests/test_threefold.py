@@ -2,13 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import binary_restriction
+import random
 
-from planecubic.exact import poly_divide, variables
+from _oracles import binary_restriction, reference_certify_irreducible
+
+from planecubic.cremona import CremonaError, CremonaMap, compose
+from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
+from planecubic.exact import HomPoly, poly_divide, variables
 from planecubic.threefold import (
     QuarticData,
     SpaceMap,
     ThreefoldError,
+    _certify_irreducible,
+    _cubic_from_conic_restriction,
+    _poly_from_roots,
     base_lines,
     bs_not_in_quartic,
     build_involution,
@@ -117,6 +124,84 @@ class TestInvolution:
             assert evaluate(desk.D, img) == 0
 
 
+def _involution_cases():
+    x, y, z = variables(3)
+    x0, x1, x2, x3 = variables(4)
+    return {
+        "SIGMA": CremonaMap([y * z, x * z, x * y]),
+        "phi(P)": translation_map(WeierstrassCurve(0, 1), CurvePoint.affine(2, 3)),
+        "plane identity": CremonaMap.identity(),
+        "space identity": SpaceMap.identity(),
+        "swap": SpaceMap([x1, x0, x2, x3]),
+        "(x : -y : z)": CremonaMap([x, -y, z]),
+        "shear": SpaceMap([x0 + x1, x1, x2, x3]),
+        "desk": build_involution(desk_instance()),
+        "tangent": build_involution(tangent_instance()),
+        "rigged": build_involution(rigged_instance()),
+    }
+
+
+class TestInvolutionAgainstCompose:
+    """is_involution reads f o f = H id off the substituted components; the
+    content-normalized compose(f, f) is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(_involution_cases()))
+    def test_matches_compose(self, name):
+        f = _involution_cases()[name]
+        assert is_involution(f) is compose(f, f).is_identity
+        assert is_involution(f) is (name not in ("phi(P)", "shear"))
+
+    def test_degenerate_square_raises_as_compose(self):
+        x, y, z = variables(3)
+        # f o f has a zero component, and with f nilpotent (M^2 = 0) it is zero
+        nilpotent = [[2, -3, -1, 2], [1, -1, 0, 1], [-1, 1, 0, -1], [-1, 2, 1, -1]]
+        space = SpaceMap([sum((c * v for c, v in zip(row, (x0, x1, x2, x3))), HomPoly.zero(4))
+                          for row in nilpotent])
+        for f in (CremonaMap([x - y, x - y, z]), space):
+            with pytest.raises(CremonaError, match="zero"):
+                compose(f, f)
+            with pytest.raises(CremonaError, match="zero"):
+                is_involution(f)
+
+
+def workload_quartic(rng):
+    """D as the threefold benchmark seeds it: the conic A, a cubic B through
+    six conic points with parameters n / d, and a quartic C with C(1, t, 0)
+    Eisenstein at 2 and random further terms."""
+    params = set()
+    while len(params) < 6:
+        params.add(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+    terms = {(4, 0, 0): 2 * (2 * rng.randint(-2, 2) + 1), (0, 4, 0): 1}
+    for j in (1, 2, 3):
+        terms[(4 - j, j, 0)] = 2 * rng.randint(-2, 2)
+    for e in [(a, b, 4 - a - b) for a in range(4) for b in range(4 - a)]:
+        if rng.random() < 0.4:
+            terms[e] = rng.randint(-3, 3)
+    B = _cubic_from_conic_restriction(_poly_from_roots(sorted(params)))
+    return QuarticData(u1 * u3 - u2**2, B, HomPoly(3, terms)).D
+
+
+class TestCertifyIrreducible:
+    """_certify_irreducible skips the restrictions through a zero of D; its
+    verdict must be that of the loop that factors every restriction."""
+
+    def test_desk_and_library_instances(self):
+        for instance in (desk_instance, tangent_instance, rigged_instance):
+            D = instance().D
+            assert _certify_irreducible(D) is reference_certify_irreducible(D)
+        assert _certify_irreducible(desk_instance().D)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_quartics(self, seed):
+        D = workload_quartic(random.Random(seed))
+        assert _certify_irreducible(D) is reference_certify_irreducible(D) is True
+
+    def test_reducible_quartic(self):
+        # double at P = (1:0:0:0): a product of two quadrics through P
+        D = (x0 * x1 + x2 * x3) * (x0 * x3 + x1 * x2 - x3 * x3)
+        assert _certify_irreducible(D) is reference_certify_irreducible(D) is False
+
+
 class TestPreservesQuartic:
     def test_desk_map_preserves(self, desk, phi):
         assert preserves_quartic(phi, desk)
@@ -147,6 +232,14 @@ class TestBaseLines:
     def test_tangent_instance_rejected(self):
         with pytest.raises(ThreefoldError, match="not general enough"):
             base_lines(tangent_instance())
+
+    def test_shared_component_rejected(self):
+        # B = A (x1 + x2): the conic and the cubic meet in a whole curve
+        q = desk_instance()
+        shared = QuarticData.build(q.A, q.A * (u1 + u2), q.C, validate=False)
+        message = r"not general enough: .* share the component x1\*x3 - x2\^2"
+        with pytest.raises(ThreefoldError, match=message):
+            base_lines(shared)
 
     def test_bs_not_in_quartic_positive(self, desk):
         assert bs_not_in_quartic(base_lines(desk), desk)
