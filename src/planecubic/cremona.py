@@ -167,9 +167,6 @@ class BubbleForest:
     def __iter__(self):
         return iter(self.nodes)
 
-    def node(self, node_id) -> BubbleNode:
-        return self._by_id[node_id]
-
     def roots(self):
         return [n for n in self.nodes if n.parent is None]
 
@@ -185,15 +182,6 @@ class BubbleForest:
         if n.parent is None:
             return ("pt", n.point)
         return (self.key_of(n.parent), "dir", str(n.direction))
-
-    def max_mult_node(self) -> BubbleNode:
-        best = None
-        for n in self.nodes:
-            if best is None or n.mult > best.mult:
-                best = n
-        if best is None:
-            raise CremonaError("empty forest has no maximal point")
-        return best
 
     def __repr__(self):
         return f"BubbleForest({self.nodes})"
@@ -395,11 +383,16 @@ def check_cubic_nonsingular(cubic: HomPoly) -> None:
 
 
 def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
-    """Membership in the decomposition group of the cubic.
+    """Membership in the decomposition group of the cubic C, exact for a
+    birational f.
 
-    True iff the cubic divides its pullback exactly and the restriction to
-    sample points is non-constant and injective (birationality proxy; the
-    samples come from the curve's group law when a curve is supplied).
+    C must divide its pullback C(f).  Then f maps C into C, unless it
+    contracts C to a point: a birational map contracts only rational curves,
+    and C has genus 1, so f restricts to an automorphism of C.  Two distinct
+    samples on C that are not base points tell the cases apart: their images
+    differ iff C is not contracted.  The samples come from the curve's group
+    law when a curve is supplied; without samples only divisibility is
+    tested.
 
     For a Weierstrass cubic C the pullback is taken through the components
     reduced modulo C (`reduce_on_cubic`: h' = c z^m h mod C, of y-degree
@@ -422,29 +415,27 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
     _, ok = poly_divide(pullback, cubic)
     if not ok or f.degree == 1:
         return ok
-    if samples is None and curve is not None:
+    if samples is not None:
+        samples = list(dict.fromkeys(normalize_point(pt) for pt in samples))
+        if any(evaluate(cubic, pt) != 0 for pt in samples):
+            raise CremonaError("a sample point is not on the cubic")
+    elif curve is not None:
         from .elliptic import default_samples, to_projective
 
+        # distinct points of the curve, normalized with z = 1
         samples = [to_projective(pt) for pt in default_samples(curve)]
-    if samples is None:
+    else:
         return True  # divisibility only; no sample data to test restriction
-    images = []
-    used = 0
+    first = None
     for pt in samples:
         img = f.apply(pt)
         if img is None:
             continue  # base point: restriction defined by continuity, skip
-        if evaluate(cubic, img) != 0:
-            return False
-        images.append(img)
-        used += 1
-    if used < 3:
-        raise CremonaError("not enough usable sample points on the cubic")
-    if len(set(images)) != used:
-        return False  # not injective on the sample
-    if len(set(images)) == 1:
-        return False  # constant restriction
-    return True
+        if first is None:
+            first = img
+        else:
+            return img != first  # equal images: f contracts C
+    raise CremonaError("fewer than two usable sample points on the cubic")
 
 
 def inertia_witness(curve, P, Q) -> CremonaMap:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cremona import BubbleForest, BubbleNode, CremonaMap, HomaloidalType
+from .cremona import BubbleForest, CremonaMap, HomaloidalType
 from .elliptic import CurvePoint, WeierstrassCurve
 from .exact import HomPoly
 from .sarkisov import FactorizationState, SarkisovLink, plane_state
@@ -136,35 +136,6 @@ def forest_to_json(forest: BubbleForest) -> list:
     return out
 
 
-def forest_from_json(obj) -> BubbleForest:
-    nodes = []
-    try:
-        for entry in obj:
-            direction = entry.get("dir")
-            if direction is not None and direction != "inf":
-                direction = rat_from_json(direction)
-            point = entry.get("point")
-            if point is not None:
-                point = proj_point_from_json(point)
-            parent = entry["parent"]
-            if parent is not None:
-                parent = _json_int(parent)
-            nodes.append(
-                BubbleNode(
-                    id=_json_int(entry["id"]),
-                    parent=parent,
-                    level=_json_int(entry["level"]),
-                    mult=_json_int(entry["mult"]),
-                    on_cubic=_json_bool(entry["on_cubic"]),
-                    point=point,
-                    direction=direction,
-                )
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DecodeError(f"bad forest object: {e}")
-    return BubbleForest(nodes)
-
-
 def type_to_json(t: HomaloidalType) -> dict:
     return {"d": t.d, "mults": list(t.mults)}
 
@@ -182,15 +153,6 @@ def model_to_json(m: SurfaceModel) -> dict:
     return {"kind": "Fn", "n": m.n}
 
 
-def model_from_json(obj) -> SurfaceModel:
-    try:
-        if obj["kind"] == "P2":
-            return SurfaceModel.plane()
-        return SurfaceModel.hirzebruch(_json_int(obj["n"]))
-    except (KeyError, TypeError) as e:
-        raise DecodeError(f"bad model object: {e}")
-
-
 def link_to_json(link: SarkisovLink) -> dict:
     out = {
         "kind": link.kind,
@@ -203,40 +165,6 @@ def link_to_json(link: SarkisovLink) -> dict:
     if link.kind == "II":
         out["case"] = link.case_tag
     return out
-
-
-_LINK_KINDS = ("I", "II", "III", "IV")
-
-
-def _link_case(kind, obj):
-    """A type II link's case, 1..4 or "off-cubic"; other kinds carry none."""
-    if kind != "II":
-        if "case" in obj:
-            raise DecodeError(f"a type {kind} link has no case")
-        return None
-    case = obj["case"]
-    if case == "off-cubic" or _json_int(case) in (1, 2, 3, 4):
-        return case
-    raise DecodeError(f"a type II case is 1..4 or 'off-cubic', got {case!r}")
-
-
-def link_from_json(obj) -> SarkisovLink:
-    try:
-        kind = obj["kind"]
-        if kind not in _LINK_KINDS:
-            raise DecodeError(f"link kind must be one of {_LINK_KINDS}, got {kind!r}")
-        center = obj["center"]
-        return SarkisovLink(
-            kind=kind,
-            center=None if center is None else _json_int(center),
-            from_model=model_from_json(obj["from"]),
-            to_model=model_from_json(obj["to"]),
-            vp=_json_bool(obj["vp"]),
-            case_tag=_link_case(kind, obj),
-            system_after=tuple(_json_int(c) for c in obj["system"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DecodeError(f"bad link object: {e}")
 
 
 def state_from_json(obj) -> FactorizationState:

@@ -276,6 +276,10 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
         )
     kids = _activate_children(pt, on_e=False)
     others = [p for p in state.points if p.id != center_id]
+    if n == 0:
+        # the new negative section is the E-section through the center; the
+        # other points are taken off it (the transverse default)
+        others = [replace(p, on_negative_section=False) for p in others]
     points, next_id = _assign_ids(others + kids + new_points, state.next_id)
 
     link = SarkisovLink(
@@ -372,8 +376,9 @@ def next_link(state: FactorizationState):
 
     P^2 with degree > 1: type I at the maximal point.  F_n with a point over
     the Sarkisov degree: type II there.  Otherwise F_1 -> type III, and
-    F_0 with a > b -> type IV (swapping once; a second immediate swap would
-    loop, so a <= b with nothing to do is a stuck state).
+    F_0 with a < b -> type IV: the degree b/2 drops to a/2, and K + H/mu is
+    not nef on the other ruling exactly when a < b.  F_0 with a >= b and
+    nothing to do is a stuck state.
     """
     if state.is_terminal:
         raise EngineError("state is terminal (P^2 with the system of lines)")
@@ -391,7 +396,7 @@ def next_link(state: FactorizationState):
         return elementary_transform_update(state, _max_mult_point(big).id)
     if state.model.n == 1:
         return link_III_update(state)
-    if state.model.n == 0 and state.system[0] > state.system[1]:
+    if state.model.n == 0 and state.system[0] < state.system[1]:
         return link_IV_update(state)
     raise StuckState(f"no Sarkisov rule applies; state: {state!r}")
 

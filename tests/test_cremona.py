@@ -237,10 +237,6 @@ class TestBaseForest:
         with pytest.raises(IrrationalBasePointError):
             base_forest(f)
 
-    def test_max_mult_tie_break(self):
-        forest = base_forest(SIGMA)
-        assert forest.max_mult_node().id == min(n.id for n in forest)
-
 
 E2 = WeierstrassCurve(0, -2)
 G2 = CurvePoint.affine(3, 5)
@@ -361,6 +357,18 @@ class TestDecMembership:
 
     def test_standard_quadratic_not_in_dec_of_this_cubic(self):
         assert not is_in_dec(SIGMA, CURVE.equation, curve=CURVE)
+
+    def test_map_contracting_the_cubic_not_in_dec(self):
+        # f = (2h + C, 3h, h + 5C) is (2:3:1) on C: C divides C(f), and the
+        # samples show the contraction
+        cubic = CURVE.equation
+        h = x**3 + y**3 + 2 * z**3
+        f = CremonaMap([2 * h + cubic, 3 * h, h + 5 * cubic])
+        assert plain_divisibility(f, cubic)
+        assert {f.apply(to_projective(pt)) for pt in default_samples(CURVE)} <= {
+            None, (2, 3, 1)
+        }
+        assert not is_in_dec(f, cubic, curve=CURVE)
 
     def test_singular_cubic_rejected(self):
         nodal = y * y * z - x * x * (x + z)  # node at the origin

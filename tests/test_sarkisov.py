@@ -166,9 +166,12 @@ class TestLinkIV:
         assert link.vp
 
     def test_triggered_then_stuck(self):
-        st = hirz_state(0, (3, 1), [], cubic_cls=(2, 2))
+        # a < b: the swap lowers the Sarkisov degree b/2 to a/2; after it
+        # a > b with nothing to do is stuck, so the swap never repeats
+        st = hirz_state(0, (1, 3), [], cubic_cls=(2, 2))
         link, new = next_link(st)
         assert link.kind == "IV"
+        assert new.system == (3, 1) and new.degree < st.degree
         with pytest.raises(StuckState):
             next_link(new)
 
@@ -213,6 +216,86 @@ class TestTranslationMapRun:
         first = trace.links[0]
         assert first.kind == "I"
         assert trace.initial.point(first.center).mult == 3
+
+
+def _words(curve, G):
+    """The four degree-10 Dec words of one curve, with sigma = (x : -y : z),
+    and the degree-4 words phi_G, sigma phi_G and phi_G sigma."""
+    from planecubic.cremona import compose
+    from planecubic.elliptic import add, neg
+    from planecubic.exact import variables
+
+    x, y, z = variables(3)
+    sigma = CremonaMap([x, -y, z])
+    G2 = add(curve, G, G)
+    phi_g, phi_2g = translation_map(curve, G), translation_map(curve, G2)
+    degree_10 = [
+        compose(phi_g, phi_g),
+        compose(translation_map(curve, neg(curve, G)), phi_2g),
+        compose(phi_g, translation_map(curve, neg(curve, G2))),
+        compose(phi_2g, compose(sigma, phi_g)),
+    ]
+    degree_4 = [phi_g, compose(sigma, phi_g), compose(phi_g, sigma)]
+    return degree_10, degree_4
+
+
+WORD_CURVES = [
+    (WeierstrassCurve(0, -2), CurvePoint.affine(3, 5)),
+    (WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1)),
+    (WeierstrassCurve(0, 17), CurvePoint.affine(-1, 4)),
+]
+KINDS_4 = ["I"] + ["II"] * 6 + ["III"]
+KINDS_10 = ["I"] + ["II"] * 7 + ["IV"] + ["II"] * 7 + ["III"]
+KINDS_22 = ["I"] + ["II"] * 7 + ["IV"] + ["II"] * 8 + ["IV"] + ["II"] * 7 + ["III"]
+
+
+def check_vp_trace(trace, kinds):
+    assert trace.kinds() == kinds
+    assert trace.all_vp and trace.lints == () and trace.final.system == (1,)
+    assert {s.model for s in trace.states} <= {
+        SurfaceModel.plane(), SurfaceModel.hirzebruch(0), SurfaceModel.hirzebruch(1)
+    }
+    assert all(s.cubic == neg_k(s.model) for s in trace.states)
+
+
+class TestDecWordsFinish:
+    """Dec elements of degree 10 and 22 factorize with every link volume
+    preserving: on F0 the rulings swap when a < b, which lowers the Sarkisov
+    degree, and an elementary transformation from F0 leaves the other points
+    off the new negative section."""
+
+    @pytest.mark.parametrize("curve, G", WORD_CURVES, ids=["x3-2", "x3-x+1", "x3+17"])
+    def test_words(self, curve, G):
+        degree_10, degree_4 = _words(curve, G)
+        for f in degree_10:
+            assert f.degree == 10
+            check_vp_trace(factorize(f, curve), KINDS_10)
+        for f in degree_4:
+            check_vp_trace(factorize(f, curve), KINDS_4)
+
+    def test_composite10(self):
+        # phi_2G o phi_G on y^2 = x^3 - 2, the benchmark's composite10 shape
+        from planecubic.cremona import compose
+        from planecubic.elliptic import add
+        from planecubic.jsonio import map_to_json
+
+        curve, G = WORD_CURVES[0]
+        f = compose(translation_map(curve, add(curve, G, G)), translation_map(curve, G))
+        check_vp_trace(factorize(f, curve), KINDS_10)
+        out = io.StringIO()
+        payload = {"curve": {"p": "0", "q": "-2"}, "map": map_to_json(f)}
+        code = main(["vp-verify"], stdin=io.StringIO(json.dumps(payload)), stdout=out)
+        report = json.loads(out.getvalue())
+        assert code == EX_OK and report["ok"] and report["links"] == len(KINDS_10) == 17
+
+    def test_degree_22_triple(self):
+        from planecubic.cremona import inertia_witness_triple
+        from planecubic.elliptic import add
+
+        curve, G = WORD_CURVES[0]
+        trace = factorize(inertia_witness_triple(curve, G, add(curve, G, G)), curve)
+        assert trace.initial.system == (22,) and len(KINDS_22) == 26
+        check_vp_trace(trace, KINDS_22)
 
 
 class TestStuckAndCap:
