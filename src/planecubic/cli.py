@@ -88,14 +88,13 @@ def cmd_compose(payload, cfg, out):
 
 def cmd_dec_check(payload, cfg, out):
     f = jsonio.map_from_json(payload["map"])
-    curve = samples = None
+    samples = None
     if "curve" in payload:
-        curve = jsonio.curve_from_json(payload["curve"])
-        cubic = curve.equation
+        cubic = jsonio.curve_from_json(payload["curve"]).equation
     else:
         cubic = jsonio.poly_from_json(payload["cubic"])
         samples = [jsonio.proj_point_from_json(p) for p in payload.get("samples", [])] or None
-    in_dec = cremona.is_in_dec(f, cubic, samples=samples, curve=curve)
+    in_dec = cremona.is_in_dec(f, cubic, samples=samples)
     report = {"in_dec": in_dec}
     if in_dec:
         # the pullback is nonzero, of degree deg(cubic) deg(f), and the cubic divides it
@@ -184,7 +183,7 @@ def cmd_vp_verify(payload, cfg, out):
     trace, f, curve = _run_factorize(payload, cfg)
     in_dec = None
     if f is not None:
-        in_dec = cremona.is_in_dec(f, curve.equation, curve=curve)
+        in_dec = cremona.is_in_dec(f, curve.equation)
     neg_k = lambda m: tuple(-k for k in canonical_class(m))
     cy = all(s.cubic == neg_k(s.model) for s in trace.states)
     # the per-link discrepancy route against the boundary-class route

@@ -382,7 +382,7 @@ def check_cubic_nonsingular(cubic: HomPoly) -> None:
             raise CremonaError(f"cubic is singular at {pt}")
 
 
-def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
+def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None) -> bool:
     """Membership in the decomposition group of the cubic C, exact for a
     birational f.
 
@@ -390,8 +390,8 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
     contracts C to a point: a birational map contracts only rational curves,
     and C has genus 1, so f restricts to an automorphism of C.  Two distinct
     samples on C that are not base points tell the cases apart: their images
-    differ iff C is not contracted.  The samples come from the curve's group
-    law when a curve is supplied; without samples only divisibility is
+    differ iff C is not contracted.  Without given samples they come from the
+    group law of a Weierstrass C; for any other C only divisibility is
     tested.
 
     For a Weierstrass cubic C the pullback is taken through the components
@@ -419,10 +419,11 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None, curve=None) -> bool:
         samples = list(dict.fromkeys(normalize_point(pt) for pt in samples))
         if any(evaluate(cubic, pt) != 0 for pt in samples):
             raise CremonaError("a sample point is not on the cubic")
-    elif curve is not None:
-        from .elliptic import default_samples, to_projective
+    elif weierstrass is not None:
+        from .elliptic import WeierstrassCurve, default_samples, to_projective
 
         # distinct points of the curve, normalized with z = 1
+        curve = WeierstrassCurve(*weierstrass)
         samples = [to_projective(pt) for pt in default_samples(curve)]
     else:
         return True  # divisibility only; no sample data to test restriction

@@ -6,9 +6,15 @@ the linear system, a table of base points with multiplicities and incidence
 flags, and the boundary cubic C's class on the current model.  Each point
 carries its own incidence with C (`on_cubic`), which is C's multiplicity
 there; infinitely near points ride along as children with id -1 until their
-parent is blown up.  Mid-trace models have no global coordinates, so
-geometric flags (negative-section membership, fiber tangency) are propagated
-by the elementary-transformation case analysis rather than recomputed from
+parent is blown up.
+
+Every link pushes the system and C through one class map (`_push`), C with
+its multiplicity `on_cubic` at the center in place of the system's.  The
+same map gives C's intersection with the contracted curve, which decides
+the link's volume-preserving flag and the new point's `on_cubic`.
+Mid-trace models have no global coordinates, so geometric flags
+(negative-section membership, fiber tangency) are propagated by the
+elementary-transformation case analysis rather than recomputed from
 polynomials.
 """
 
@@ -18,13 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .surfaces import (
-    SurfaceModel,
-    blowdown_vp,
-    blowup_vp,
-    intersect,
-    sarkisov_degree,
-)
+from .surfaces import SurfaceModel, blowdown_vp, blowup_vp, sarkisov_degree
 
 
 class EngineError(Exception):
@@ -161,60 +161,99 @@ def _on_negative_section(state: FactorizationState, pt: TrackedPoint) -> bool:
     return pt.on_negative_section
 
 
-def _activate_children(pt: TrackedPoint, on_e: bool):
-    """Infinitely near children become proper points of the next model."""
-    return [
-        replace(c, id=-1, on_negative_section=on_e, fiber_tangent_to_cubic=False)
-        for c in pt.children
+def _push(kind: str, cls: tuple, m: int, on_e: bool):
+    """Carry a class through one link whose center has multiplicity m on it.
+
+    Returns the class on the new model and the multiplicity of the new point,
+    which is the class's intersection with the contracted curve (None when
+    the link contracts nothing): b - m with the fiber through the center for
+    type II, a - b with the negative section of F_1 for type III.
+    """
+    if kind == "I":
+        (d,) = cls
+        return (d, d - m), None
+    a, b = cls
+    if kind == "II":
+        return (a + b - m if on_e else a - m, b), b - m
+    if kind == "III":
+        return (a,), a - b
+    return (b, a), None
+
+
+def _apply_link(state: FactorizationState, kind: str, pt: Optional[TrackedPoint] = None):
+    """Apply a link whose preconditions hold: the system and the boundary C
+    go through the same class map, C with its own multiplicity at the center
+    in place of the system's."""
+    on_e = kind == "II" and _on_negative_section(state, pt)
+    m, mc = (pt.mult, int(pt.on_cubic)) if pt else (0, 0)
+    system, q_mult = _push(kind, state.system, m, on_e)
+    cubic, c_dot = _push(kind, state.cubic, mc, on_e)
+    vp = blowup_vp(mc)[0] if pt else True
+    if c_dot is not None:
+        vp = blowdown_vp(c_dot) and vp
+
+    if kind == "I":
+        model = SurfaceModel.hirzebruch(1)
+    elif kind == "II":
+        model = SurfaceModel.hirzebruch(state.model.n + (1 if on_e else -1))
+    elif kind == "III":
+        model = SurfaceModel.plane()
+    else:
+        model = state.model
+
+    others = [p for p in state.points if pt is None or p.id != pt.id]
+    if kind in ("I", "III"):
+        others = [
+            replace(p, on_negative_section=False, fiber_tangent_to_cubic=False)
+            for p in others
+        ]
+    elif kind == "II" and state.model.n == 0:
+        # the new negative section is the E-section through the center; the
+        # other points are taken off it (the transverse default)
+        others = [replace(p, on_negative_section=False) for p in others]
+    # infinitely near children become proper points of the next model
+    fresh = [
+        replace(c, on_negative_section=kind == "I", fiber_tangent_to_cubic=False)
+        for c in (pt.children if pt else ())
     ]
+    tangent = kind == "II" and pt.fiber_tangent_to_cubic
+    if q_mult is not None and q_mult > 0:
+        # image of the contracted curve: on the negative section exactly for
+        # downward elementary transformations, with the tangency of the new
+        # fiber inherited from the tangent cases
+        fresh.append(TrackedPoint(
+            -1, q_mult, c_dot >= 1,
+            on_negative_section=kind == "II" and not on_e and model.n >= 1,
+            fiber_tangent_to_cubic=tangent,
+        ))
+    fresh = [replace(p, id=state.next_id + i) for i, p in enumerate(fresh)]
 
-
-def _assign_ids(points, next_id):
-    out = []
-    for p in points:
-        if p.id < 0:
-            p = replace(p, id=next_id)
-            next_id += 1
-        out.append(p)
-    return out, next_id
+    case = None
+    if kind == "II":
+        # 1 and 3 for a center on and off E, one more when the fiber is tangent
+        case = (1 if on_e else 3) + tangent if pt.on_cubic else "off-cubic"
+    link = SarkisovLink(
+        kind=kind,
+        center=pt.id if pt else None,
+        from_model=state.model,
+        to_model=model,
+        vp=vp,
+        case_tag=case,
+        center_on_cubic=pt.on_cubic if pt else None,
+        system_after=system,
+    )
+    new_state = FactorizationState(
+        model, system, tuple(others + fresh), cubic,
+        state.step + 1, state.next_id + len(fresh),
+    )
+    return link, new_state
 
 
 def link_I_update(state: FactorizationState, center_id: int):
     """Blow up a point of P^2: P^2 -> F_1."""
     if not state.model.is_plane:
         raise EngineError("type I link starts on P^2")
-    pt = state.point(center_id)
-    (d,) = state.system
-    m = pt.mult
-    new_model = SurfaceModel.hirzebruch(1)
-    new_system = (d, d - m)
-
-    mc = int(pt.on_cubic)
-    vp, _ = blowup_vp(mc)
-    (kc,) = state.cubic
-
-    kids = _activate_children(pt, on_e=True)
-    others = [
-        replace(p, on_negative_section=False, fiber_tangent_to_cubic=False)
-        for p in state.points
-        if p.id != center_id
-    ]
-    points, next_id = _assign_ids(others + kids, state.next_id)
-
-    link = SarkisovLink(
-        kind="I",
-        center=center_id,
-        from_model=state.model,
-        to_model=new_model,
-        vp=vp,
-        center_on_cubic=pt.on_cubic,
-        system_after=new_system,
-    )
-    new_state = FactorizationState(
-        new_model, new_system, tuple(points), (kc, kc - mc),
-        state.step + 1, next_id,
-    )
-    return link, new_state
+    return _apply_link(state, "I", state.point(center_id))
 
 
 def elementary_transform_update(state: FactorizationState, center_id: int):
@@ -225,139 +264,31 @@ def elementary_transform_update(state: FactorizationState, center_id: int):
     pt = state.point(center_id)
     if pt.mult <= 0:
         raise EngineError("type II center must have positive multiplicity")
-    n = state.model.n
-    a, b = state.system
-    m = pt.mult
-    on_e = _on_negative_section(state, pt)
-    tangent = pt.fiber_tangent_to_cubic
-
-    if tangent and pt.children:
+    if pt.fiber_tangent_to_cubic and pt.children:
         raise EngineError(
             "tangent-fiber elementary transformation with an infinitely near "
             f"chain at the center is not supported; state: {state!r}"
         )
-
-    new_n = n + 1 if on_e else n - 1
-    if new_n < 0:
-        raise EngineError(f"elementary transformation would leave F_{n} downward")
-    new_model = SurfaceModel.hirzebruch(new_n)
-    new_a = a + b - m if on_e else a - m
-    new_system = (new_a, b)
-
-    # boundary bookkeeping
-    mc = int(pt.on_cubic)
-    vp_blowup, _ = blowup_vp(mc)
-    ac, bc = state.cubic
-    c_dot_fiber = bc - mc  # C-check . F-tilde
-    vp_blowdown = blowdown_vp(c_dot_fiber)
-    new_cubic = (ac + bc - mc, bc) if on_e else (ac - mc, bc)
-
-    if not pt.on_cubic:
-        case = "off-cubic"
-    elif on_e:
-        case = 2 if tangent else 1
-    else:
-        case = 4 if tangent else 3
-
-    new_points = []
-    q_mult = b - m
-    if q_mult > 0:
-        # image of the contracted fiber: on the negative section exactly for
-        # downward moves, with the tangency of the new fiber inherited from
-        # the tangent cases
-        new_points.append(
-            TrackedPoint(
-                id=-1,
-                mult=q_mult,
-                on_cubic=c_dot_fiber >= 1,
-                on_negative_section=(not on_e) and new_n >= 1,
-                fiber_tangent_to_cubic=tangent,
-            )
-        )
-    kids = _activate_children(pt, on_e=False)
-    others = [p for p in state.points if p.id != center_id]
-    if n == 0:
-        # the new negative section is the E-section through the center; the
-        # other points are taken off it (the transverse default)
-        others = [replace(p, on_negative_section=False) for p in others]
-    points, next_id = _assign_ids(others + kids + new_points, state.next_id)
-
-    link = SarkisovLink(
-        kind="II",
-        center=center_id,
-        from_model=state.model,
-        to_model=new_model,
-        vp=vp_blowup and vp_blowdown,
-        case_tag=case,
-        center_on_cubic=pt.on_cubic,
-        system_after=new_system,
-    )
-    new_state = FactorizationState(
-        new_model, new_system, tuple(points), new_cubic, state.step + 1, next_id,
-    )
-    return link, new_state
+    return _apply_link(state, "II", pt)
 
 
 def link_III_update(state: FactorizationState):
     """Blow down the negative section of F_1: F_1 -> P^2."""
     if state.model.is_plane or state.model.n != 1:
         raise EngineError("type III link starts on F_1")
-    a, b = state.system
     if any(_on_negative_section(state, p) for p in state.points):
         raise EngineError(
             f"type III with tracked points on the negative section; state: {state!r}"
         )
-    new_model = SurfaceModel.plane()
-    new_system = (a,)
-
-    c_dot_e = intersect(state.model, state.cubic, (0, 1))
-    vp = blowdown_vp(c_dot_e)
-
-    new_points = []
-    q_mult = a - b
-    if q_mult > 0:
-        new_points.append(TrackedPoint(id=-1, mult=q_mult, on_cubic=c_dot_e >= 1))
-    others = [
-        replace(p, on_negative_section=False, fiber_tangent_to_cubic=False)
-        for p in state.points
-    ]
-    points, next_id = _assign_ids(others + new_points, state.next_id)
-
-    link = SarkisovLink(
-        kind="III",
-        center=None,
-        from_model=state.model,
-        to_model=new_model,
-        vp=vp,
-        system_after=new_system,
-    )
-    new_state = FactorizationState(
-        new_model, new_system, tuple(points), (state.cubic[0],),
-        state.step + 1, next_id,
-    )
-    return link, new_state
+    return _apply_link(state, "III")
 
 
 def link_IV_update(state: FactorizationState):
-    """Swap the two rulings of F_0 (relabel which projection is the fibration)."""
+    """Swap the two rulings of F_0 (relabel which projection is the fibration);
+    an automorphism, so always volume preserving."""
     if state.model.is_plane or state.model.n != 0:
         raise EngineError("type IV link needs F_0")
-    a, b = state.system
-    new_system = (b, a)
-    ac, bc = state.cubic
-    link = SarkisovLink(
-        kind="IV",
-        center=None,
-        from_model=state.model,
-        to_model=state.model,
-        vp=True,  # an automorphism: always volume preserving
-        system_after=new_system,
-    )
-    new_state = FactorizationState(
-        state.model, new_system, state.points, (bc, ac),
-        state.step + 1, state.next_id,
-    )
-    return link, new_state
+    return _apply_link(state, "IV")
 
 
 # -- the flowchart -------------------------------------------------------------

@@ -13,6 +13,7 @@ from .exact import (
     HomPoly,
     PositiveDimensionalError,
     common_zeros_plane,
+    evaluate,
     is_irreducible,
     mult_at,
     poly_divide,
@@ -119,10 +120,14 @@ def restrict_to_line(p: HomPoly, u, v):
     line = [HomPoly(2, {(1, 0): a, (0, 1): b}) for a, b in zip(u, v)]
     form = substitute(p, line)  # p(s u + t v), a binary form of degree d
     d = p.degree or 0
-    out = [form.coefficient((d - k, k)) for k in range(d + 1)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim([form.coefficient((d - k, k)) for k in range(d + 1)])
+
+
+def _trim(coeffs):
+    """Drop trailing zero coefficients, keeping at least one."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 class SpaceMap(CremonaMap):
@@ -181,7 +186,8 @@ def base_lines(q: QuarticData):
 
     Returns the six plane points (each encodes the line (s : t a1 : t a2 :
     t a3)); raises ThreefoldError when the conic and cubic share a component
-    or meet in fewer than six distinct rational points.
+    or meet in fewer than six distinct rational points.  Every involution
+    component vanishes on these lines: A(t a) = B(t a) = 0.
     """
     try:
         pts = common_zeros_plane([q.A, q.B])
@@ -195,28 +201,24 @@ def base_lines(q: QuarticData):
             f"B not general enough: conic and cubic share {len(pts)} rational "
             "points, need 6 distinct"
         )
-    # Bs(phi) = V(A, B): every involution component vanishes on every line
-    phi = build_involution(q)
-    for a in pts:
-        if any(any(_on_base_line(comp, a)) for comp in phi.components):
-            raise ThreefoldError(f"involution component does not vanish on line {a}")
     return pts
-
-
-def _on_base_line(p: HomPoly, a):
-    """restrict_to_line for the line (s : t a1 : t a2 : t a3) through P."""
-    return restrict_to_line(p, (1, 0, 0, 0), (0, *a))
 
 
 def bs_not_in_quartic(lines, q: QuarticData) -> bool:
     """True iff at least one base line is not contained in D (restrict D to
     each line as a degree-4 binary form and test for a nonzero one)."""
-    return any(any(_on_base_line(q.D, a)) for a in lines)
+    return any(any(r) for r in line_restrictions(lines, q))
 
 
 def line_restrictions(lines, q: QuarticData):
-    """Degree-4 restriction coefficient lists of D on each base line."""
-    return [_on_base_line(q.D, a) for a in lines]
+    """Degree-4 restriction coefficient lists of D on each base line, as
+    restrict_to_line lists them: on (1 : t a1 : t a2 : t a3), D = x0^2 A +
+    x0 B + C is t^2 A(a) + t^3 B(a) + t^4 C(a)."""
+    zero = Fraction(0)
+    return [
+        _trim([zero, zero] + [evaluate(p, a) for p in (q.A, q.B, q.C)])
+        for a in lines
+    ]
 
 
 # -- concrete rational instances ------------------------------------------------

@@ -106,7 +106,7 @@ def test_criterion_02_dec_membership():
             break
         translated += 1
     enough = translated >= 10
-    member = is_in_dec(f, RANK1.equation, curve=RANK1)
+    member = is_in_dec(f, RANK1.equation)
     report(2, "Dec membership: exact divisibility + restriction = T_P on >= 10 points",
            divisible and enough and member,
            f"quotient_deg_9={divisible}, samples_translated={translated}, is_in_dec={member}")

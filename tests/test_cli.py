@@ -342,7 +342,7 @@ class TestDecCheck:
         ids=["integral", "fractional"],
     )
     def test_curve_and_its_weierstrass_cubic_agree(self, curve, P):
-        # "curve" adds group-law samples; "cubic" alone is divisibility only
+        # a Weierstrass "cubic" draws the same group-law samples as its "curve"
         from planecubic import jsonio
         from planecubic.exact import variables
 
@@ -359,6 +359,31 @@ class TestDecCheck:
             assert by_curve == run(["dec-check"], {"cubic": cubic, "map": m})
             verdicts.append(json.loads(by_curve[1])["in_dec"])
         assert verdicts == [True, True, False]
+
+    @pytest.mark.parametrize("key", ["curve", "cubic"])
+    @pytest.mark.parametrize(
+        "q, coeffs, expected",
+        [
+            # y^2 = x^3 + 1 to (2:3:1): the samples show the contraction
+            ("1", ((2, 1), (3, 0), (1, 5)), (EX_OK, '{"in_dec": false}\n')),
+            # y^2 = x^3 + 7 to O: no small rational point to sample
+            ("7", ((0, 1), (1, 0), (0, 5)), (EX_MALFORMED, "")),
+        ],
+        ids=["samples", "no-samples"],
+    )
+    def test_map_contracting_the_cubic(self, key, q, coeffs, expected):
+        # f_i = a_i h + b_i C with h = x^3 + y^3 + 2z^3: C divides C(f), and
+        # only samples tell the contraction apart, for a curve and its cubic
+        from planecubic import jsonio
+        from planecubic.exact import variables
+
+        curve = {"p": "0", "q": q}
+        cubic = jsonio.curve_from_json(curve).equation
+        x, y, z = variables(3)
+        h = x**3 + y**3 + 2 * z**3
+        f = {"components": [jsonio.poly_to_json(a * h + b * cubic) for a, b in coeffs]}
+        given = curve if key == "curve" else jsonio.poly_to_json(cubic)
+        assert run(["dec-check"], {key: given, "map": f}) == expected
 
 
 class TestBaseForestCmd:

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,14 @@ from planecubic.sarkisov import (
     elementary_transform_update,
     factorize,
     jonquieres_centers,
+    link_I_update,
     link_III_update,
     link_IV_update,
     next_link,
     plane_state,
     state_from_map,
 )
-from planecubic.surfaces import SurfaceModel, canonical_class
+from planecubic.surfaces import SurfaceError, SurfaceModel, canonical_class
 
 CURVE = WeierstrassCurve(0, 1)
 P = CurvePoint.affine(2, 3)
@@ -505,3 +508,137 @@ def test_vp_links_iff_boundary_stays_anticanonical(data):
     assert report["routes_agree"] is True
     assert report["ok"] == trace.all_vp
     assert code == (EX_OK if trace.all_vp else EX_VERIFY)
+
+
+# -- engine corpus pin ----------------------------------------------------------
+
+
+def _noether_types(max_degree):
+    """Every (d, mults) with 2 <= d <= max_degree solving Noether's equations."""
+
+    def parts(n, top):
+        if n == 0:
+            yield ()
+            return
+        for k in range(min(n, top), 0, -1):
+            for rest in parts(n - k, k):
+                yield (k,) + rest
+
+    return [
+        (d, p)
+        for d in range(2, max_degree + 1)
+        for p in parts(3 * d - 3, d - 1)
+        if sum(m * m for m in p) == d * d - 1
+    ]
+
+
+def _nested_plane_state(rng, degree, mults):
+    """A plane state of the type, some points infinitely near an earlier
+    point of no smaller multiplicity, each on or off the cubic at random."""
+    specs = [[m, rng.random() < 0.7, []] for m in mults]
+    roots = []
+    for i, spec in enumerate(specs):
+        if i and rng.random() < 0.3:
+            rng.choice(specs[:i])[2].append(spec)
+        else:
+            roots.append(spec)
+    rng.shuffle(roots)
+    return plane_state(degree, roots)
+
+
+def _arbitrary_state(rng):
+    """Any model, system, boundary class and flags: most of these stop with
+    an error, which is what the pin records for them."""
+    n = rng.choice([None, 0, 0, 1, 1, 2, 3])
+    model = SurfaceModel.plane() if n is None else SurfaceModel.hirzebruch(n)
+
+    def point(pid, depth):
+        kids = ()
+        if depth < 2 and rng.random() < 0.3:
+            kids = tuple(point(-1, depth + 1) for _ in range(rng.randrange(1, 3)))
+        return TrackedPoint(
+            pid, rng.randrange(-1, 6), rng.random() < 0.6,
+            rng.random() < 0.3, rng.random() < 0.2, kids,
+        )
+
+    points = tuple(point(pid, 0) for pid in range(rng.randrange(5)))
+    if rng.random() < 0.6:
+        cubic = neg_k(model)
+    else:
+        cubic = tuple(rng.randrange(-2, 7) for _ in range(model.rank))
+    system = tuple(rng.randrange(-1, 9) for _ in range(model.rank))
+    return FactorizationState(model, system, points, cubic, rng.randrange(3), len(points))
+
+
+def _state_line(state):
+    return repr((state.model, state.system, state.cubic, state.step,
+                 state.next_id, state.points))
+
+
+def _error_line(e):
+    return f"{type(e).__name__}: {e}"
+
+
+def _run_lines(state, cap=40):
+    """The state, then each link and state the flowchart takes from it, then
+    how the run ended."""
+    lines = [_state_line(state)]
+    for _ in range(cap):
+        if state.is_terminal:
+            lines.append("terminal")
+            break
+        try:
+            link, state = next_link(state)
+        except (EngineError, SurfaceError) as e:
+            lines.append(_error_line(e))
+            break
+        lines += [repr(link), _state_line(state)]
+    else:
+        lines.append("cap")
+    return lines
+
+
+def _update_lines(state):
+    """Every link update applied directly, at every point id and a missing one."""
+    ids = [p.id for p in state.points] + [99]
+    calls = [(link_III_update,), (link_IV_update,)]
+    calls += [(f, pid) for f in (link_I_update, elementary_transform_update) for pid in ids]
+    lines = []
+    for f, *args in calls:
+        try:
+            link, new = f(state, *args)
+        except (EngineError, SurfaceError) as e:
+            lines.append(_error_line(e))
+        else:
+            lines += [repr(link), _state_line(new)]
+    return lines
+
+
+def _corpus_lines():
+    rng = random.Random(20261019)
+    lines = []
+    for degree, mults in _noether_types(9):
+        for _ in range(12):
+            lines += _run_lines(_nested_plane_state(rng, degree, mults))
+    for _ in range(800):
+        state = _arbitrary_state(rng)
+        lines += _run_lines(state) + _update_lines(state)
+    return lines
+
+
+class TestEngineCorpusPin:
+    """The engine's full traces over a seeded corpus, pinned by sha256: every
+    link, every state with all point flags, and every error's type and
+    message.  The corpus is each solution of Noether's equations with
+    d <= 9 under random nesting and on_cubic flags, plus arbitrary states
+    driven through the flowchart and through each link update directly."""
+
+    DIGEST = "6193ddda6273c8b8a83e54320223c2cb1d3ff19afc68b741157546a50181fb31"
+
+    def test_noether_types(self):
+        types = _noether_types(9)
+        assert len(types) == 63 and (4, (3,) + (1,) * 6) in types
+
+    def test_digest(self):
+        digest = hashlib.sha256("\n".join(_corpus_lines()).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -241,6 +241,17 @@ class TestBaseLines:
         with pytest.raises(ThreefoldError, match=message):
             base_lines(shared)
 
+    @pytest.mark.parametrize(
+        "C", [None, u2 * u3**3, u1 * u2 * u3**2 + u1**4, u1 * (u1 * u3 - u2**2) * u3],
+        ids=["desk", "one-line-in-D", "mixed", "all-lines-in-D"],
+    )
+    def test_restrictions_match_restrict_to_line(self, desk, C):
+        # read from A(a), B(a), C(a): the same lists as substituting the line
+        q = desk if C is None else QuarticData.build(desk.A, desk.B, C, validate=False)
+        lines = base_lines(q)
+        expected = [restrict_to_line(q.D, (1, 0, 0, 0), (0,) + tuple(a)) for a in lines]
+        assert line_restrictions(lines, q) == expected
+
     def test_bs_not_in_quartic_positive(self, desk):
         assert bs_not_in_quartic(base_lines(desk), desk)
 
