@@ -304,13 +304,13 @@ def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
     # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
     # (the direction missed by chart A) needs a separate look.  u^a v^b goes
     # to s^a t^(a + b - m), so the chart's constant term is the v^m term.
-    if all((0, m) not in g.terms for g in locals_):
+    if all((0, m) not in g.num for g in locals_):
         chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
         cm = _system_mult_affine(chart_b)
         cub_b = None
         if cub_local is not None:
             cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
-        on_c = cub_b is not None and (0, 0) not in cub_b.terms
+        on_c = cub_b is not None and (0, 0) not in cub_b.num
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
         _blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id)
@@ -341,24 +341,16 @@ def shared_base_pairs(forest_f: BubbleForest, forest_g: BubbleForest):
 # -- decomposition group ------------------------------------------------------
 
 
+_WEIERSTRASS_TERMS = {(0, 2, 1), (3, 0, 0), (1, 0, 2), (0, 0, 3)}  # y^2 z, x^3, x z^2, z^3
+
+
 def _is_weierstrass(cubic: HomPoly):
     """Recognize lambda*(y^2 z - x^3 - p x z^2 - q z^3); returns (p, q) or None."""
-    if cubic.nvars != 3 or cubic.degree != 3:
+    num = cubic.num
+    lam = num.get((0, 2, 1))
+    if not lam or num.get((3, 0, 0)) != -lam or not num.keys() <= _WEIERSTRASS_TERMS:
         return None
-    lam = cubic.coefficient((0, 2, 1))
-    if lam == 0:
-        return None
-    scaled = {e: c / lam for e, c in cubic.terms.items()}
-    if scaled.get((3, 0, 0)) != -1:
-        return None
-    p = -scaled.get((1, 0, 2), Fraction(0))
-    q = -scaled.get((0, 0, 3), Fraction(0))
-    expect = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1)}
-    if p:
-        expect[(1, 0, 2)] = -p
-    if q:
-        expect[(0, 0, 3)] = -q
-    return (p, q) if scaled == expect else None
+    return Fraction(-num.get((1, 0, 2), 0), lam), Fraction(-num.get((0, 0, 3), 0), lam)
 
 
 def check_cubic_nonsingular(cubic: HomPoly) -> None:

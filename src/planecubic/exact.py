@@ -1,4 +1,5 @@
-"""Exact scalar and polynomial arithmetic over Q: the substrate for everything else."""
+"""Exact scalar and polynomial arithmetic over Q: the substrate for everything else.
+A polynomial is integer numerators over one denominator, and the kernels read them as stored."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from itertools import chain, combinations
 from math import gcd as int_gcd
 from math import isqrt
 from math import lcm as int_lcm
+from types import MappingProxyType
 
 Rational = Fraction
 
@@ -32,16 +34,18 @@ class PositiveDimensionalError(ExactError):
 
 
 class AffinePoly:
-    """Sparse polynomial in nvars >= 1 variables with Fraction coefficients:
-    local (chart) expansions, and through HomPoly the forms themselves.
+    """Sparse polynomial in nvars >= 1 variables over Q: local (chart)
+    expansions, and through HomPoly the forms themselves.
 
-    Terms map exponent tuples to nonzero coefficients.  The zero polynomial
-    is the unique term-free value; its degree is None.  Instances are
-    immutable by convention and hashable: results may share a term dict with
-    their input.
+    Stored as integer numerators over one denominator: `num` maps exponent
+    tuples to nonzero ints and `den` is an int >= 1 with gcd(den, *num) = 1,
+    so the pair is canonical; the zero polynomial is {} over 1 and its
+    degree is None.  `terms` is the Fraction reading, a read-only view.
+    Instances are immutable by convention and hashable: results may share a
+    numerator dict with their input.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "num", "den", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
         if not isinstance(nvars, int) or nvars < 1:
@@ -58,13 +62,17 @@ class AffinePoly:
             if exp in clean:  # int() merged two keys, e.g. ("1", 0) and (1, 0)
                 c += clean[exp]
             clean[exp] = c
+        # the lcm of reduced denominators leaves no common factor with den
+        den = int_lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.terms = {e: c for e, c in clean.items() if c}
-        self._hash = None
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self.den = den
+        self._terms = self._hash = None
         self._validate()
 
     def _validate(self):
-        """Subclass hook: reject terms the subclass cannot hold."""
+        """Subclass hook: reject terms the subclass cannot hold; returns self."""
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -87,38 +95,52 @@ class AffinePoly:
         return cls(nvars, {tuple(exp): Fraction(coef)})
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict):
-        """Wrap a valid dict of nonzero Fractions as is (the kernels' fast path)."""
+    def _of(cls, nvars: int, num: dict, den: int = 1):
+        """Wrap nonzero int numerators over den >= 1 (the kernels' constructor),
+        cancelling their common factor with den; den = 1 costs nothing."""
+        if den != 1:
+            g = int_gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: c // g for e, c in num.items()}
         out = object.__new__(cls)
-        out.nvars, out.terms, out._hash = nvars, terms, None
+        out.nvars, out.num, out.den, out._terms, out._hash = nvars, num, den, None, None
         return out
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def terms(self):
+        """{exponent tuple: Fraction coefficient}, read-only."""
+        if self._terms is None:
+            self._terms = MappingProxyType({e: Fraction(c, self.den) for e, c in self.num.items()})
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(map(sum, self.terms))
+        return max(map(sum, self.num))
 
     def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.num.get(tuple(exp), 0), self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, AffinePoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.nvars, self.den, tuple(sorted(self.num.items()))))
         return self._hash
 
     def __repr__(self):
@@ -126,7 +148,7 @@ class AffinePoly:
             return "0"
         names = _VAR_NAMES.get(self.nvars) or [f"u{i}" for i in range(self.nvars)]
         parts = []
-        for exp in sorted(self.terms, reverse=True):
+        for exp in sorted(self.num, reverse=True):
             c = self.terms[exp]
             mono = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e
@@ -147,28 +169,33 @@ class AffinePoly:
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch("mixed variable counts")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return type(self)(self.nvars, terms)
+        a, b = self.den, other.den
+        den = int_lcm(a, b)
+        num = {e: c * (den // a) for e, c in self.num.items()}
+        for e, c in other.num.items():
+            num[e] = num.get(e, 0) + c * (den // b)
+        return type(self)._of(self.nvars, {e: c for e, c in num.items() if c}, den)._validate()
 
     def __neg__(self):
-        return type(self)._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return type(self)._of(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)(self.nvars, {e: c * other for e, c in self.terms.items()})
+            other = Fraction(other)
+            num = {e: c * other.numerator for e, c in self.num.items()} if other else {}
+            return type(self)._of(self.nvars, num, self.den * other.denominator)
         if self.nvars != other.nvars:
             raise DimensionMismatch("mixed variable counts")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return type(self)(self.nvars, terms)
+                num[e] = num.get(e, 0) + c1 * c2
+        num = {e: c for e, c in num.items() if c}
+        return type(self)._of(self.nvars, num, self.den * other.den)._validate()
 
     __rmul__ = __mul__
 
@@ -185,25 +212,23 @@ class AffinePoly:
         return out
 
     def partial(self, i: int):
-        terms = {
+        num = {
             e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
-            for e, c in self.terms.items()
+            for e, c in self.num.items()
             if e[i]
         }
-        return type(self)._of(self.nvars, terms)
+        return type(self)._of(self.nvars, num, self.den)
 
     def eval(self, point) -> Fraction:
         """Value at a point, summed in integers: with the point's coordinates
-        n_i / D and the coefficients a_e / cden, p = sum a_e prod n_i^e_i
-        D^(d - |e|) / (cden D^d) for d the degree (0 for the zero polynomial)."""
+        n_i / D, p = sum num_e prod n_i^e_i D^(d - |e|) / (den D^d) for d the
+        degree (0 for the zero polynomial)."""
         point = [Fraction(c) for c in point]
         D = int_lcm(*(c.denominator for c in point))
         nums = [c.numerator * (D // c.denominator) for c in point]
-        cden = int_lcm(*(c.denominator for c in self.terms.values()))
         d = self.degree or 0
         total = 0
-        for e, c in self.terms.items():
-            v = c.numerator * (cden // c.denominator)
+        for e, v in self.num.items():
             for n, k in zip(nums, e):
                 if k:
                     if not n:
@@ -211,7 +236,7 @@ class AffinePoly:
                     v *= n**k
             else:
                 total += v * D ** (d - sum(e))
-        return Fraction(total, cden * D**d)
+        return Fraction(total, self.den * D**d)
 
     # -- chart operations ---------------------------------------------------
 
@@ -219,61 +244,65 @@ class AffinePoly:
         """Order of vanishing at the origin: minimal total degree of a term."""
         if self.is_zero:
             raise ExactError("order of the zero polynomial")
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.num)
 
     def shift(self, point) -> "AffinePoly":
         """Translate so that `point` moves to the origin: u_i -> u_i + c_i."""
-        terms = self.terms
+        num, den = self.num, self.den
         for i, c in enumerate(point):
             c = Fraction(c)
             if c:
-                terms = _shift_var(terms, i, c)
-        return AffinePoly._of(self.nvars, terms)
+                num, den = _shift_var(num, den, i, c)
+        return AffinePoly._of(self.nvars, num, den)
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
-        """Plug monomials (u, v) into a 2-variable polynomial: an exponent remap."""
+        """Plug monomials (u, v) into a 2-variable polynomial: an exponent remap.
+        For u = (nu / du) s^eu, v = (nv / dv) s^ev, c s^a t^b goes to c nu^a
+        du^(A - a) nv^b dv^(B - b) s^(a eu + b ev) over du^A dv^B (A, B max)."""
         if self.nvars != 2:
             raise DimensionMismatch("substitute_two needs a 2-variable polynomial")
-        if len(u.terms) != 1 or len(v.terms) != 1 or u.nvars != v.nvars:
+        if len(u.num) != 1 or len(v.num) != 1 or u.nvars != v.nvars:
             raise ExactError("substitute_two needs two monomials in the same variables")
-        ((eu, cu),) = u.terms.items()
-        ((ev, cv),) = v.terms.items()
-        unit = cu == 1 and cv == 1
+        ((eu, nu),) = u.num.items()
+        ((ev, nv),) = v.num.items()
+        du, dv, den = u.den, v.den, self.den
+        unit = nu == du == nv == dv == 1
+        if not unit:
+            A = max((a for a, _ in self.num), default=0)
+            B = max((b for _, b in self.num), default=0)
+            den *= du**A * dv**B
         out = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.num.items():
             e = tuple([a * i + b * j for i, j in zip(eu, ev)])
             if not unit:
-                c = c * cu**a * cv**b
+                c = c * nu**a * du ** (A - a) * nv**b * dv ** (B - b)
             out[e] = out[e] + c if e in out else c
-        return AffinePoly._of(u.nvars, {e: c for e, c in out.items() if c})
+        return AffinePoly._of(u.nvars, {e: c for e, c in out.items() if c}, den)
 
     def divide_var_power(self, i: int, k: int) -> "AffinePoly":
         """Exact division by u_i^k; raises if some term is not divisible."""
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, c in self.num.items():
             if e[i] < k:
                 raise ExactError("not divisible by requested variable power")
-            terms[e[:i] + (e[i] - k,) + e[i + 1 :]] = c
-        return AffinePoly._of(self.nvars, terms)
+            num[e[:i] + (e[i] - k,) + e[i + 1 :]] = c
+        return AffinePoly._of(self.nvars, num, self.den)
 
     def restrict_zero(self, i: int) -> "AffinePoly":
         """Set u_i = 0."""
-        terms = {e: c for e, c in self.terms.items() if e[i] == 0}
-        return AffinePoly._of(self.nvars, terms)
+        num = {e: c for e, c in self.num.items() if e[i] == 0}
+        return AffinePoly._of(self.nvars, num, self.den)
 
     def univariate_in(self, i: int):
         """Coefficient list (ascending) when the polynomial involves only u_i."""
         coeffs = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             if any(v and j != i for j, v in enumerate(e)):
                 raise ExactError("polynomial is not univariate in the requested variable")
             coeffs[e[i]] = c
         if not coeffs:
             return []
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return out
+        return [Fraction(coeffs.get(k, 0), self.den) for k in range(max(coeffs) + 1)]
 
 
 class HomPoly(AffinePoly):
@@ -282,45 +311,45 @@ class HomPoly(AffinePoly):
     __slots__ = ()
 
     def _validate(self):
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.num}
         if len(degs) > 1:
             raise ExactError(f"non-homogeneous terms: degrees {sorted(degs)}")
+        return self
 
     def dehomogenize(self, chart: int) -> AffinePoly:
         """Set variable `chart` to 1; remaining variables keep their order."""
         # one total degree: dropping a coordinate keeps exponents distinct
-        terms = {e[:chart] + e[chart + 1 :]: c for e, c in self.terms.items()}
-        return AffinePoly._of(self.nvars - 1, terms)
+        num = {e[:chart] + e[chart + 1 :]: c for e, c in self.num.items()}
+        return AffinePoly._of(self.nvars - 1, num, self.den)
 
 
 def variables(n: int):
     return tuple(HomPoly.variable(n, i) for i in range(n))
 
 
-def _shift_var(terms: dict, i: int, c: Fraction) -> dict:
-    """u_i -> u_i + c on a term dict: one integer Taylor shift per row of
-    terms that agree off variable i."""
+def _shift_var(num: dict, den: int, i: int, c: Fraction) -> tuple:
+    """u_i -> u_i + c on num / den, as (numerators, denominator): one integer
+    Taylor shift per row of terms that agree off variable i.  With c = p / q
+    and N the largest exponent of u_i, a row f(t) times q^N is h(q t + p) for
+    the integral h(t) = q^N f(t / q), over den q^N."""
     rows = {}
-    for e, coef in terms.items():
+    for e, coef in num.items():
         rows.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = coef
     p, q = c.numerator, c.denominator
+    N = max((e[i] for e in num), default=0)
     out = {}
     for rest, row in rows.items():
         n = max(row)
-        den = int_lcm(*(a.denominator for a in row.values()))
-        # h(t) = den q^n f(t/q) has integer coefficients; shift it by p
         h = [0] * (n + 1)
         for k, a in row.items():
-            h[k] = a.numerator * (den // a.denominator) * q ** (n - k)
+            h[k] = a * q ** (N - k)
         for lo in range(n):
             for k in range(n - 1, lo - 1, -1):
                 h[k] += p * h[k + 1]
-        # f(t + c) = h(q t + p) / (den q^n)
-        scale = den * q**n
         for k, hk in enumerate(h):
             if hk:
-                out[rest[:i] + (k,) + rest[i:]] = Fraction(hk * q**k, scale)
-    return out
+                out[rest[:i] + (k,) + rest[i:]] = hk * q**k
+    return out, den * q**N
 
 
 def _pack(e, base: int) -> int:
@@ -364,17 +393,8 @@ def _ring(nvars: int):
     return PolyRing([f"u{i}" for i in range(nvars)], ZZ, lex)
 
 
-def _to_zz_ring(terms: dict, nvars: int):
-    """{exponent tuple: rational} times the lcm of its denominators, as an
-    element of ZZ[u0, ..., u{nvars-1}], lex."""
-    den = int_lcm(*(c.denominator for c in terms.values()))
-    return _ring(nvars).from_dict(
-        {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    )
-
-
-def _univariate(coeffs):
-    return _to_zz_ring({(k,): c for k, c in enumerate(coeffs) if c}, 1)
+def _univariate(ints: list):
+    return _ring(1).from_dict({(k,): c for k, c in enumerate(ints) if c})
 
 
 def poly_gcd(polys) -> HomPoly:
@@ -393,11 +413,11 @@ def poly_gcd(polys) -> HomPoly:
         raise ExactError("gcd of all-zero input")
     nvars = polys[0].nvars
     if len(polys) > 1 and _coprime_on_line(polys):
-        return HomPoly(nvars, {(0,) * nvars: 1})
-    k = min(e[-1] for p in polys for e in p.terms)
+        return HomPoly._of(nvars, {(0,) * nvars: 1})
+    k = min(e[-1] for p in polys for e in p.num)
     g = None
     for p in polys:
-        f = _to_zz_ring({e[:-1]: c for e, c in p.terms.items()}, nvars - 1)
+        f = _ring(nvars - 1).from_dict({e[:-1]: c for e, c in p.num.items()})
         g = f if g is None else g.gcd(f)
         if g.is_ground:
             break
@@ -405,7 +425,7 @@ def poly_gcd(polys) -> HomPoly:
     if g.LC < 0:
         g = -g
     d = max(sum(e) for e in g.keys())
-    return HomPoly(nvars, {e + (d - sum(e) + k,): int(c) for e, c in g.items()})
+    return HomPoly._of(nvars, {e + (d - sum(e) + k,): int(c) for e, c in g.items()})
 
 
 _PRIME = 2**61 - 1  # a Mersenne prime: the modulus of the coprimality certificate
@@ -415,15 +435,16 @@ def _coprime_on_line(polys) -> bool:
     """True only if the nonzero forms share no nonconstant factor; a False
     decides nothing.
 
-    Each form, cleared of denominators, is restricted to a line through the
+    Each form's integral numerator is restricted to a line through the
     vertex e_j, reduced mod the prime _PRIME: the first j for which some form
-    keeps its x_j^d coefficient mod the prime.  Line 0 is x_1 = ... = x_last,
-    through (0:1:...:1); line j >= 1 goes through the point with coordinates
-    k + 2 (k != j), so it avoids (1:...:1).  The form's s^i coefficient there
-    (at t = 1) sums its coefficients with x_j-exponent i, each times the
-    point's coordinates to the other exponents.  The certificate holds when
-    the restrictions' gcd mod the prime (Euclid in s) is a nonzero constant;
-    no later line is tried, so a real common factor costs one line.
+    keeps its x_j^d coefficient mod the prime.  Line j goes through the point
+    with coordinates k + 2 (k != j), so it avoids (1:...:1); line 0 of the
+    plane, (s : 3 : 4), holds no point (x : y : 1) with x and y integers.
+    The form's s^i coefficient there (at t = 1) sums its coefficients with
+    x_j-exponent i, each times the point's coordinates to the other
+    exponents.  The certificate holds when the restrictions' gcd mod the
+    prime (Euclid in s) is a nonzero constant; no later line is tried, so a
+    real common factor costs one line.
 
     Exact: a common factor H of the integral forms is, up to a unit,
     integral and primitive, and H(e_j) divides each form's x_j^d coefficient
@@ -431,31 +452,27 @@ def _coprime_on_line(polys) -> bool:
     restriction mod the prime has degree deg H and divides every restriction
     mod the prime.
     """
-    dens = [int_lcm(*(c.denominator for c in p.terms.values())) for p in polys]
     for j in range(polys[0].nvars):
-        if any(_keeps_top(p, den, j) for p, den in zip(polys, dens)):
-            rows = (_line_restriction(p, den, j) for p, den in zip(polys, dens))
-            return _constant_gcd_mod_prime(rows)
+        if any(_keeps_top(p, j) for p in polys):
+            return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
     return False
 
 
-def _keeps_top(p: HomPoly, den: int, j: int) -> bool:
-    """Whether den p, an integral form, keeps its x_j^d coefficient mod _PRIME."""
-    e = next(iter(p.terms))
-    c = p.terms.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
-    return c is not None and c.numerator * (den // c.denominator) % _PRIME != 0
+def _keeps_top(p: HomPoly, j: int) -> bool:
+    """Whether p's numerator keeps its x_j^d coefficient mod _PRIME."""
+    e = next(iter(p.num))
+    c = p.num.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
+    return c is not None and c % _PRIME != 0
 
 
-def _line_restriction(p: HomPoly, den: int, j: int) -> list:
-    """Ascending s-coefficients of the integral form den p on line j of
+def _line_restriction(p: HomPoly, j: int) -> list:
+    """Ascending s-coefficients of p's numerator on line j of
     _coprime_on_line, at t = 1."""
     rows = {}
-    for e, c in p.terms.items():
-        c = c.numerator * (den // c.denominator)
-        if j:
-            for k, ek in enumerate(e):
-                if ek and k != j:
-                    c *= (k + 2) ** ek
+    for e, c in p.num.items():
+        for k, ek in enumerate(e):
+            if ek and k != j:
+                c *= (k + 2) ** ek
         rows[e[j]] = rows.get(e[j], 0) + c
     return [rows.get(i, 0) for i in range(max(rows) + 1)]
 
@@ -498,12 +515,13 @@ def poly_divide(f: HomPoly, g: HomPoly):
     Returns (quotient, ok). Single-divisor reduction in lex order; the
     remainder is unique, so ok=True iff g divides f exactly.
 
-    Works in integers: with f = F / fden and g = cont G / gden for integral F
-    and primitive integral G, G divides F over Q iff over Z (Gauss's lemma),
-    so a remainder whose leading coefficient lc(G) does not divide ends the
-    division at once; f / g = (F / G) gden / (fden cont).  Exponents are
-    packed in base max(deg f, deg g) + 1, which no exponent of f, g or a
-    remainder term reaches, and the remainder's leading term comes off a heap.
+    Works in integers: with f = F / fden and g = cont G / gden for the
+    numerators F and cont G (G primitive), G divides F over Q iff over Z
+    (Gauss's lemma), so a remainder whose leading coefficient lc(G) does not
+    divide ends the division at once; f / g = (F / G) gden / (fden cont).
+    Exponents are packed in base max(deg f, deg g) + 1, which no exponent of
+    f, g or a remainder term reaches, and the remainder's leading term comes
+    off a heap.
     """
     if g.is_zero:
         raise ExactError("division by zero polynomial")
@@ -511,13 +529,11 @@ def poly_divide(f: HomPoly, g: HomPoly):
         return HomPoly.zero(f.nvars), True
     if f.nvars != g.nvars:
         raise DimensionMismatch("mixed variable counts")
-    if any(len({sum(e) for e in p.terms}) > 1 for p in (f, g)):
+    if any(len({sum(e) for e in p.num}) > 1 for p in (f, g)):
         raise ExactError("poly_divide needs homogeneous polynomials")
     n, base = f.nvars, max(f.degree, g.degree) + 1
-    fden = int_lcm(*(c.denominator for c in f.terms.values()))
-    gden = int_lcm(*(c.denominator for c in g.terms.values()))
-    rem = {_pack(e, base): c.numerator * (fden // c.denominator) for e, c in f.terms.items()}
-    G = {_pack(e, base): c.numerator * (gden // c.denominator) for e, c in g.terms.items()}
+    rem = {_pack(e, base): c for e, c in f.num.items()}
+    G = {_pack(e, base): c for e, c in g.num.items()}
     cont = int_gcd(*G.values())
     g_key = max(G)
     g_lead, g_c = _unpack(g_key, base, n), G.pop(g_key) // cont
@@ -543,9 +559,8 @@ def poly_divide(f: HomPoly, g: HomPoly):
                 rem[e2] = nc
             else:
                 del rem[e2]
-    scale = fden * cont
-    quo = {_unpack(key, base, n): Fraction(c * gden, scale) for key, c in quo.items()}
-    return HomPoly._of(n, quo), True
+    quo = {_unpack(key, base, n): c * g.den for key, c in quo.items()}
+    return HomPoly._of(n, quo, f.den * cont), True
 
 
 def divides(g: HomPoly, f: HomPoly) -> bool:
@@ -616,7 +631,7 @@ def _vanishes_at(f: list, r: Fraction) -> bool:
 def is_irreducible(coeffs) -> bool:
     """Whether the nonzero sum(coeffs[k] t^k) is irreducible over Q (over Z
     up to its content)."""
-    return _univariate(coeffs).is_irreducible
+    return _univariate(_int_coeffs(coeffs)).is_irreducible
 
 
 # -- projective-geometry operations ------------------------------------------
@@ -669,10 +684,11 @@ def substitute(p: HomPoly, maps) -> HomPoly:
     """p(f_1, ..., f_n) for homogeneous f_i; the nonzero f_i share one degree
     and a zero f_i substitutes 0.
 
-    Works in integers on packed exponents: with F_i = G_i / den (G_i integral)
-    and p = q / pden, p(F) = q(G) / (pden den^deg p).  An exponent vector is
-    packed into one int in base deg(F) deg(p) + 1, which no output exponent
-    reaches, so exponents add as ints.
+    Works in integers on packed exponents: with den the lcm of the F_i's
+    denominators, F_i = G_i / den (G_i integral) and p = q / pden, p(F) =
+    q(G) / (pden den^deg p).  An exponent vector is packed into one int in
+    base deg(F) deg(p) + 1, which no output exponent reaches, so exponents
+    add as ints.
     """
     maps = list(maps)
     if len(maps) != p.nvars:
@@ -685,27 +701,24 @@ def substitute(p: HomPoly, maps) -> HomPoly:
         return HomPoly.zero(nvars)
     (dm,), dp = degs, p.degree
     base = dm * max(dp, 1) + 1  # dp = 0 uses only 0th powers
-    den = int_lcm(*(c.denominator for m in maps for c in m.terms.values()))
-    pden = int_lcm(*(c.denominator for c in p.terms.values()))
+    den = int_lcm(*(m.den for m in maps))
     powers = [
-        [{0: 1}, {_pack(e, base): c.numerator * (den // c.denominator) for e, c in m.terms.items()}]
+        [{0: 1}, {_pack(e, base): c * (den // m.den) for e, c in m.num.items()}]
         for m in maps
     ]
     out = {}
     get = out.get
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         term = {0: 1}
         for pw, k in zip(powers, e):
             while len(pw) <= k:
                 pw.append(_mul_packed(pw[-1], pw[1]))
             if k:
                 term = _mul_packed(term, pw[k])
-        c = c.numerator * (pden // c.denominator)
         for key, v in term.items():
             out[key] = get(key, 0) + c * v
-    scale = pden * den**dp
-    terms = {_unpack(key, base, nvars): Fraction(v, scale) for key, v in out.items() if v}
-    return HomPoly._of(nvars, terms)
+    num = {_unpack(key, base, nvars): v for key, v in out.items() if v}
+    return HomPoly._of(nvars, num, p.den * den**dp)
 
 
 def content_normalize(maps) -> list:
@@ -726,17 +739,16 @@ def content_normalize(maps) -> list:
                 raise ExactError("gcd does not divide a component (bug)")
             out.append(q)
         maps = out
-    # canonical scaling, in integers: clear denominators, divide by the
-    # content, signed so the first nonzero lex-leading coefficient is positive
-    den = int_lcm(*(c.denominator for m in maps for c in m.terms.values()))
-    ints = [{e: c.numerator * (den // c.denominator) for e, c in m.terms.items()} for m in maps]
+    # canonical scaling, in integers: numerators over one denominator, divided
+    # by their content, signed so the first nonzero lex-leading one is positive
+    den = int_lcm(*(m.den for m in maps))
+    ints = [{e: c * (den // m.den) for e, c in m.num.items()} for m in maps]
     content = int_gcd(*(c for t in ints for c in t.values()))
     lead = next(t for t in ints if t)
     if lead[max(lead)] < 0:
         content = -content
     return [
-        type(m)._of(m.nvars, {e: Fraction(c // content) for e, c in t.items()})
-        for m, t in zip(maps, ints)
+        type(m)._of(m.nvars, {e: c // content for e, c in t.items()}) for m, t in zip(maps, ints)
     ]
 
 
@@ -802,19 +814,17 @@ def _plane_candidates(polys) -> set:
 
 def _x_coeffs_at(a: AffinePoly, y0: Fraction) -> list:
     """Ascending coefficients of a(x, y0) in x, without trailing zeros, for an
-    AffinePoly a in (x, y): each x-row is evaluated at y0 = n / m in
+    AffinePoly a = A / den in (x, y): each x-row is evaluated at y0 = n / m in
     integers, as sum A_ij n^j m^(top - j) / (den m^top).  One pass shares the
     denominators across rows: `AffinePoly.eval` on each row costs 2.6 times
     as much on threefold's calls, about as much as the Taylor shift it
     replaces."""
     n, m = y0.numerator, y0.denominator
-    den = int_lcm(*(c.denominator for c in a.terms.values()))
-    top = max(j for _, j in a.terms)
+    top = max(j for _, j in a.num)
     rows = {}
-    for (i, j), c in a.terms.items():
-        v = c.numerator * (den // c.denominator) * n**j * m ** (top - j)
-        rows[i] = rows.get(i, 0) + v
-    scale = den * m**top
+    for (i, j), c in a.num.items():
+        rows[i] = rows.get(i, 0) + c * n**j * m ** (top - j)
+    scale = a.den * m**top
     out = [Fraction(rows.get(i, 0), scale) for i in range(max(rows) + 1)]
     while out and not out[-1]:
         out.pop()
@@ -860,7 +870,7 @@ def _halves_on_cubic(f: HomPoly, w, den: int, k: int) -> tuple:
     y b(x) mod y^2 = w, as ascending coefficient lists of length deg f + k + 1;
     w is given as the integral delta w with delta its leading coefficient.
 
-    den must clear f's denominators and k must be at least deg f // 2: a term
+    den must be a multiple of f.den and k at least deg f // 2: a term
     x^i y^(2e + r) becomes delta^(k - e) x^i y^r (delta w)^e, of x-degree
     i + 3e <= deg f + e.
     """
@@ -868,11 +878,12 @@ def _halves_on_cubic(f: HomPoly, w, den: int, k: int) -> tuple:
     size = f.degree + k + 1
     halves = ([0] * size, [0] * size)  # A, B
     powers = [[1]]
-    for (i, j, _), c in f.terms.items():
+    scale = den // f.den
+    for (i, j, _), c in f.num.items():
         e = j // 2
         while len(powers) <= e:
             powers.append(_int_poly_mul(powers[-1], w))
-        c = c.numerator * (den // c.denominator) * delta ** (k - e)
+        c = c * scale * delta ** (k - e)
         acc = halves[j % 2]
         for t, wt in enumerate(powers[e]):
             acc[i + t] += c * wt
@@ -884,13 +895,12 @@ def _norm_on_cubic(f: HomPoly, w) -> list:
     a(x) + y b(x) mod y^2 = w, as ascending coefficients; w is given as the
     integral delta w with delta its leading coefficient.
 
-    With f's denominators cleared by den and k = deg f // 2, the integral
-    halves A = delta^k den a and B = delta^k den b give delta A^2 - (delta w)
-    B^2 = delta^(2k+1) den^2 (a^2 - w b^2).
+    With k = deg f // 2, the integral halves A = delta^k den a and B =
+    delta^k den b give delta A^2 - (delta w) B^2 = delta^(2k+1) den^2 (a^2 -
+    w b^2), for den = f.den.
     """
     delta = w[-1]
-    den = int_lcm(*(c.denominator for c in f.terms.values()))
-    a, b = _halves_on_cubic(f, w, den, f.degree // 2)
+    a, b = _halves_on_cubic(f, w, f.den, f.degree // 2)
     out = [-v for v in _int_poly_mul(w, _int_poly_mul(b, b))]
     for t, v in enumerate(_int_poly_mul(a, a)):
         out[t] += delta * v
@@ -906,7 +916,7 @@ def reduce_on_cubic(components, p, q) -> list:
     Modulo C, y^2 z = W(x, z) = x^3 + p x z^2 + q z^3, so a term x^i y^(2e + r)
     z^l times z^(D - d) is x^i y^r z^(l + D - d - e) W^e, and e <= d // 2.  The
     output is the homogenization of the halves a(x) + y b(x) of f_i(x, y, 1),
-    with c = delta^(d // 2) den clearing the denominators of p, q and every f_i.
+    with c = delta^(d // 2) den, den the lcm of the f_i's denominators.
     """
     comps = list(components)
     if any(f.is_zero or f.nvars != 3 for f in comps) or len({f.degree for f in comps}) != 1:
@@ -915,13 +925,13 @@ def reduce_on_cubic(components, p, q) -> list:
     k = d // 2
     top = d + k
     w = _delta_w(Fraction(p), Fraction(q))
-    den = int_lcm(*(c.denominator for f in comps for c in f.terms.values()))
+    den = int_lcm(*(f.den for f in comps))
     out = []
     for f in comps:
         a, b = _halves_on_cubic(f, w, den, k)
-        terms = {(t, 0, top - t): Fraction(v) for t, v in enumerate(a) if v}
-        terms.update({(t, 1, top - 1 - t): Fraction(v) for t, v in enumerate(b) if v})
-        out.append(HomPoly._of(3, terms))
+        num = {(t, 0, top - t): v for t, v in enumerate(a) if v}
+        num.update({(t, 1, top - 1 - t): v for t, v in enumerate(b) if v})
+        out.append(HomPoly._of(3, num))
     return out
 
 
@@ -946,18 +956,15 @@ def _rational_sqrt(s: Fraction):
 
 
 def _all_proportional(polys) -> bool:
-    base = polys[0]
+    base = polys[0].num
+    e0 = next(iter(base))
     for p in polys[1:]:
-        if p.degree != base.degree:
+        # p proportional to base <=> same terms, cross products agree
+        num = p.num
+        if num.keys() != base.keys():
             return False
-        # p proportional to base <=> cross products of coefficients agree
-        e0 = max(base.terms)
-        c0 = base.terms[e0]
-        cp = p.terms.get(e0, Fraction(0))
-        if cp == 0:
-            return False
-        scaled = {e: c * cp / c0 for e, c in base.terms.items()}
-        if scaled != p.terms:
+        c0, cp = base[e0], num[e0]
+        if any(c * cp != num[e] * c0 for e, c in base.items()):
             return False
     return True
 
@@ -970,7 +977,7 @@ def _affine_y_candidates(affine):
     is that every true common zero's y-value appears.
     """
     def has_x(f):
-        return any(e[0] for e in f.terms)
+        return any(e[0] for e in f.num)
 
     with_x = [f for f in affine if has_x(f)]
     pure_y = [f for f in affine if not has_x(f)]
@@ -986,7 +993,7 @@ def _affine_y_candidates(affine):
         pairs = chain(pairs, ((with_x[0], c) for c in combos if has_x(c)))
     for f, g in pairs:
         # Res(a f, b g) is a nonzero constant times Res(f, g): same roots
-        res = _to_zz_ring(f.terms, 2).resultant(_to_zz_ring(g.terms, 2))
+        res = _ring(2).from_dict(f.num).resultant(_ring(2).from_dict(g.num))
         if res:
             return rational_roots([int(c) for c in reversed(res.to_dense())])
     if with_x:

@@ -30,7 +30,7 @@ def lift_plane_poly(p: HomPoly) -> HomPoly:
     """Reinterpret a polynomial in (x1, x2, x3) inside (x0, x1, x2, x3)."""
     if p.nvars != 3:
         raise ThreefoldError("expected a 3-variable polynomial")
-    return HomPoly(4, {(0,) + e: c for e, c in p.terms.items()})
+    return HomPoly._of(4, {(0,) + e: c for e, c in p.num.items()}, p.den)
 
 
 def quadratic_form_rank(A: HomPoly) -> int:
@@ -99,17 +99,15 @@ class QuarticData:
 
 def _certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
     """Restrict to lines through pairs of small rational points; an
-    irreducible degree-4 restriction certifies irreducibility of D.  A
-    restriction with constant term D(u) = 0 is divisible by t, so reducible:
-    it is skipped without a factorization (the first 7 lines pass through the
-    double point P)."""
+    irreducible degree-4 restriction certifies irreducibility of D.  D(u + t v)
+    has constant term D(u) and t^4 coefficient D(v), so a line with D(u) = 0
+    or D(v) = 0 is skipped unrestricted (the first 7 pass through P)."""
     pts = [
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 1, 1), (1, 2, 3, 4), (2, -1, 1, 3), (1, -1, 2, -2),
     ]
     for u, v in itertools.islice(itertools.combinations(pts, 2), tries):
-        coeffs = restrict_to_line(D, u, v)
-        if len(coeffs) == 5 and coeffs[0] != 0 and is_irreducible(coeffs):
+        if evaluate(D, u) and evaluate(D, v) and is_irreducible(restrict_to_line(D, u, v)):
             return True
     return False
 
@@ -151,12 +149,13 @@ def is_involution(f: CremonaMap) -> bool:
     content gcd).  Where they are not, compose decides; like compose, this
     raises CremonaError on a degenerate f o f."""
     comps = f.components
-    g0 = substitute(comps[0], comps).terms
-    if g0 and all(e[0] for e in g0):
-        H = {(e[0] - 1,) + e[1:]: c for e, c in g0.items()}
+    g0 = substitute(comps[0], comps)
+    if g0.num and all(e[0] for e in g0.num):
+        H = {(e[0] - 1,) + e[1:]: c for e, c in g0.num.items()}
+        n = g0.nvars
         if all(
-            substitute(comp, comps).terms
-            == {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in H.items()}
+            substitute(comp, comps)
+            == HomPoly._of(n, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in H.items()}, g0.den)
             for i, comp in enumerate(comps[1:], 1)
         ):
             return True

@@ -591,18 +591,23 @@ print("sympy" in sys.modules)
         from pathlib import Path
 
         # the coprimality certificate decides the content gcd of a
-        # translation map, so neither command needs sympy's gcd
-        curve = {"p": "0", "q": "-2"}
+        # translation map, so neither command needs sympy's gcd; the base
+        # point (1 : 1 : 1) of the second map lies on no line it tries
+        cases = [
+            ({"p": "0", "q": "-2"}, {"x": "3", "y": "5"}),
+            ({"p": "-1", "q": "1"}, {"x": "1", "y": "1"}),
+        ]
         script = f"""
 import io, json, sys
 from planecubic.cli import main
-out = io.StringIO()
-raw = json.dumps({{"curve": {curve!r}, "P": {{"x": "3", "y": "5"}}}})
-assert main(["translate"], stdin=io.StringIO(raw), stdout=out) == 0
-translate = "sympy" in sys.modules
-raw = json.dumps({{"curve": {curve!r}, "map": json.loads(out.getvalue())}})
-assert main(["dec-check"], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
-print(translate, "sympy" in sys.modules)
+for curve, P in {cases!r}:
+    out = io.StringIO()
+    raw = json.dumps({{"curve": curve, "P": P}})
+    assert main(["translate"], stdin=io.StringIO(raw), stdout=out) == 0
+    translate = "sympy" in sys.modules
+    raw = json.dumps({{"curve": curve, "map": json.loads(out.getvalue())}})
+    assert main(["dec-check"], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
+    print(translate, "sympy" in sys.modules)
 """
         src = Path(__file__).resolve().parents[1] / "src"
         res = subprocess.run(
@@ -613,7 +618,7 @@ print(translate, "sympy" in sys.modules)
             timeout=60,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False False"
+        assert res.stdout.split() == ["False"] * 4
 
     def test_canonical_maps_decode_without_the_ring(self, translate_output, monkeypatch):
         from planecubic import exact, jsonio

@@ -267,7 +267,11 @@ class TestIntegerBuilders:
                 CurvePoint.affine(Fraction(1, 2), Fraction(1, 2)),
             ),
             (WeierstrassCurve(-1, 0), CurvePoint.affine(0, 0)),  # a = b = 0: sparse templates
-            (WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1)),  # P on y = z: sympy's gcd
+            (WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1)),
+            (  # P = (0 : 3 : 4) on the certificate's line 0: sympy's gcd
+                WeierstrassCurve(0, Fraction(9, 16)),
+                CurvePoint.affine(0, Fraction(3, 4)),
+            ),
         ],
     )
     def test_fixed_cases(self, curve, P):

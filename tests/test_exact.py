@@ -628,6 +628,26 @@ def test_import_confined(module, allowed):
     assert importers == allowed
 
 
+def test_terms_view_confined():
+    """The Fraction view `terms` is read in src/ only by AffinePoly itself and
+    by the JSON encoder: every other reader works on num / den, so the
+    representation stays behind one class."""
+    src = Path(__file__).resolve().parents[1] / "src" / "planecubic"
+    readers = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "AffinePoly"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "terms" and id(node) not in inside:
+                readers.add(path.name)
+    assert readers == {"jsonio.py"}
+
+
 def test_sympy_names_confined():
     """src/ takes from sympy only the ring ZZ[u0, ...] in lex order: no
     second domain can come back unnoticed."""
@@ -1070,8 +1090,10 @@ class TestCoprimeCertificate:
         f = translation_map(curve, CurvePoint.affine(3, 5))
         assert _coprime_on_line(f.components)
         assert _coprime_on_line(degree_ten_composite()[0].components)
-        # a base point on the line y = z is a common root of the restrictions
-        on_line = translation_map(WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1))
+        # a base point on line 0, (s : 3 : 4), is a common root of the
+        # restrictions: P = (0, 3/4) is (0 : 3 : 4)
+        curve = WeierstrassCurve(0, Fraction(9, 16))
+        on_line = translation_map(curve, CurvePoint.affine(0, Fraction(3, 4)))
         assert not _coprime_on_line(on_line.components)
         assert poly_gcd(on_line.components) == HomPoly.constant(3, 1)
 

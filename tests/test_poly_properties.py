@@ -1,21 +1,35 @@
 """Property tests for the one sparse polynomial type (AffinePoly, and HomPoly
-as its homogeneous subclass) on small random polynomials in 2-4 variables."""
+as its homogeneous subclass) on small random polynomials in 2-4 variables.
+
+The representation tests check that every operation returns integer
+numerators over one denominator in canonical form, and that its Fraction
+view `terms` equals the result computed on plain {exponent: Fraction}
+dicts (or by the Fraction references in `_oracles`)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_poly_divide
+from _oracles import (
+    reference_content_normalize,
+    reference_poly_divide,
+    reference_shift,
+    reference_substitute,
+)
 
 from planecubic.exact import (
     AffinePoly,
     ExactError,
     HomPoly,
+    content_normalize,
     evaluate,
     normalize_point,
     poly_divide,
+    reduce_on_cubic,
+    substitute,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -103,3 +117,134 @@ def test_poly_divide_recovers_a_factor(data, nvars, dp, dq):
     assert poly_divide(p * q, q) == (p, True)
     f = p * q + data.draw(forms(nvars, dp + dq))
     assert poly_divide(f, q)[1] == reference_poly_divide(f, q)[1]
+
+
+# -- the representation: canonical numerators over one denominator ---------
+
+
+def assert_reads_as(p, expected: dict):
+    """p is canonical (nonzero int numerators, den >= 1 sharing no factor
+    with them) and its Fraction view equals `expected` without its zeros."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert dict(p.terms) == {e: c for e, c in expected.items() if c}
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def dict_pow(a: dict, k: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = dict_mul(out, a)
+    return out
+
+
+@SETTINGS
+@given(st.data(), nvars_st, rationals)
+def test_arithmetic_is_canonical(data, nvars, r):
+    p, q = data.draw(affine_polys(nvars)), data.draw(affine_polys(nvars))
+    P, Q = dict(p.terms), dict(q.terms)
+    assert_reads_as(p, P)
+    assert_reads_as(p + q, dict_add(P, Q))
+    assert_reads_as(p - q, dict_add(P, {e: -c for e, c in Q.items()}))
+    assert_reads_as(p * q, dict_mul(P, Q))
+    assert_reads_as(p * r, {e: c * r for e, c in P.items()})
+    assert_reads_as(r * p, {e: c * r for e, c in P.items()})
+
+
+@SETTINGS
+@given(st.data(), nvars_st)
+def test_chart_operations_are_canonical(data, nvars):
+    p = data.draw(affine_polys(nvars))
+    P = dict(p.terms)
+    i = data.draw(st.integers(0, nvars - 1))
+    assert_reads_as(
+        p.partial(i),
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in P.items() if e[i]},
+    )
+    point = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
+    assert_reads_as(p.shift(point), dict(reference_shift(p, point).terms))
+    assert_reads_as(p.restrict_zero(i), {e: c for e, c in P.items() if not e[i]})
+    k = data.draw(st.integers(0, 2))
+    raised = p * AffinePoly.monomial(nvars, [k if j == i else 0 for j in range(nvars)])
+    assert_reads_as(raised.divide_var_power(i, k), P)
+
+
+@SETTINGS
+@given(st.data(), nvars_st)
+def test_substitute_two_with_rational_monomials(data, nvars):
+    p = data.draw(affine_polys(2))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+    cu, cv = (data.draw(rationals.filter(bool)) for _ in range(2))
+    eu, ev = data.draw(exps), data.draw(exps)
+    u, v = AffinePoly.monomial(nvars, eu, cu), AffinePoly.monomial(nvars, ev, cv)
+    expected = {}
+    for (a, b), c in p.terms.items():
+        e = tuple(a * i + b * j for i, j in zip(eu, ev))
+        expected[e] = expected.get(e, 0) + c * cu**a * cv**b
+    assert_reads_as(p.substitute_two(u, v), expected)
+
+
+@SETTINGS
+@given(st.data(), nvars_st, st.integers(0, 3))
+def test_dehomogenize_is_canonical(data, nvars, d):
+    form = data.draw(forms(nvars, d))
+    chart = data.draw(st.integers(0, nvars - 1))
+    assert_reads_as(
+        form.dehomogenize(chart), {e[:chart] + e[chart + 1 :]: c for e, c in form.terms.items()}
+    )
+
+
+@SETTINGS
+@given(st.data(), nvars_st, st.integers(0, 2), st.integers(0, 2))
+def test_kernels_are_canonical(data, nvars, dp, dm):
+    P = data.draw(forms(nvars, dp))
+    maps = [data.draw(forms(nvars, dm)) for _ in range(nvars)]
+    if any(not m.is_zero for m in maps):
+        assert_reads_as(substitute(P, maps), dict(reference_substitute(P, maps).terms))
+    q = data.draw(forms(nvars, dm).filter(lambda f: not f.is_zero))
+    quo, ok = poly_divide(P * q, q)
+    assert ok and (P.is_zero or quo == P)
+    assert_reads_as(quo, dict(P.terms))
+    if any(not m.is_zero for m in maps):
+        for got, ref in zip(content_normalize(maps), reference_content_normalize(maps)):
+            assert_reads_as(got, dict(ref.terms))
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 4), rationals, rationals)
+def test_reduce_on_cubic_is_canonical(data, d, p, q):
+    """Each output reads as c z^(D - d) f with y^2 z replaced by W = x^3 +
+    p x z^2 + q z^3, for the c = delta^(d // 2) den that reduce_on_cubic
+    documents."""
+    fs = [data.draw(forms(3, d).filter(lambda f: not f.is_zero)) for _ in range(2)]
+    top, k = d + d // 2, d // 2
+    delta = Fraction(p).denominator * Fraction(q).denominator // gcd(
+        Fraction(p).denominator, Fraction(q).denominator
+    )
+    den = 1
+    for f in fs:
+        den = den * f.den // gcd(den, f.den)
+    W = {(3, 0, 0): Fraction(1), (1, 0, 2): p, (0, 0, 3): q}
+    for f, r in zip(fs, reduce_on_cubic(fs, p, q)):
+        expected = {}
+        for (i, j, l), c in f.terms.items():
+            e = j // 2
+            term = {(i, j % 2, l + top - d - e): c * delta**k * den}
+            expected = dict_add(expected, dict_mul(term, dict_pow(W, e, 3)))
+        assert_reads_as(r, expected)
