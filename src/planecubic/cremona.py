@@ -187,16 +187,6 @@ class BubbleForest:
         return f"BubbleForest({self.nodes})"
 
 
-def _system_mult_affine(locals_) -> int:
-    """Multiplicity of the local linear system at the origin: the least order
-    of its components (ord(sum c_i g_i) >= min ord(g_i), with equality for
-    general c_i)."""
-    orders = [g.order() for g in locals_ if not g.is_zero]
-    if not orders:
-        raise CremonaError("system vanishes identically near the point")
-    return min(orders)
-
-
 def base_forest(
     f: CremonaMap,
     cubic: Optional[HomPoly] = None,
@@ -242,30 +232,16 @@ def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
     """The forest over the given proper base points, checked against the
     equations of condition."""
     nodes = []
-    counter = [0]
-
-    def new_id():
-        counter[0] += 1
-        return counter[0] - 1
-
     for pt in sorted(set(proper)):
-        locals_ = [local_chart(c, pt)[0] for c in f.components]
-        m = _system_mult_affine(locals_)
-        on_c = cubic is not None and evaluate(cubic, pt) == 0
-        nid = new_id()
-        nodes.append(BubbleNode(nid, None, 0, m, on_c, tuple(pt)))
-        cub_local = local_chart(cubic, pt)[0] if cubic is not None else None
-        _blow_up(locals_, m, cub_local, nid, 1, nodes, new_id)
-
+        forms = [local_chart(c, pt)[0] for c in f.components]
+        cub = None if cubic is None else local_chart(cubic, pt)[0]
+        _add_node(nodes, forms, cub, None, 0, tuple(pt))
     forest = BubbleForest(nodes)
-    d = f.degree
-    msum = sum(n.mult for n in forest)
-    msq = sum(n.mult * n.mult for n in forest)
-    if msum != 3 * d - 3 or msq != d * d - 1:
+    t = HomaloidalType(f.degree, tuple(forest.mults()))
+    if not noether_check(t):
         raise IrrationalBasePointError(
-            f"forest multiplicities ({msum}, {msq}) violate the equations of "
-            f"condition ({3 * d - 3}, {d * d - 1}): irrational base point "
-            "or incomplete forest"
+            f"forest type {t} violates the equations of condition: irrational "
+            "base point or incomplete forest"
         )
     return forest
 
@@ -273,47 +249,48 @@ def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
 _S = AffinePoly(2, {(1, 0): 1})
 _ST = AffinePoly(2, {(1, 1): 1})
 _T = AffinePoly(2, {(0, 1): 1})
+_CHARTS = ((_S, _ST), (_ST, _T))  # chart A: (u, v) = (s, s t); chart B: (s t, t)
 
 
-def _blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
-    """Blow up the origin; record base points of the transformed system on the
-    exceptional line and recurse."""
-    # chart A: (u, v) = (s, s t), exceptional line s = 0
-    chart_a = [g.substitute_two(_S, _ST).divide_var_power(0, m) for g in locals_]
-    cub_a = None
-    if cub_local is not None:
-        mc = cub_local.order()  # the cubic's multiplicity here (0 off it)
-        cub_a = cub_local.substitute_two(_S, _ST).divide_var_power(0, mc)
+def _chart(g, m, i):
+    """Chart A (i = 0) or B (i = 1) of the blow-up of the origin, with the
+    exceptional line's factor (s in A, t in B) divided out to the power m."""
+    return g.substitute_two(*_CHARTS[i]).divide_var_power(i, m)
 
-    # directions with a base point: common roots of the restrictions to E
+
+def _add_node(nodes, forms, cub, parent, level, point, direction=None):
+    """Record the base point at the origin of the system's local forms, blow
+    it up and recurse into the base points on the exceptional line.
+
+    The node's id is its index in `nodes`, and its multiplicity is the least
+    order of the forms (ord(sum c_i g_i) = min ord(g_i) for general c_i).
+    `cub` is the cubic's strict transform in the same chart, or None below a
+    node off the cubic: a curve that misses a point misses every point
+    infinitely near it.  The node is on the cubic iff `cub` has no constant
+    term.  Every chart origin visited is a base point (a common root on the
+    exceptional line, or chart B's origin when no form keeps a v^m term), so
+    every node has multiplicity >= 1.
+    """
+    m = min(g.order() for g in forms)
+    on_c = cub is not None and (0, 0) not in cub.num
+    nid = len(nodes)
+    nodes.append(BubbleNode(nid, parent, level, m, on_c, point, direction))
+    mc = cub.order() if on_c else 0  # the cubic's multiplicity here
+
+    # chart A, exceptional line s = 0: the directions with a base point are
+    # the common roots of the restrictions to it
+    chart_a = [_chart(g, m, 0) for g in forms]
     restrictions = [g.restrict_zero(0) for g in chart_a]
-    nonzero = [r for r in restrictions if not r.is_zero]
-    if not nonzero:
-        raise CremonaError("exceptional valuation exceeded multiplicity (bug)")
-    for t0 in rational_roots(*(r.univariate_in(1) for r in nonzero)):
-        shifted = [g.shift((0, t0)) for g in chart_a]
-        cm = _system_mult_affine(shifted)
-        if cm == 0:
-            continue
-        on_c = cub_a is not None and cub_a.eval((0, t0)) == 0
-        nid = new_id()
-        nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, t0))
-        cub_next = cub_a.shift((0, t0)) if cub_a is not None else None
-        _blow_up(shifted, cm, cub_next, nid, level + 1, nodes, new_id)
+    for t0 in rational_roots(*(r.univariate_in(1) for r in restrictions if not r.is_zero)):
+        cub_t = _chart(cub, mc, 0).shift((0, t0)) if on_c else None
+        _add_node(nodes, [g.shift((0, t0)) for g in chart_a], cub_t, nid, level + 1, None, t0)
 
-    # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
-    # (the direction missed by chart A) needs a separate look.  u^a v^b goes
-    # to s^a t^(a + b - m), so the chart's constant term is the v^m term.
-    if all((0, m) not in g.num for g in locals_):
-        chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
-        cm = _system_mult_affine(chart_b)
-        cub_b = None
-        if cub_local is not None:
-            cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
-        on_c = cub_b is not None and (0, 0) not in cub_b.num
-        nid = new_id()
-        nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
-        _blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id)
+    # chart B, exceptional line t = 0: only its origin (the direction chart A
+    # misses) needs a look.  u^a v^b goes to s^a t^(a + b - m), so the
+    # chart's constant term is the v^m term.
+    if all((0, m) not in g.num for g in forms):
+        cub_b = _chart(cub, mc, 1) if on_c else None
+        _add_node(nodes, [_chart(g, m, 1) for g in forms], cub_b, nid, level + 1, None, DIR_INF)
 
 
 def homaloidal_type(f: CremonaMap, forest: Optional[BubbleForest] = None) -> HomaloidalType:
@@ -353,9 +330,10 @@ def _is_weierstrass(cubic: HomPoly):
     return Fraction(-num.get((1, 0, 2), 0), lam), Fraction(-num.get((0, 0, 3), 0), lam)
 
 
-def check_cubic_nonsingular(cubic: HomPoly) -> None:
+def check_cubic_nonsingular(cubic: HomPoly) -> Optional[tuple]:
     """Nonsingularity precondition: discriminant for Weierstrass shapes, no
-    rational common zero of the partials otherwise (Q-only, documented)."""
+    rational common zero of the partials otherwise (Q-only, documented).
+    Returns the Weierstrass (p, q) it recognized, or None."""
     if cubic.nvars != 3:
         raise CremonaError(f"a plane cubic has 3 variables, got {cubic.nvars}")
     wz = _is_weierstrass(cubic)
@@ -363,7 +341,7 @@ def check_cubic_nonsingular(cubic: HomPoly) -> None:
         p, q = wz
         if -16 * (4 * p**3 + 27 * q**2) == 0:
             raise CremonaError("cubic is singular (zero discriminant)")
-        return
+        return wz
     parts = [cubic.partial(i) for i in range(3)]
     try:
         pts = common_zeros_plane(parts)
@@ -372,6 +350,7 @@ def check_cubic_nonsingular(cubic: HomPoly) -> None:
     for pt in pts:
         if evaluate(cubic, pt) == 0:
             raise CremonaError(f"cubic is singular at {pt}")
+    return None
 
 
 def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None) -> bool:
@@ -396,8 +375,7 @@ def is_in_dec(f: CremonaMap, cubic: HomPoly, samples=None) -> bool:
     it has rank >= 2, and a form in two linear forms is no irreducible cubic.
     So C dividing C(f) means C(f) = c C, and f is an automorphism of C.
     """
-    check_cubic_nonsingular(cubic)
-    weierstrass = _is_weierstrass(cubic)
+    weierstrass = check_cubic_nonsingular(cubic)
     if weierstrass is None:
         pullback = substitute(cubic, f.components)
         if pullback.is_zero:

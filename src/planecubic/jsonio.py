@@ -31,11 +31,12 @@ def rat_from_json(s) -> Fraction:
 
 
 def poly_to_json(p: HomPoly) -> dict:
+    den = p.den
     return {
         "vars": p.nvars,
         "terms": [
-            {"exp": list(e), "coef": rat_to_json(c)}
-            for e, c in sorted(p.terms.items(), reverse=True)
+            {"exp": list(e), "coef": str(c) if den == 1 else rat_to_json(Fraction(c, den))}
+            for e, c in sorted(p.num.items(), reverse=True)
         ],
     }
 

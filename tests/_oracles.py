@@ -41,6 +41,12 @@ point's sums with the bases are computed as it is popped.
 `reference_equation`, `reference_translation_map` and
 `reference_small_points` are the Fraction-operator versions of the curve's
 equation, the degree-4 translation map and the small-point scan.
+
+`reference_forest_from` is the earlier node builder of
+`cremona._forest_from`: three copies of the node step (proper point, chart A
+direction, chart B origin), ids from a counter, the cubic's transform carried
+along every branch, incidence by evaluating it at each point, and a guard
+that skips a direction of multiplicity 0.
 """
 
 from fractions import Fraction
@@ -54,7 +60,14 @@ from sympy import QQ, ZZ, lex
 from sympy.polys.rings import PolyRing
 
 from planecubic import elliptic
-from planecubic.cremona import CremonaMap
+from planecubic.cremona import (
+    DIR_INF,
+    BubbleForest,
+    BubbleNode,
+    CremonaError,
+    CremonaMap,
+    IrrationalBasePointError,
+)
 from planecubic.elliptic import CurvePoint, O, small_points, to_projective
 from planecubic.exact import (
     AffinePoly,
@@ -67,7 +80,9 @@ from planecubic.exact import (
     _norm_on_cubic,
     _rational_sqrt,
     evaluate,
+    local_chart,
     normalize_point,
+    rational_roots,
     variables,
 )
 
@@ -434,3 +449,81 @@ def _reference_y_candidates(affine) -> set:
     if with_x:
         raise ExactError("could not isolate y-candidates (degenerate system)")
     return set()
+
+
+def _reference_system_mult(locals_) -> int:
+    orders = [g.order() for g in locals_ if not g.is_zero]
+    if not orders:
+        raise CremonaError("system vanishes identically near the point")
+    return min(orders)
+
+
+def reference_forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
+    nodes = []
+    counter = [0]
+
+    def new_id():
+        counter[0] += 1
+        return counter[0] - 1
+
+    for pt in sorted(set(proper)):
+        locals_ = [local_chart(c, pt)[0] for c in f.components]
+        m = _reference_system_mult(locals_)
+        on_c = cubic is not None and evaluate(cubic, pt) == 0
+        nid = new_id()
+        nodes.append(BubbleNode(nid, None, 0, m, on_c, tuple(pt)))
+        cub_local = local_chart(cubic, pt)[0] if cubic is not None else None
+        _reference_blow_up(locals_, m, cub_local, nid, 1, nodes, new_id)
+
+    forest = BubbleForest(nodes)
+    d = f.degree
+    msum = sum(n.mult for n in forest)
+    msq = sum(n.mult * n.mult for n in forest)
+    if msum != 3 * d - 3 or msq != d * d - 1:
+        raise IrrationalBasePointError(
+            f"forest multiplicities ({msum}, {msq}) violate the equations of "
+            f"condition ({3 * d - 3}, {d * d - 1}): irrational base point "
+            "or incomplete forest"
+        )
+    return forest
+
+
+_S = AffinePoly(2, {(1, 0): 1})
+_ST = AffinePoly(2, {(1, 1): 1})
+_T = AffinePoly(2, {(0, 1): 1})
+
+
+def _reference_blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
+    # chart A: (u, v) = (s, s t), exceptional line s = 0
+    chart_a = [g.substitute_two(_S, _ST).divide_var_power(0, m) for g in locals_]
+    cub_a = None
+    if cub_local is not None:
+        mc = cub_local.order()  # the cubic's multiplicity here (0 off it)
+        cub_a = cub_local.substitute_two(_S, _ST).divide_var_power(0, mc)
+
+    restrictions = [g.restrict_zero(0) for g in chart_a]
+    nonzero = [r for r in restrictions if not r.is_zero]
+    if not nonzero:
+        raise CremonaError("exceptional valuation exceeded multiplicity (bug)")
+    for t0 in rational_roots(*(r.univariate_in(1) for r in nonzero)):
+        shifted = [g.shift((0, t0)) for g in chart_a]
+        cm = _reference_system_mult(shifted)
+        if cm == 0:
+            continue
+        on_c = cub_a is not None and cub_a.eval((0, t0)) == 0
+        nid = new_id()
+        nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, t0))
+        cub_next = cub_a.shift((0, t0)) if cub_a is not None else None
+        _reference_blow_up(shifted, cm, cub_next, nid, level + 1, nodes, new_id)
+
+    # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
+    if all((0, m) not in g.num for g in locals_):
+        chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
+        cm = _reference_system_mult(chart_b)
+        cub_b = None
+        if cub_local is not None:
+            cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
+        on_c = cub_b is not None and (0, 0) not in cub_b.num
+        nid = new_id()
+        nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
+        _reference_blow_up(chart_b, cm, cub_b, nid, level + 1, nodes, new_id)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import reference_forest_from
 from planecubic.cremona import (
+    DIR_INF,
     BubbleForest,
     CremonaError,
     CremonaMap,
@@ -11,6 +13,7 @@ from planecubic.cremona import (
     IrrationalBasePointError,
     NoetherViolation,
     base_forest,
+    check_cubic_nonsingular,
     compose,
     composition_degree,
     homaloidal_type,
@@ -315,6 +318,53 @@ class TestBaseForestOnCubic:
         assert zero_search_calls == [(0, -2), None]
 
 
+def _oracle_cases():
+    """(name, map, cubic) over C: y^2 = x^3 - 2 with G = (3, 5)."""
+    C = E2.equation
+    G2x2 = add(E2, G2, G2)
+    phi_g = translation_map(E2, G2)
+    return [
+        ("phi_G", phi_g, C),
+        ("phi_2G phi_G", compose(translation_map(E2, G2x2), phi_g), C),
+        ("phi_-3G phi_2G phi_G", inertia_witness_triple(E2, G2, G2x2), C),
+        ("phi_G, moved cubic", phi_g, substitute(C, [x + z, y, z])),
+        ("(yz, xz, xy)", SIGMA, C),
+        ("(xz, yz, x^2)", CremonaMap([x * z, y * z, x * x]), C),
+        ("(y^2, xy, xz)", CremonaMap([y * y, x * y, x * z]), C),
+        ("phi_G, no cubic", phi_g, None),
+    ]
+
+
+class TestForestAgainstOracle:
+    """One node step builds the same forest as the earlier three-copy route
+    (`reference_forest_from`), which carries the cubic along every branch
+    and decides incidence by evaluating it at each point."""
+
+    @pytest.mark.parametrize(
+        "f, cubic", [pytest.param(f, c, id=name) for name, f, c in _oracle_cases()]
+    )
+    def test_nodes_match(self, f, cubic):
+        forest = base_forest(f, cubic=cubic)
+        proper = [n.point for n in forest.roots()]
+        assert forest.nodes == reference_forest_from(f, proper, cubic).nodes
+        assert [n.id for n in forest] == list(range(len(forest)))
+        assert all(n.parent is None or n.parent < n.id for n in forest)
+
+    def test_cases_reach_the_branches_that_leave_the_cubic(self):
+        cases = {name: (f, c) for name, f, c in _oracle_cases()}
+
+        def forest(name):
+            f, cubic = cases[name]
+            return base_forest(f, cubic=cubic)
+
+        moved = [(n.level, n.on_cubic) for n in forest("phi_G, moved cubic") if n.parent is not None]
+        assert moved == [(1, True), (2, True), (3, True), (4, True), (5, False)]
+        quadratic = forest("(y^2, xy, xz)")
+        (inf,) = [n for n in quadratic if n.direction == DIR_INF]
+        assert not inf.on_cubic and not quadratic.nodes[inf.parent].on_cubic
+        assert not any(n.on_cubic for n in forest("phi_G, no cubic"))
+
+
 class TestHomaloidalTypeOfMaps:
     def test_translation(self):
         assert homaloidal_type(phi(P)) == HomaloidalType(4, (3, 1, 1, 1, 1, 1, 1))
@@ -374,6 +424,10 @@ class TestDecMembership:
         nodal = y * y * z - x * x * (x + z)  # node at the origin
         with pytest.raises(CremonaError):
             is_in_dec(SIGMA, nodal)
+
+    def test_nonsingular_check_returns_the_weierstrass_pair(self):
+        assert check_cubic_nonsingular(3 * E2.equation) == (0, -2)
+        assert check_cubic_nonsingular(x**3 + y**3 + z**3) is None
 
     def test_cubic_not_in_three_variables_rejected(self):
         binary = HomPoly(2, {(3, 0): 1, (0, 3): 1})

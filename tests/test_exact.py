@@ -629,8 +629,8 @@ def test_import_confined(module, allowed):
 
 
 def test_terms_view_confined():
-    """The Fraction view `terms` is read in src/ only by AffinePoly itself and
-    by the JSON encoder: every other reader works on num / den, so the
+    """The Fraction view `terms` is read in src/ only by AffinePoly itself:
+    every other reader, the JSON encoder included, works on num / den, so the
     representation stays behind one class."""
     src = Path(__file__).resolve().parents[1] / "src" / "planecubic"
     readers = set()
@@ -645,7 +645,7 @@ def test_terms_view_confined():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "terms" and id(node) not in inside:
                 readers.add(path.name)
-    assert readers == {"jsonio.py"}
+    assert readers == set()
 
 
 def test_sympy_names_confined():

@@ -31,6 +31,7 @@ from planecubic.exact import (
     reduce_on_cubic,
     substitute,
 )
+from planecubic.jsonio import poly_to_json
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -248,3 +249,15 @@ def test_reduce_on_cubic_is_canonical(data, d, p, q):
             term = {(i, j % 2, l + top - d - e): c * delta**k * den}
             expected = dict_add(expected, dict_mul(term, dict_pow(W, e, 3)))
         assert_reads_as(r, expected)
+
+
+@SETTINGS
+@given(st.data(), st.integers(3, 4), st.integers(0, 3))
+def test_json_prints_the_fraction_reading(data, nvars, d):
+    """poly_to_json prints the stored numerators over den exactly as the
+    Fraction view reads, in descending exponent order."""
+    f = data.draw(forms(nvars, d))
+    assert poly_to_json(f) == {
+        "vars": nvars,
+        "terms": [{"exp": list(e), "coef": str(c)} for e, c in sorted(f.terms.items(), reverse=True)],
+    }
