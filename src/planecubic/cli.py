@@ -5,6 +5,7 @@ input.  Exit codes: 0 success, 1 malformed input, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -279,6 +280,16 @@ commands:
 input is JSON on stdin or --in PATH."""
 
 
+@functools.cache
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The flag parser of one command, built on its first use."""
+    parser = argparse.ArgumentParser(prog=f"planecubic {command}", add_help=True)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--in", dest="input_path", default=None)
+    parser.add_argument("--trace-file", default=None)
+    return parser
+
+
 def main(argv=None, stdin=None, stdout=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     stdin = stdin if stdin is not None else sys.stdin
@@ -295,12 +306,8 @@ def main(argv=None, stdin=None, stdout=None) -> int:
         print(_USAGE, file=sys.stderr)
         return EX_USAGE
 
-    parser = argparse.ArgumentParser(prog=f"planecubic {command}", add_help=True)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--in", dest="input_path", default=None)
-    parser.add_argument("--trace-file", default=None)
     try:
-        opts = parser.parse_args(argv[1:])
+        opts = _parser(command).parse_args(argv[1:])
     except SystemExit:
         return EX_USAGE
 

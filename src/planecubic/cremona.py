@@ -218,14 +218,13 @@ def base_forest(
                 raise CremonaError(f"hint {pt} is not a base point")
             proper.append(pt)
         return _forest_from(f, proper, cubic)
-    comps = list(f.components)
     weierstrass = _is_weierstrass(cubic) if cubic is not None else None
     if weierstrass is not None:
         try:
-            return _forest_from(f, common_zeros_plane(comps, weierstrass), cubic)
+            return _forest_from(f, common_zeros_plane(f, weierstrass), cubic)
         except IrrationalBasePointError:
             pass  # a base point off the cubic (or an irrational one)
-    return _forest_from(f, common_zeros_plane(comps), cubic)
+    return _forest_from(f, common_zeros_plane(f), cubic)
 
 
 def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
@@ -280,9 +279,10 @@ def _add_node(nodes, forms, cub, parent, level, point, direction=None):
     # chart A, exceptional line s = 0: the directions with a base point are
     # the common roots of the restrictions to it
     chart_a = [_chart(g, m, 0) for g in forms]
+    cub_a = _chart(cub, mc, 0) if on_c else None
     restrictions = [g.restrict_zero(0) for g in chart_a]
     for t0 in rational_roots(*(r.univariate_in(1) for r in restrictions if not r.is_zero)):
-        cub_t = _chart(cub, mc, 0).shift((0, t0)) if on_c else None
+        cub_t = cub_a.shift((0, t0)) if on_c else None
         _add_node(nodes, [g.shift((0, t0)) for g in chart_a], cub_t, nid, level + 1, None, t0)
 
     # chart B, exceptional line t = 0: only its origin (the direction chart A

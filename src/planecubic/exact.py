@@ -403,10 +403,13 @@ def poly_gcd(polys) -> HomPoly:
 
     Two or more inputs first meet the exact coprimality certificate
     `_coprime_on_line`, which needs no sympy; when it holds the gcd is 1.
-    Otherwise the gcd is computed at x_last = 1 in ZZ: the gcd of the
-    dehomogenized inputs, homogenized to its own degree, times x_last^k for
-    the least x_last-exponent k over all terms (the x_last-free part of a
-    homogeneous gcd is determined by its dehomogenization).
+    Otherwise the gcd is computed in integers in the chart x_j = 1, for the
+    last x_j whose pure power some input keeps (else x_last): the gcd of the
+    dehomogenized inputs, homogenized to its own degree, times x_j^k for the
+    least x_j-exponent k over all terms (the x_j-free part of a homogeneous
+    gcd is determined by its dehomogenization).  The heuristic gcd
+    `_heu_gcd` finds it where it can prove its answer; sympy's ZZ ring does
+    the rest.
     """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
@@ -414,24 +417,139 @@ def poly_gcd(polys) -> HomPoly:
     nvars = polys[0].nvars
     if len(polys) > 1 and _coprime_on_line(polys):
         return HomPoly._of(nvars, {(0,) * nvars: 1})
-    k = min(e[-1] for p in polys for e in p.num)
-    g = None
-    for p in polys:
-        f = _ring(nvars - 1).from_dict({e[:-1]: c for e, c in p.num.items()})
-        g = f if g is None else g.gcd(f)
-        if g.is_ground:
-            break
-    g = g.primitive()[1]
-    if g.LC < 0:
-        g = -g
-    d = max(sum(e) for e in g.keys())
-    return HomPoly._of(nvars, {e + (d - sum(e) + k,): int(c) for e, c in g.items()})
+    # an input with x_j^d is nonzero at e_j, so e_j is no common zero of the
+    # cofactors, and the chart puts e_j where _heu_gcd's curve starts
+    j = next((j for j in reversed(range(nvars)) if any(_keeps_top(p, j) for p in polys)), nvars - 1)
+    k = min(e[j] for p in polys for e in p.num)
+    base = max(p.degree for p in polys) + 1
+    affine = [{e[:j] + e[j + 1 :]: c for e, c in p.num.items()} for p in polys]
+
+    def unpack(f: dict) -> dict:
+        return {_unpack(key, base, nvars - 1): c for key, c in f.items()}
+
+    def homogenize(f: dict, extra: int = 0) -> HomPoly:
+        """The form of degree deg f + extra with x_j = 1 giving f."""
+        d = max(map(sum, f)) + extra
+        return HomPoly._of(nvars, {e[:j] + (d - sum(e),) + e[j:]: c for e, c in f.items()})
+
+    def accept(G, cofactors) -> bool:
+        # no exponent of G Q_i reaches the base, and the Q_i are coprime
+        forms = [homogenize(unpack(q)) for q in cofactors]
+        dg = max(map(sum, unpack(G)))
+        return all(dg + q.degree < base for q in forms) and _coprime_on_line(forms, every_line=True)
+
+    packed = [{_pack(e, base): c for e, c in f.items()} for f in affine]
+    found = _heu_gcd(packed, accept, base ** max(nvars - 2, 0)) if len(polys) > 1 else None
+    if found is not None:
+        g = unpack(found[0])
+    else:
+        g = None
+        for f in affine:
+            f = _ring(nvars - 1).from_dict(f)
+            g = f if g is None else g.gcd(f)
+            if g.is_ground:
+                break
+        g = {e: int(c) for e, c in g.primitive()[1].items()}
+    g = homogenize(g, k)
+    return -g if g.num[max(g.num)] < 0 else g
+
+
+# Packed operands above this many bits skip _heu_gcd: CPython's int gcd is
+# quadratic, and beyond it sympy's recursive gcd is faster.
+_HEU_GCD_BITS = 24_000
+
+
+def _heu_gcd(fs, accept, lead: int = 0):
+    """(G, [Q_i]) with G Q_i = f_i, G primitive and the cofactors coprime,
+    so G is the gcd of the f_i up to its sign; or None.  Each f_i is a
+    nonzero {packed exponent: int} dict.  `accept(G, cofactors)` proves what
+    the digits cannot: for forms, that the product holds before the
+    substitution, and that the cofactors are coprime.  For forms, lead is
+    the place value of the first variable in the packing; lists leave it 0.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989)
+    on one Kronecker substitution: each f_i is evaluated at xi = 2^s, G is
+    read off the balanced base-xi digits of the values' gcd, and each Q_i
+    off the quotient of its value by G(xi).  When ||f_i||, ||Q_i|| ||G||_1 <
+    xi / 2, the digits of both sides of G(xi) Q_i(xi) = f_i(xi) agree, so
+    G Q_i = f_i holds for the substituted polynomials (for lists, the lists).
+
+    A rejected answer is retried once.  Lists retry with xi squared.  The
+    substitution puts the variables on the curve (t^lead, ..., t), and
+    where the cofactors all vanish at one of its points their images share
+    a factor that no xi removes.  It starts at the origin, which the
+    caller's chart keeps off the cofactors' common zeros, and passes through
+    (1, ..., 1); so forms retry with the first variable negated, which moves
+    the curve off that point.
+    """
+    norm = max(abs(c) for f in fs for c in f.values())
+    top = max(key for f in fs for key in f)
+    s = (norm.bit_length() + 15) // 8 * 8  # at least 8 bits to spare
+
+    def negate(f: dict) -> dict:  # x_0 -> -x_0
+        return {key: -c if key // lead % 2 else c for key, c in f.items()}
+
+    for retry in (False, True):
+        if retry and lead:
+            fs = [negate(f) for f in fs]
+        elif retry:
+            s *= 2
+        if s * (top + 1) > _HEU_GCD_BITS:
+            return None
+        found = _heu_gcd_at(fs, s)
+        if found is not None and retry and lead:
+            found = negate(found[0]), [negate(q) for q in found[1]]
+        if found is not None and accept(*found):
+            return found
+    return None
+
+
+def _heu_gcd_at(fs, s: int):
+    """One try of _heu_gcd at xi = 2^s, before `accept`."""
+    vals = [_at_power(f, s) for f in fs]
+    G = _balanced_digits(reduce(int_gcd, vals), s)
+    cont = int_gcd(*G.values())
+    G = {key: c // cont for key, c in G.items()}
+    g_norm, half = sum(map(abs, G.values())), 1 << (s - 1)
+    if g_norm >= half:
+        return None
+    g_val = _at_power(G, s)
+    cofactors = []
+    for v in vals:
+        q, r = divmod(v, g_val)
+        Q = _balanced_digits(q, s)
+        if r or max(map(abs, Q.values())) * g_norm >= half:
+            return None
+        cofactors.append(Q)
+    return G, cofactors
+
+
+def _at_power(f: dict, s: int) -> int:
+    """The packed polynomial's value at 2^s (s a multiple of 8, every
+    coefficient below 2^(s-1) in size): each coefficient plus 2^(s-1) is one
+    s-bit digit of the bytes, and 2^(s-1) in every position comes off."""
+    w, half = s // 8, 1 << (s - 1)
+    lift = half.to_bytes(w, "little")
+    digits = [lift] * (max(f) + 1)
+    for key, c in f.items():
+        digits[key] = (c + half).to_bytes(w, "little")
+    return int.from_bytes(b"".join(digits), "little") - int.from_bytes(lift * len(digits), "little")
+
+
+def _balanced_digits(v: int, s: int) -> dict:
+    """v in base 2^s (s a multiple of 8) with digits in [-2^(s-1), 2^(s-1)),
+    as {position: digit} for the nonzero digits: the inverse of _at_power."""
+    w, half = s // 8, 1 << (s - 1)
+    n = abs(v).bit_length() // s + 2
+    raw = (v + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
+    digits = (int.from_bytes(raw[k : k + w], "little") - half for k in range(0, n * w, w))
+    return {key: d for key, d in enumerate(digits) if d}
 
 
 _PRIME = 2**61 - 1  # a Mersenne prime: the modulus of the coprimality certificate
 
 
-def _coprime_on_line(polys) -> bool:
+def _coprime_on_line(polys, every_line: bool = False) -> bool:
     """True only if the nonzero forms share no nonconstant factor; a False
     decides nothing.
 
@@ -443,8 +561,9 @@ def _coprime_on_line(polys) -> bool:
     The form's s^i coefficient there (at t = 1) sums its coefficients with
     x_j-exponent i, each times the point's coordinates to the other
     exponents.  The certificate holds when the restrictions' gcd mod the
-    prime (Euclid in s) is a nonzero constant; no later line is tried, so a
-    real common factor costs one line.
+    prime (Euclid in s) is a nonzero constant.  Unless every_line is set,
+    no later line is tried, so a real common factor costs one line; forms
+    expected to be coprime (the cofactors of _heu_gcd) try every vertex.
 
     Exact: a common factor H of the integral forms is, up to a unit,
     integral and primitive, and H(e_j) divides each form's x_j^d coefficient
@@ -454,7 +573,10 @@ def _coprime_on_line(polys) -> bool:
     """
     for j in range(polys[0].nvars):
         if any(_keeps_top(p, j) for p in polys):
-            return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
+            if _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys):
+                return True
+            if not every_line:
+                return False
     return False
 
 
@@ -570,29 +692,67 @@ def divides(g: HomPoly, f: HomPoly) -> bool:
 def rational_roots(*coeff_lists):
     """The rational roots common to every sum(coeffs[k] t^k), ascending.
 
-    Each list is first scaled to integers.  Two cases need no sympy: when the
-    lowest-degree list has degree <= 2 its roots come by formula and each is
-    checked against every list; and when some list keeps its leading
-    coefficient mod the prime _PRIME and the lists' gcd mod the prime is
-    constant, there is no common root (a root n/m makes the primitive m t - n
-    divide every list, and m divides that leading coefficient, so m t - n
-    survives mod the prime).  Otherwise the roots are those of the lists'
-    gcd, factored once over Z; the integer content the factorization splits
-    off is no factor."""
+    Each list is first scaled to integers.  When the lowest-degree list has
+    degree <= 2 its roots come by formula and each is checked against every
+    list.  When some list keeps its leading coefficient mod the prime _PRIME
+    and the lists' gcd mod the prime is constant, there is no common root (a
+    root n/m makes the primitive m t - n divide every list, and m divides
+    that leading coefficient, so m t - n survives mod the prime).  Otherwise
+    the roots are those of the lists' gcd g, and so of its squarefree part
+    g / gcd(g, g'), both taken by _heu_gcd where it proves its answer: of
+    degree <= 2 it is solved by formula, and above that factored once over Z
+    by sympy (the integer content the factorization splits off is no
+    factor)."""
     if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
     ints = [_int_coeffs(coeffs) for coeffs in coeff_lists]
     low = min(ints, key=len)
+    if len(low) > 3:
+        if len(ints) > 1 and any(f[-1] % _PRIME for f in ints) and _constant_gcd_mod_prime(ints):
+            return []
+        low = _root_part(ints)
     if len(low) <= 3:
         return sorted(r for r in _small_degree_roots(low) if all(_vanishes_at(f, r) for f in ints))
-    if len(ints) > 1 and any(f[-1] % _PRIME for f in ints) and _constant_gcd_mod_prime(ints):
-        return []
-    g = reduce(lambda f, h: f.gcd(h), map(_univariate, ints))
     roots = set()
-    for fac, _mult in g.factor_list()[1]:
+    for fac, _mult in _univariate(low).factor_list()[1]:
         if fac.degree() == 1:  # a t + b
             roots.add(Fraction(-int(fac.get((0,), 0)), int(fac[(1,)])))
     return sorted(roots)
+
+
+def _root_part(ints) -> list:
+    """An integer list with the rational roots of the lists' gcd g: the
+    squarefree part of g where _heu_gcd proves it, else g itself."""
+    g = ints[0]
+    if len(ints) > 1:
+        found = _list_gcd(ints)
+        if found is None:
+            g = reduce(lambda f, h: f.gcd(h), map(_univariate, ints))
+            return [int(c) for c in reversed(g.to_dense())]
+        g = found[0]
+    if len(g) > 3:
+        found = _list_gcd([g, [k * c for k, c in enumerate(g)][1:]])
+        if found is not None:
+            g = found[1][0]
+    return g
+
+
+def _list_gcd(lists):
+    """(gcd, cofactors) of nonzero integer coefficient lists by _heu_gcd, as
+    lists, or None.  The cofactors are certified coprime mod _PRIME, which
+    needs one of them to keep its leading coefficient there."""
+
+    def coprime(_G, cofactors) -> bool:
+        return any(q[max(q)] % _PRIME for q in cofactors) and _constant_gcd_mod_prime(
+            map(_packed_list, cofactors)
+        )
+
+    found = _heu_gcd([{k: c for k, c in enumerate(f) if c} for f in lists], coprime)
+    return found and (_packed_list(found[0]), [_packed_list(q) for q in found[1]])
+
+
+def _packed_list(f: dict) -> list:
+    return [f.get(k, 0) for k in range(max(f) + 1)]
 
 
 def _int_coeffs(coeffs) -> list:
@@ -753,8 +913,9 @@ def content_normalize(maps) -> list:
 
 
 def common_zeros_plane(polys, weierstrass=None):
-    """All rational projective common zeros of >= 2 polynomials in 3 variables;
-    with weierstrass = (p, q), only those on y^2 z = x^3 + p x z^2 + q z^3.
+    """All rational projective common zeros of >= 2 polynomials in 3 variables,
+    or of a plane map's components; with weierstrass = (p, q), only those on
+    y^2 z = x^3 + p x z^2 + q z^3.
 
     Every search for a coordinate is one rational_roots call.  Without a
     cubic, the y of an affine candidate is a root of a resultant (or of an
@@ -764,18 +925,22 @@ def common_zeros_plane(polys, weierstrass=None):
     (univariate, of degree <= 3 deg), and at z = 0 the only candidate is
     O = (0:1:0).  Every candidate is then verified against the full system.
     Completeness holds over Q only.  A common curve component raises
-    PositiveDimensionalError carrying the component.
+    PositiveDimensionalError carrying the component.  A map (anything with
+    `components`) skips those two checks: its constructor made the
+    components coprime and not all proportional.
     """
-    polys = [p for p in polys if not p.is_zero]
+    components = getattr(polys, "components", None)
+    polys = [p for p in (polys if components is None else components) if not p.is_zero]
     if len(polys) < 2:
         raise ExactError("need at least two nonzero polynomials")
     if any(p.nvars != 3 for p in polys):
         raise DimensionMismatch("common_zeros_plane expects 3-variable polynomials")
-    if _all_proportional(polys):
-        raise ExactError("polynomials are all proportional")
-    g = poly_gcd(polys)
-    if g.degree and g.degree > 0:
-        raise PositiveDimensionalError(g)
+    if components is None:
+        if _all_proportional(polys):
+            raise ExactError("polynomials are all proportional")
+        g = poly_gcd(polys)
+        if g.degree and g.degree > 0:
+            raise PositiveDimensionalError(g)
 
     if weierstrass is None:
         candidates = _plane_candidates(polys)

@@ -42,6 +42,19 @@ class TestExitCodes:
         code, _ = run(["curve-add", "--json"], {"curve": CURVE, "P": P, "Q": Q})
         assert code == EX_USAGE
 
+    def test_parser_built_once_per_command(self, capsys):
+        # the second call reuses the first one's parser: same usage and error
+        from planecubic.cli import _parser
+
+        errors = []
+        for _ in range(2):
+            assert run(["compose", "--json"], {})[0] == EX_USAGE
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: planecubic compose [-h] [--config CONFIG]")
+        assert "unrecognized arguments: --json" in errors[0]
+        assert _parser("compose") is _parser("compose") is not _parser("translate")
+
     def test_seed_flag_is_64(self, translate_output):
         code, out = run(["factorize", "--seed", "7"], {"curve": CURVE, "map": translate_output})
         assert code == EX_USAGE and out == ""
@@ -557,13 +570,27 @@ class TestThreefoldCmd:
         assert json.loads(out)["checks"]["quotient_degree_8"] is expected
 
 
+def fresh_interpreter(script):
+    """stdout of the script run in a new interpreter on this checkout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 class TestLazySympy:
     def test_commands_without_polynomial_algebra_skip_sympy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         noether = json.dumps({"d": 2, "mults": [1, 1, 1]})
         curve_add = json.dumps({"curve": CURVE, "P": P, "Q": Q})
         script = f"""
@@ -573,23 +600,9 @@ for cmd, raw in (("noether", {noether!r}), ("curve-add", {curve_add!r})):
     assert main([cmd], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
 print("sympy" in sys.modules)
 """
-        src = Path(__file__).resolve().parents[1] / "src"
-        res = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        assert fresh_interpreter(script).strip() == "False"
 
     def test_translate_and_dec_check_skip_sympy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         # the coprimality certificate decides the content gcd of a
         # translation map, so neither command needs sympy's gcd; the base
         # point (1 : 1 : 1) of the second map lies on no line it tries
@@ -609,16 +622,31 @@ for curve, P in {cases!r}:
     assert main(["dec-check"], stdin=io.StringIO(raw), stdout=io.StringIO()) == 0
     print(translate, "sympy" in sys.modules)
 """
-        src = Path(__file__).resolve().parents[1] / "src"
-        res = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["False"] * 4
+        assert fresh_interpreter(script).split() == ["False"] * 4
+
+    def test_readme_pipeline_skips_sympy(self):
+        # the README's maps: phi_P and phi_Q o phi_P (16 -> 10) on y^2 = x^3 + 1;
+        # _heu_gcd proves the composite's content gcd, and every root search
+        # of the forests ends in a squarefree part of degree <= 2
+        script = f"""
+import io, json, sys
+from planecubic.cli import main
+def run(cmd, payload):
+    out = io.StringIO()
+    assert main([cmd], stdin=io.StringIO(json.dumps(payload)), stdout=out) in (0, 2)
+    print(cmd, "sympy" in sys.modules)
+    return out.getvalue()
+curve = {CURVE!r}
+phi_p = json.loads(run("translate", {{"curve": curve, "P": {P!r}}}))
+phi_q = json.loads(run("translate", {{"curve": curve, "P": {Q!r}}}))
+h = json.loads(run("compose", {{"f": phi_q, "g": phi_p}}))["map"]
+for f in (phi_p, h):
+    for cmd in ("dec-check", "base-forest", "factorize", "vp-verify"):
+        run(cmd, {{"curve": curve, "map": f}})
+"""
+        lines = fresh_interpreter(script).splitlines()
+        assert len(lines) == 11
+        assert all(line.split()[1] == "False" for line in lines), lines
 
     def test_canonical_maps_decode_without_the_ring(self, translate_output, monkeypatch):
         from planecubic import exact, jsonio

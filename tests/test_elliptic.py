@@ -268,7 +268,9 @@ class TestIntegerBuilders:
             ),
             (WeierstrassCurve(-1, 0), CurvePoint.affine(0, 0)),  # a = b = 0: sparse templates
             (WeierstrassCurve(-1, 1), CurvePoint.affine(1, 1)),
-            (  # P = (0 : 3 : 4) on the certificate's line 0: sympy's gcd
+            (  # P = (0 : 3 : 4) on the certificate's line 0: _heu_gcd decides
+            # the gcd; test_exact's TestHeuristicGcd::test_forced_fallback
+            # keeps this map on sympy's route
                 WeierstrassCurve(0, Fraction(9, 16)),
                 CurvePoint.affine(0, Fraction(3, 4)),
             ),

@@ -1209,6 +1209,250 @@ class TestRationalRootsAgainstSympy:
         assert rational_roots(*lists) == [Fraction(1, _PRIME)] == reference_rational_roots(*lists)
 
 
+@st.composite
+def heu_gcd_inputs(draw):
+    """Two or three forms in 3 or 4 variables sharing a planted factor: a
+    form of degree 0..2 times a power of x_last, each input times its own
+    cofactor of degree 0..3, so of unequal degrees; the coefficients have
+    one digit or 100.  100-digit inputs keep to lower degrees."""
+    nvars = draw(st.sampled_from([3, 4]))
+    big = draw(st.booleans())
+    size = st.integers(10**99, 10**100) if big else st.integers(1, 9)
+    coef = st.tuples(size, st.booleans()).map(lambda c: -c[0] if c[1] else c[0])
+    top = 1 if big else 2
+
+    def form(d):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            picks = draw(st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d))
+            terms[tuple(picks.count(i) for i in range(nvars))] = draw(coef)
+        return HomPoly(nvars, terms)
+
+    last = HomPoly.variable(nvars, nvars - 1)
+    common = form(draw(st.integers(0, top))) * last ** draw(st.integers(0, top))
+    return [common * form(draw(st.integers(0, top + 1))) for _ in range(draw(st.integers(2, 3)))]
+
+
+def heu_answers(monkeypatch):
+    """Every answer _heu_gcd gives (None where it declines), with the size
+    limit lifted so that 100-digit inputs reach it."""
+    from planecubic import exact
+
+    answers = []
+    real = exact._heu_gcd
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(exact, "_heu_gcd", spy)
+    monkeypatch.setattr(exact, "_HEU_GCD_BITS", 10**6)
+    return answers
+
+
+def fallback_only(monkeypatch):
+    """Every certificate fails, so each gcd and root search that is not
+    settled by formula takes the sympy route; returns the ring calls."""
+    from planecubic import exact
+
+    rings = []
+    real = exact._ring
+
+    def spy(nvars):
+        rings.append(nvars)
+        return real(nvars)
+
+    monkeypatch.setattr(exact, "_coprime_on_line", lambda polys, every_line=False: False)
+    monkeypatch.setattr(exact, "_constant_gcd_mod_prime", lambda lists: False)
+    monkeypatch.setattr(exact, "_ring", spy)
+    return rings
+
+
+@st.composite
+def repeated_root_searches(draw):
+    """One to three lists sharing planted roots of multiplicity up to 3 (a
+    triple root is what composite10's blow-ups meet), each with roots of
+    its own; a root n/m makes m divide the leading coefficient once the
+    list is scaled to integers."""
+    root = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    shared = []
+    for r in draw(st.lists(root, min_size=1, max_size=2)):
+        shared += [r] * draw(st.integers(1, 3))
+    lists = []
+    for _ in range(draw(st.integers(1, 3))):
+        own = [draw(root)] * draw(st.integers(0, 2))
+        base = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any))
+        lists.append(_times_roots(base, shared + own))
+    return lists
+
+
+class TestHeuristicGcd:
+    """_heu_gcd proves its gcd through exact integer tests; sympy's route is
+    the reference and the fallback."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(polys=heu_gcd_inputs())
+    def test_matches_reference(self, polys):
+        with pytest.MonkeyPatch.context() as mp:
+            heu_answers(mp)
+            got = poly_gcd(polys)
+        assert got == reference_poly_gcd(polys)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_planted_factor_is_proved(self, monkeypatch, seed, nvars):
+        # a planted quadric, cofactors of degrees 1, 2 and 3
+        rng = random.Random(1000 * nvars + seed)
+        big = seed % 2 == 1
+        common = rand_int_poly(rng, 2, nvars, big)
+        polys = [common * rand_int_poly(rng, d, nvars, big) for d in (1, 2, 3)]
+        answers = heu_answers(monkeypatch)
+        assert poly_gcd(polys) == reference_poly_gcd(polys)
+        assert answers[0] is not None
+
+    def test_compose_content_gcd_is_proved(self, monkeypatch):
+        # compose16's shape: phi_2G o phi_G is 16 -> 10, phi_-G o phi_G 16 -> 1
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, multiple, translation_map
+
+        curve, G = WeierstrassCurve(0, -2), CurvePoint.affine(3, 5)
+        phi = {k: translation_map(curve, multiple(curve, k, G)) for k in (-1, 1, 2)}
+        answers = heu_answers(monkeypatch)
+        for f in (phi[2], phi[-1]):
+            comps = [substitute(c, phi[1].components) for c in f.components]
+            assert poly_gcd(comps) == reference_poly_gcd(comps)
+        assert len(answers) == 2 and all(answers)
+
+    def test_carry_is_rejected(self):
+        # at xi = 256, (t + 1)(100 t + 100) = 100 t^2 + 200 t + 100 has the
+        # digits of f = 101 t^2 - 56 t + 100, which t + 1 does not divide:
+        # the cofactor bound 100 * ||t + 1||_1 >= 128 must refuse it
+        from planecubic.exact import _heu_gcd_at
+
+        f, g = {0: 100, 1: -56, 2: 101}, {0: 2, 1: 3, 2: 1}
+        assert _heu_gcd_at([f, g], 8) is None
+
+    def test_chart_keeps_the_cofactors_off_its_origin(self, monkeypatch):
+        # both cofactors vanish at (0 : 0 : 1), and no input keeps z^3: the
+        # chart y = 1 (the second input keeps y^3) lets _heu_gcd prove it
+        from planecubic import exact
+
+        polys = [(x + y + z) * (x * x + y * z), (x + y + z) * (y * y + 2 * x * z)]
+        answers = heu_answers(monkeypatch)
+        monkeypatch.setattr(exact, "_ring", None)
+        assert poly_gcd(polys) == x + y + z == reference_poly_gcd(polys)
+        assert answers[0] is not None
+
+    def test_gcd_one_past_line_zero(self, monkeypatch):
+        # the base point (0 : 3 : 4) of this translation map is on line 0, so
+        # the first certificate fails; the cofactors' certificate tries the
+        # next lines and proves the gcd 1
+        from planecubic import exact
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
+
+        f = translation_map(
+            WeierstrassCurve(0, Fraction(9, 16)), CurvePoint.affine(0, Fraction(3, 4))
+        )
+        answers = heu_answers(monkeypatch)
+        monkeypatch.setattr(exact, "_ring", None)
+        assert not _coprime_on_line(f.components)
+        assert poly_gcd(f.components) == HomPoly.constant(3, 1)
+        assert answers[0][0] == {0: 1}
+
+    def test_degree_22_content_gcd_takes_the_sympy_route(self, monkeypatch):
+        # phi_{-3G} o (phi_2G o phi_G): 40 -> 22, whose packed operands run
+        # past _HEU_GCD_BITS, where sympy's gcd is the faster
+        from planecubic import exact
+        from planecubic.cremona import compose
+        from planecubic.elliptic import CurvePoint, multiple, translation_map
+
+        inner, curve = degree_ten_composite()
+        outer = translation_map(curve, multiple(curve, -3, CurvePoint.affine(3, 5)))
+        answers, rings = [], []
+        real_heu, real_ring = exact._heu_gcd, exact._ring
+        monkeypatch.setattr(exact, "_heu_gcd", lambda *a: answers.append(real_heu(*a)))
+        monkeypatch.setattr(exact, "_ring", lambda n: rings.append(n) or real_ring(n))
+        assert compose(outer, inner).degree == 22
+        assert answers == [None] and rings == [2] * 3
+
+    def test_forced_fallback(self, monkeypatch):
+        # the same answers with every certificate failing; the translation
+        # map by P = (0, 3/4), whose base point (0 : 3 : 4) lies on the
+        # certificate's line 0, is the case test_elliptic's fixed cases pin
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
+
+        on_line = translation_map(
+            WeierstrassCurve(0, Fraction(9, 16)), CurvePoint.affine(0, Fraction(3, 4))
+        )
+        f, _ = degree_ten_composite()
+        rng = random.Random(77)
+        common = rand_int_poly(rng, 2, 4, False)
+        gcd_cases = [
+            list(on_line.components),
+            list(f.components),
+            [common * rand_int_poly(rng, d, 4, True) for d in (1, 2)],
+            [x * (y - z), y * (z + x)],
+        ]
+        root_cases = [
+            [[-1, 3, -3, 1]],  # (t - 1)^3
+            [_times_roots([6], [Fraction(1, 2), Fraction(1, 2), Fraction(-2, 3), 5])],
+            [_times_roots([1, 0, 1], [2, 2]), _times_roots([3], [2, 2, 2, 7])],
+        ]
+        expected = [poly_gcd(polys) for polys in gcd_cases]
+        expected_roots = [rational_roots(*lists) for lists in root_cases]
+        rings = fallback_only(monkeypatch)
+        assert [poly_gcd(polys) for polys in gcd_cases] == expected
+        assert expected == [reference_poly_gcd(polys) for polys in gcd_cases]
+        assert [rational_roots(*lists) for lists in root_cases] == expected_roots
+        assert expected_roots == [reference_rational_roots(*lists) for lists in root_cases]
+        assert set(rings) == {1, 2, 3}  # lists, plane forms, forms in 4 variables
+
+
+def rand_int_poly(rng, degree, nvars, big):
+    """A form with x_last^degree and three random terms, with one-digit or
+    100-digit integer coefficients (never zero): a product of such forms
+    keeps its pure power of x_last, which poly_gcd's chart needs."""
+    span = 10**100 if big else 9
+    terms = {(0,) * (nvars - 1) + (degree,): rng.randint(1, span)}
+    for _ in range(3):
+        exp = [0] * nvars
+        for _ in range(degree):
+            exp[rng.randrange(nvars)] += 1
+        terms[tuple(exp)] = rng.choice((-1, 1)) * rng.randint(1, span)
+    return HomPoly(nvars, terms)
+
+
+class TestRootsOfTheGcd:
+    """rational_roots takes the lists' gcd and its squarefree part with
+    _heu_gcd; the sympy-only route is the reference."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(repeated_root_searches())
+    def test_repeated_roots_match_reference(self, lists):
+        assert rational_roots(*lists) == reference_rational_roots(*lists)
+
+    def test_triple_roots_of_the_degree_ten_forest(self, monkeypatch):
+        # every root search of the degree-10 composite's forest, among them
+        # one-list searches (t - a)^3 whose squarefree part is linear
+        from planecubic import cremona, exact
+
+        f, curve = degree_ten_composite()
+        calls, rings = [], []
+        real, real_ring = exact.rational_roots, exact._ring
+        monkeypatch.setattr(cremona, "rational_roots", lambda *l: calls.append(l) or real(*l))
+        monkeypatch.setattr(exact, "_ring", lambda n: rings.append(n) or real_ring(n))
+        cremona.base_forest(f, cubic=curve.equation)
+        assert rings == []
+        for lists in calls:
+            assert real(*lists) == reference_rational_roots(*lists)
+        ints = [exact._int_coeffs(lists[0]) for lists in calls if len(lists) == 1]
+        assert any(len(f) == 4 and len(exact._root_part([f])) == 2 for f in ints)
+
+    def test_denominator_divides_lc(self):
+        lists = [_times_roots([30], [Fraction(1, 2), Fraction(2, 3), Fraction(-4, 5), 7])]
+        assert rational_roots(*lists) == [Fraction(-4, 5), Fraction(1, 2), Fraction(2, 3), 7]
+        assert rational_roots(*lists) == reference_rational_roots(*lists)
+
+
 class TestXCoeffsAt:
     """_plane_candidates reads a(x, y0) row by row; the shift route is the reference."""
 
