@@ -427,19 +427,13 @@ def poly_gcd(polys) -> HomPoly:
     def unpack(f: dict) -> dict:
         return {_unpack(key, base, nvars - 1): c for key, c in f.items()}
 
-    def homogenize(f: dict, extra: int = 0) -> HomPoly:
-        """The form of degree deg f + extra with x_j = 1 giving f."""
-        d = max(map(sum, f)) + extra
-        return HomPoly._of(nvars, {e[:j] + (d - sum(e),) + e[j:]: c for e, c in f.items()})
-
     def accept(G, cofactors) -> bool:
-        # no exponent of G Q_i reaches the base, and the Q_i are coprime
-        forms = [homogenize(unpack(q)) for q in cofactors]
+        # the degree check of _heu_gcd: no exponent of G Q_i reaches the base
         dg = max(map(sum, unpack(G)))
-        return all(dg + q.degree < base for q in forms) and _coprime_on_line(forms, every_line=True)
+        return all(dg + max(map(sum, unpack(q))) < base for q in cofactors)
 
     packed = [{_pack(e, base): c for e, c in f.items()} for f in affine]
-    found = _heu_gcd(packed, accept, base ** max(nvars - 2, 0)) if len(polys) > 1 else None
+    found = _heu_gcd(packed, accept, base ** max(nvars - 2, 0))
     if found is not None:
         g = unpack(found[0])
     else:
@@ -450,7 +444,8 @@ def poly_gcd(polys) -> HomPoly:
             if g.is_ground:
                 break
         g = {e: int(c) for e, c in g.primitive()[1].items()}
-    g = homogenize(g, k)
+    d = max(map(sum, g)) + k  # homogenized, times x_j^k
+    g = HomPoly._of(nvars, {e[:j] + (d - sum(e),) + e[j:]: c for e, c in g.items()})
     return -g if g.num[max(g.num)] < 0 else g
 
 
@@ -459,28 +454,43 @@ def poly_gcd(polys) -> HomPoly:
 _HEU_GCD_BITS = 24_000
 
 
-def _heu_gcd(fs, accept, lead: int = 0):
-    """(G, [Q_i]) with G Q_i = f_i, G primitive and the cofactors coprime,
-    so G is the gcd of the f_i up to its sign; or None.  Each f_i is a
-    nonzero {packed exponent: int} dict.  `accept(G, cofactors)` proves what
-    the digits cannot: for forms, that the product holds before the
-    substitution, and that the cofactors are coprime.  For forms, lead is
-    the place value of the first variable in the packing; lists leave it 0.
+def _heu_gcd(fs, accept=None, lead: int = 0):
+    """(G, [Q_i]) with G Q_i = f_i and G primitive, so G is the gcd of the
+    f_i up to its sign; or None.  Each f_i is a nonzero {packed exponent:
+    int} dict: a list's coefficients by position, or a form's
+    dehomogenization F_i packed in a base above its degree (the Kronecker
+    substitution), with lead the place value of the first variable.  Lists
+    leave lead 0 and accept None; for forms, `accept(G, cofactors)` is the
+    degree check below.
 
-    The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989)
-    on one Kronecker substitution: each f_i is evaluated at xi = 2^s, G is
-    read off the balanced base-xi digits of the values' gcd, and each Q_i
-    off the quotient of its value by G(xi).  When ||f_i||, ||Q_i|| ||G||_1 <
-    xi / 2, the digits of both sides of G(xi) Q_i(xi) = f_i(xi) agree, so
-    G Q_i = f_i holds for the substituted polynomials (for lists, the lists).
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989),
+    with each f_i read as a polynomial in t: f_i is evaluated at xi = 2^s,
+    G is read off the balanced base-xi digits of the values' gcd, and each
+    Q_i off the quotient of its value by G(xi).  When ||f_i||, ||Q_i||
+    ||G||_1 < xi / 2 (the cofactor bound), the digits of both sides of
+    G(xi) Q_i(xi) = f_i(xi) agree, so G Q_i = f_i in Z[t].  As s >=
+    bitlen ||f||_inf + 8, xi > 2 ||f||_inf + 2, and by their theorem a
+    primitive G that divides every f_i is then their gcd in Z[t].
+
+    For forms that is the gcd of the images f_i = pack(F_i).  As G Q_i =
+    f_i, no key of G or Q_i passes f_i's largest, so they unpack to G_u and
+    Q_u with pack(G_u) = G and pack(Q_u) = Q_i; and pack is one-to-one, and
+    multiplicative on factors whose total degrees add up below the base.
+    The degree check asks deg G_u + deg Q_u < base, so no exponent of
+    G_u Q_u reaches the base and pack(G_u Q_u) = G Q_i = f_i = pack(F_i):
+    G_u divides every F_i, so g = G_u k for their gcd g.  Each F_i is g
+    times a cofactor of degree deg F_i - deg g, so pack(g) = G pack(k)
+    divides every f_i, and so G: pack(k) = +-1, and g = +-G_u.
 
     A rejected answer is retried once.  Lists retry with xi squared.  The
     substitution puts the variables on the curve (t^lead, ..., t), and
     where the cofactors all vanish at one of its points their images share
-    a factor that no xi removes.  It starts at the origin, which the
-    caller's chart keeps off the cofactors' common zeros, and passes through
-    (1, ..., 1); so forms retry with the first variable negated, which moves
-    the curve off that point.
+    a factor that no xi removes, which the degree check refuses.  The curve
+    starts at the origin, which the caller's chart keeps off the cofactors'
+    common zeros, and passes through (1, ..., 1); so forms retry with the
+    first variable negated, which moves the curve off that point.  The
+    negation maps the answer back, and the argument above holds for the
+    negated F_i.
     """
     norm = max(abs(c) for f in fs for c in f.values())
     top = max(key for f in fs for key in f)
@@ -499,7 +509,7 @@ def _heu_gcd(fs, accept, lead: int = 0):
         found = _heu_gcd_at(fs, s)
         if found is not None and retry and lead:
             found = negate(found[0]), [negate(q) for q in found[1]]
-        if found is not None and accept(*found):
+        if found is not None and (accept is None or accept(*found)):
             return found
     return None
 
@@ -546,10 +556,10 @@ def _balanced_digits(v: int, s: int) -> dict:
     return {key: d for key, d in enumerate(digits) if d}
 
 
-_PRIME = 2**61 - 1  # a Mersenne prime: the modulus of the coprimality certificate
+_PRIME = 2**61 - 1  # a Mersenne prime: the modulus of _coprime_on_line
 
 
-def _coprime_on_line(polys, every_line: bool = False) -> bool:
+def _coprime_on_line(polys) -> bool:
     """True only if the nonzero forms share no nonconstant factor; a False
     decides nothing.
 
@@ -561,9 +571,8 @@ def _coprime_on_line(polys, every_line: bool = False) -> bool:
     The form's s^i coefficient there (at t = 1) sums its coefficients with
     x_j-exponent i, each times the point's coordinates to the other
     exponents.  The certificate holds when the restrictions' gcd mod the
-    prime (Euclid in s) is a nonzero constant.  Unless every_line is set,
-    no later line is tried, so a real common factor costs one line; forms
-    expected to be coprime (the cofactors of _heu_gcd) try every vertex.
+    prime (Euclid in s) is a nonzero constant.  No later line is tried, so
+    a real common factor costs one line.
 
     Exact: a common factor H of the integral forms is, up to a unit,
     integral and primitive, and H(e_j) divides each form's x_j^d coefficient
@@ -573,10 +582,7 @@ def _coprime_on_line(polys, every_line: bool = False) -> bool:
     """
     for j in range(polys[0].nvars):
         if any(_keeps_top(p, j) for p in polys):
-            if _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys):
-                return True
-            if not every_line:
-                return False
+            return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
     return False
 
 
@@ -694,22 +700,16 @@ def rational_roots(*coeff_lists):
 
     Each list is first scaled to integers.  When the lowest-degree list has
     degree <= 2 its roots come by formula and each is checked against every
-    list.  When some list keeps its leading coefficient mod the prime _PRIME
-    and the lists' gcd mod the prime is constant, there is no common root (a
-    root n/m makes the primitive m t - n divide every list, and m divides
-    that leading coefficient, so m t - n survives mod the prime).  Otherwise
-    the roots are those of the lists' gcd g, and so of its squarefree part
-    g / gcd(g, g'), both taken by _heu_gcd where it proves its answer: of
-    degree <= 2 it is solved by formula, and above that factored once over Z
-    by sympy (the integer content the factorization splits off is no
-    factor)."""
+    list.  Otherwise the roots are those of the lists' gcd g, and so of its
+    squarefree part g / gcd(g, g'), both taken by _heu_gcd where it proves
+    its answer: of degree <= 2 it is solved by formula (a constant has no
+    root), and above that factored once over Z by sympy (the integer content
+    the factorization splits off is no factor)."""
     if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
     ints = [_int_coeffs(coeffs) for coeffs in coeff_lists]
     low = min(ints, key=len)
     if len(low) > 3:
-        if len(ints) > 1 and any(f[-1] % _PRIME for f in ints) and _constant_gcd_mod_prime(ints):
-            return []
         low = _root_part(ints)
     if len(low) <= 3:
         return sorted(r for r in _small_degree_roots(low) if all(_vanishes_at(f, r) for f in ints))
@@ -739,15 +739,8 @@ def _root_part(ints) -> list:
 
 def _list_gcd(lists):
     """(gcd, cofactors) of nonzero integer coefficient lists by _heu_gcd, as
-    lists, or None.  The cofactors are certified coprime mod _PRIME, which
-    needs one of them to keep its leading coefficient there."""
-
-    def coprime(_G, cofactors) -> bool:
-        return any(q[max(q)] % _PRIME for q in cofactors) and _constant_gcd_mod_prime(
-            map(_packed_list, cofactors)
-        )
-
-    found = _heu_gcd([{k: c for k, c in enumerate(f) if c} for f in lists], coprime)
+    lists, or None."""
+    found = _heu_gcd([{k: c for k, c in enumerate(f) if c} for f in lists])
     return found and (_packed_list(found[0]), [_packed_list(q) for q in found[1]])
 
 

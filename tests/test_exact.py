@@ -952,12 +952,19 @@ class TestIntegerKernels:
             [-3 * x + y, x * Fraction(1, 2), z],  # negative lex-leading coefficient
             [HomPoly.zero(3), y * Fraction(-2, 3) + z, x * Fraction(4, 9)],  # zero first
             [HomPoly.zero(3), HomPoly.zero(3), z * Fraction(-6, 5)],
+            [HomPoly.zero(3), 6 * x * x - 4 * y * z, HomPoly.zero(3)],
             [-(x * z) * Fraction(2, 7), HomPoly.zero(3), y * z * Fraction(4, 21)],  # gcd z
             [(x - 2 * y) * (x * x - y * z), (x - 2 * y) * (z * z) * -4, (x - 2 * y) * x * y],
         ],
-        ids=["negative-lead", "zero-first", "one-nonzero", "gcd-and-zero", "linear-gcd"],
+        ids=[
+            "negative-lead", "zero-first", "one-nonzero", "one-quadric", "gcd-and-zero", "linear-gcd"
+        ],
     )
-    def test_content_normalize_cases(self, maps):
+    def test_content_normalize_cases(self, maps, monkeypatch):
+        from planecubic import exact
+
+        if sum(not m.is_zero for m in maps) == 1:  # _heu_gcd takes the primitive part
+            monkeypatch.setattr(exact, "_ring", None)
         got = content_normalize(maps)
         assert got == reference_content_normalize(maps)
         assert all(c.denominator == 1 for m in got for c in m.terms.values())
@@ -1180,8 +1187,9 @@ def root_searches(draw):
 
 
 class TestRationalRootsAgainstSympy:
-    """rational_roots decides small degrees by formula and coprime lists mod
-    _PRIME before it reaches sympy; the sympy-only route is the reference."""
+    """rational_roots decides small degrees by formula and takes the lists'
+    gcd with _heu_gcd before it reaches sympy; the sympy-only route is the
+    reference."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(root_searches())
@@ -1192,7 +1200,7 @@ class TestRationalRootsAgainstSympy:
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=6).filter(lambda c: c[-1]),
                     min_size=2, max_size=3))
     def test_lists_of_degree_three_and_more(self, lists):
-        # mostly coprime: the mod-prime gcd decides
+        # mostly coprime: _heu_gcd finds the gcd 1
         assert rational_roots(*lists) == reference_rational_roots(*lists)
 
     def test_small_degree_cases(self):
@@ -1202,8 +1210,8 @@ class TestRationalRootsAgainstSympy:
         assert rational_roots([-4, 0, 9], [2, 3]) == [Fraction(-2, 3)]
 
     def test_root_with_denominator_prime(self):
-        # every list keeps the root 1 / _PRIME: no list keeps its leading
-        # coefficient mod the prime, so sympy decides
+        # every list keeps the root 1 / _PRIME, so no list keeps its leading
+        # coefficient mod the prime
         r = Fraction(1, _PRIME)
         lists = [_times_roots([_PRIME], [1, 2, 3, r]), _times_roots([_PRIME], [5, 7, 11, r])]
         assert rational_roots(*lists) == [Fraction(1, _PRIME)] == reference_rational_roots(*lists)
@@ -1251,8 +1259,9 @@ def heu_answers(monkeypatch):
 
 
 def fallback_only(monkeypatch):
-    """Every certificate fails, so each gcd and root search that is not
-    settled by formula takes the sympy route; returns the ring calls."""
+    """The certificate _coprime_on_line fails and _heu_gcd declines, so each
+    gcd and root search that is not settled by formula takes the sympy
+    route; returns the ring calls."""
     from planecubic import exact
 
     rings = []
@@ -1262,8 +1271,8 @@ def fallback_only(monkeypatch):
         rings.append(nvars)
         return real(nvars)
 
-    monkeypatch.setattr(exact, "_coprime_on_line", lambda polys, every_line=False: False)
-    monkeypatch.setattr(exact, "_constant_gcd_mod_prime", lambda lists: False)
+    monkeypatch.setattr(exact, "_coprime_on_line", lambda polys: False)
+    monkeypatch.setattr(exact, "_heu_gcd", lambda *args: None)
     monkeypatch.setattr(exact, "_ring", spy)
     return rings
 
@@ -1344,8 +1353,8 @@ class TestHeuristicGcd:
 
     def test_gcd_one_past_line_zero(self, monkeypatch):
         # the base point (0 : 3 : 4) of this translation map is on line 0, so
-        # the first certificate fails; the cofactors' certificate tries the
-        # next lines and proves the gcd 1
+        # the certificate fails; _heu_gcd's cofactor bound and degree check
+        # prove the gcd 1
         from planecubic import exact
         from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
 
@@ -1357,6 +1366,29 @@ class TestHeuristicGcd:
         assert not _coprime_on_line(f.components)
         assert poly_gcd(f.components) == HomPoly.constant(3, 1)
         assert answers[0][0] == {0: 1}
+
+    @pytest.mark.parametrize(
+        "cofactors", [(x - y, y - z), (x * x - y * z, y * y - x * z)], ids=["lines", "conics"]
+    )
+    def test_retry_moves_the_curve_off_a_common_zero(self, monkeypatch, cofactors):
+        # the cofactors meet at (1 : 1 : 1), where the Kronecker curve passes
+        # in either chart: the first answer carries their common factor and
+        # fails the degree check, and the retry with the first variable
+        # negated is accepted
+        from planecubic import exact
+
+        verdicts = []
+        real = exact._heu_gcd
+
+        def spy(fs, accept, lead):
+            return real(fs, lambda *found: verdicts.append(accept(*found)) or verdicts[-1], lead)
+
+        monkeypatch.setattr(exact, "_heu_gcd", spy)
+        monkeypatch.setattr(exact, "_ring", None)
+        h = x + 2 * y + 3 * z
+        polys = [h * q for q in cofactors]
+        assert poly_gcd(polys) == h == reference_poly_gcd(polys)
+        assert verdicts == [False, True]
 
     def test_degree_22_content_gcd_takes_the_sympy_route(self, monkeypatch):
         # phi_{-3G} o (phi_2G o phi_G): 40 -> 22, whose packed operands run
@@ -1375,8 +1407,8 @@ class TestHeuristicGcd:
         assert answers == [None] and rings == [2] * 3
 
     def test_forced_fallback(self, monkeypatch):
-        # the same answers with every certificate failing; the translation
-        # map by P = (0, 3/4), whose base point (0 : 3 : 4) lies on the
+        # the same answers on sympy's route alone; the translation map by
+        # P = (0, 3/4), whose base point (0 : 3 : 4) lies on the
         # certificate's line 0, is the case test_elliptic's fixed cases pin
         from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
 
