@@ -269,6 +269,12 @@ def _add_node(nodes, forms, cub, parent, level, point, direction=None):
     term.  Every chart origin visited is a base point (a common root on the
     exceptional line, or chart B's origin when no form keeps a v^m term), so
     every node has multiplicity >= 1.
+
+    Chart A sends u^a v^b to s^(a + b - m) t^b, so a form's restriction to
+    its exceptional line s = 0 is read off its initial (degree-m) form: the
+    t^b coefficient is the u^(m - b) v^b numerator.  The chart itself, of
+    the forms and of the cubic, is built only when some direction is a base
+    point.
     """
     m = min(g.order() for g in forms)
     on_c = cub is not None and (0, 0) not in cub.num
@@ -276,14 +282,16 @@ def _add_node(nodes, forms, cub, parent, level, point, direction=None):
     nodes.append(BubbleNode(nid, parent, level, m, on_c, point, direction))
     mc = cub.order() if on_c else 0  # the cubic's multiplicity here
 
-    # chart A, exceptional line s = 0: the directions with a base point are
-    # the common roots of the restrictions to it
-    chart_a = [_chart(g, m, 0) for g in forms]
-    cub_a = _chart(cub, mc, 0) if on_c else None
-    restrictions = [g.restrict_zero(0) for g in chart_a]
-    for t0 in rational_roots(*(r.univariate_in(1) for r in restrictions if not r.is_zero)):
-        cub_t = cub_a.shift((0, t0)) if on_c else None
-        _add_node(nodes, [g.shift((0, t0)) for g in chart_a], cub_t, nid, level + 1, None, t0)
+    # chart A: the directions with a base point are the common roots of the
+    # nonzero restrictions to the exceptional line
+    restrictions = ([g.num.get((m - b, b), 0) for b in range(m + 1)] for g in forms)
+    roots = rational_roots(*(r for r in restrictions if any(r)))
+    if roots:
+        chart_a = [_chart(g, m, 0) for g in forms]
+        cub_a = _chart(cub, mc, 0) if on_c else None
+        for t0 in roots:
+            cub_t = cub_a.shift((0, t0)) if on_c else None
+            _add_node(nodes, [g.shift((0, t0)) for g in chart_a], cub_t, nid, level + 1, None, t0)
 
     # chart B, exceptional line t = 0: only its origin (the direction chart A
     # misses) needs a look.  u^a v^b goes to s^a t^(a + b - m), so the

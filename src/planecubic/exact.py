@@ -103,6 +103,12 @@ class AffinePoly:
             if g != 1:
                 den //= g
                 num = {e: c // g for e, c in num.items()}
+        return cls._wrap(nvars, num, den)
+
+    @classmethod
+    def _wrap(cls, nvars: int, num: dict, den: int):
+        """Wrap a pair that is already canonical, as a remap of a canonical
+        pair's keys is: no gcd is taken."""
         out = object.__new__(cls)
         out.nvars, out.num, out.den, out._terms, out._hash = nvars, num, den, None, None
         return out
@@ -244,15 +250,18 @@ class AffinePoly:
         """Order of vanishing at the origin: minimal total degree of a term."""
         if self.is_zero:
             raise ExactError("order of the zero polynomial")
-        return min(sum(e) for e in self.num)
+        return min(map(sum, self.num))
 
     def shift(self, point) -> "AffinePoly":
         """Translate so that `point` moves to the origin: u_i -> u_i + c_i."""
         num, den = self.num, self.den
         for i, c in enumerate(point):
-            c = Fraction(c)
             if c:
-                num, den = _shift_var(num, den, i, c)
+                num, den = _shift_var(num, den, i, Fraction(c))
+        if den == self.den:
+            # no shift had a denominator: an integer shift is invertible over
+            # Z, so it keeps the numerators' content and the pair canonical
+            return AffinePoly._wrap(self.nvars, num, den)
         return AffinePoly._of(self.nvars, num, den)
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
@@ -265,28 +274,28 @@ class AffinePoly:
             raise ExactError("substitute_two needs two monomials in the same variables")
         ((eu, nu),) = u.num.items()
         ((ev, nv),) = v.num.items()
-        du, dv, den = u.den, v.den, self.den
-        unit = nu == du == nv == dv == 1
-        if not unit:
-            A = max((a for a, _ in self.num), default=0)
-            B = max((b for _, b in self.num), default=0)
-            den *= du**A * dv**B
+        du, dv = u.den, v.den
+        if nu == du == nv == dv == 1 and u.nvars == 2 and eu[0] * ev[1] != eu[1] * ev[0]:
+            # an injective remap with unit coefficients only renames keys
+            (i0, i1), (j0, j1) = eu, ev
+            num = {(a * i0 + b * j0, a * i1 + b * j1): c for (a, b), c in self.num.items()}
+            return AffinePoly._wrap(2, num, self.den)
+        A = max((a for a, _ in self.num), default=0)
+        B = max((b for _, b in self.num), default=0)
         out = {}
         for (a, b), c in self.num.items():
             e = tuple([a * i + b * j for i, j in zip(eu, ev)])
-            if not unit:
-                c = c * nu**a * du ** (A - a) * nv**b * dv ** (B - b)
+            c = c * nu**a * du ** (A - a) * nv**b * dv ** (B - b)
             out[e] = out[e] + c if e in out else c
+        den = self.den * du**A * dv**B
         return AffinePoly._of(u.nvars, {e: c for e, c in out.items() if c}, den)
 
     def divide_var_power(self, i: int, k: int) -> "AffinePoly":
         """Exact division by u_i^k; raises if some term is not divisible."""
-        num = {}
-        for e, c in self.num.items():
-            if e[i] < k:
-                raise ExactError("not divisible by requested variable power")
-            num[e[:i] + (e[i] - k,) + e[i + 1 :]] = c
-        return AffinePoly._of(self.nvars, num, self.den)
+        if any(e[i] < k for e in self.num):
+            raise ExactError("not divisible by requested variable power")
+        num = {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in self.num.items()}
+        return AffinePoly._wrap(self.nvars, num, self.den)
 
     def restrict_zero(self, i: int) -> "AffinePoly":
         """Set u_i = 0."""
@@ -320,7 +329,7 @@ class HomPoly(AffinePoly):
         """Set variable `chart` to 1; remaining variables keep their order."""
         # one total degree: dropping a coordinate keeps exponents distinct
         num = {e[:chart] + e[chart + 1 :]: c for e, c in self.num.items()}
-        return AffinePoly._of(self.nvars - 1, num, self.den)
+        return AffinePoly._wrap(self.nvars - 1, num, self.den)
 
 
 def variables(n: int):
@@ -572,17 +581,22 @@ def _coprime_on_line(polys) -> bool:
     x_j-exponent i, each times the point's coordinates to the other
     exponents.  The certificate holds when the restrictions' gcd mod the
     prime (Euclid in s) is a nonzero constant.  No later line is tried, so
-    a real common factor costs one line.
+    a real common factor costs one line.  When no form keeps a pure power,
+    the line x_k = k + 2 + s, of direction (1, ..., 1), is used instead if
+    some form's coefficient sum survives mod the prime.
 
     Exact: a common factor H of the integral forms is, up to a unit,
     integral and primitive, and H(e_j) divides each form's x_j^d coefficient
     (Gauss's lemma).  So where that coefficient survives mod the prime, H's
     restriction mod the prime has degree deg H and divides every restriction
-    mod the prime.
+    mod the prime.  On the diagonal line the s^d coefficient is the value
+    at (1, ..., 1), and f = H K gives f(1, ..., 1) = H(1, ..., 1) K(1, ..., 1).
     """
     for j in range(polys[0].nvars):
         if any(_keeps_top(p, j) for p in polys):
             return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
+    if any(sum(p.num.values()) % _PRIME for p in polys):
+        return _constant_gcd_mod_prime(map(_diagonal_restriction, polys))
     return False
 
 
@@ -603,6 +617,19 @@ def _line_restriction(p: HomPoly, j: int) -> list:
                 c *= (k + 2) ** ek
         rows[e[j]] = rows.get(e[j], 0) + c
     return [rows.get(i, 0) for i in range(max(rows) + 1)]
+
+
+def _diagonal_restriction(p: HomPoly) -> list:
+    """Ascending s-coefficients mod _PRIME of p's numerator on the line
+    x_k = k + 2 + s of _coprime_on_line."""
+    out = [0] * (p.degree + 1)
+    for e, c in p.num.items():
+        row = [c % _PRIME]
+        for k, ek in enumerate(e):
+            for _ in range(ek):  # times (k + 2 + s)
+                row = [(a * (k + 2) + b) % _PRIME for a, b in zip(row + [0], [0] + row)]
+        out = [a + b for a, b in zip(out, row)]
+    return out
 
 
 def _constant_gcd_mod_prime(lists) -> bool:

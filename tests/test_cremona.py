@@ -34,7 +34,7 @@ from planecubic.elliptic import (
     to_projective,
     translation_map,
 )
-from planecubic.exact import HomPoly, poly_divide, substitute, variables
+from planecubic.exact import AffinePoly, HomPoly, poly_divide, substitute, variables
 from planecubic.threefold import SpaceMap, is_involution
 
 x, y, z = variables(3)
@@ -319,10 +319,21 @@ class TestBaseForestOnCubic:
 
 
 def _oracle_cases():
-    """(name, map, cubic) over C: y^2 = x^3 - 2 with G = (3, 5)."""
+    """(name, map, cubic) over C: y^2 = x^3 - 2 with G = (3, 5).
+
+    The two cubic de Jonquieres maps branch: sigma (z : x + y : x - y) sigma
+    has a double point at (0:0:1) with simple points infinitely near it in
+    the directions y = +-x.  A linear map that fixes (0:0:1) moves them to
+    y = 27x/10, the tangent there of C moved to put G at (0:0:1), and to
+    y = 0 (two chart-A children) or to x = 0 (a chart-A and a chart-B
+    child)."""
     C = E2.equation
     G2x2 = add(E2, G2, G2)
     phi_g = translation_map(E2, G2)
+    moved = substitute(C, [x + 3 * z, y + 5 * z, z])
+    jonq = compose(SIGMA, compose(CremonaMap([z, x + y, x - y]), SIGMA))
+    two_a = compose(jonq, CremonaMap([27 * x - 9 * y, 11 * y - 27 * x, 27 * z]))
+    a_and_b = compose(jonq, CremonaMap([26 * x - 10 * y, 10 * y - 28 * x, 5 * z]))
     return [
         ("phi_G", phi_g, C),
         ("phi_2G phi_G", compose(translation_map(E2, G2x2), phi_g), C),
@@ -332,6 +343,8 @@ def _oracle_cases():
         ("(xz, yz, x^2)", CremonaMap([x * z, y * z, x * x]), C),
         ("(y^2, xy, xz)", CremonaMap([y * y, x * y, x * z]), C),
         ("phi_G, no cubic", phi_g, None),
+        ("two chart-A children", two_a, moved),
+        ("chart-A and chart-B children", a_and_b, moved),
     ]
 
 
@@ -363,6 +376,40 @@ class TestForestAgainstOracle:
         (inf,) = [n for n in quadratic if n.direction == DIR_INF]
         assert not inf.on_cubic and not quadratic.nodes[inf.parent].on_cubic
         assert not any(n.on_cubic for n in forest("phi_G, no cubic"))
+
+    def test_cases_reach_nodes_with_several_children(self):
+        cases = {name: (f, c) for name, f, c in _oracle_cases()}
+
+        def children(name):
+            f, cubic = cases[name]
+            forest = base_forest(f, cubic=cubic)
+            return [
+                [(k.on_cubic, k.direction) for k in forest.children(n.id)]
+                for n in forest
+                if len(forest.children(n.id)) > 1
+            ]
+
+        assert children("two chart-A children") == [[(False, 0), (True, Fraction(27, 10))]]
+        assert children("chart-A and chart-B children") == [
+            [(True, Fraction(27, 10)), (False, DIR_INF)]
+        ]
+
+    def test_chart_a_is_built_only_under_a_base_point(self, monkeypatch):
+        # phi_G's 7 nodes are all on the cubic, and 5 have a chart-A child:
+        # 5 x (3 forms + the cubic) charts; building every chart A made 28
+        calls = []
+        real = AffinePoly.substitute_two
+
+        def spy(self, u, v):
+            calls.append((u, v))
+            return real(self, u, v)
+
+        monkeypatch.setattr(AffinePoly, "substitute_two", spy)
+        forest = base_forest(translation_map(E2, G2), cubic=E2.equation)
+        assert len(forest) == 7 and all(n.on_cubic for n in forest)
+        under_a = {n.parent for n in forest if n.parent is not None and n.direction != DIR_INF}
+        assert len(under_a) == 5
+        assert len(calls) == 20
 
 
 class TestHomaloidalTypeOfMaps:

@@ -1115,10 +1115,24 @@ class TestCoprimeCertificate:
         assert _coprime_on_line(polys + [x * x + z * z])
 
     def test_no_pure_power_falls_back_to_sympy(self):
-        # no form has an x^2, y^2 or z^2 term: no line is tried
-        polys = [x * (y - z), y * (z + x)]
+        # no form has an x^2, y^2 or z^2 term, and every form vanishes at
+        # (1:1:1): no line is tried
+        polys = [x * (y - z), y * (z - x)]
         assert not _coprime_on_line(polys)
         assert poly_gcd(polys) == HomPoly.constant(3, 1)
+
+    def test_no_pure_power_takes_the_diagonal_line(self, monkeypatch):
+        # sigma's forms keep no pure power but are 1 at (1:1:1): on the line
+        # x_k = k + 2 + s they restrict to (3+s)(4+s), (2+s)(4+s), (2+s)(3+s)
+        from planecubic import exact
+
+        monkeypatch.setattr(exact, "_ring", None)
+        polys = [y * z, x * z, x * y]
+        assert _coprime_on_line(polys)
+        assert poly_gcd(polys) == HomPoly.constant(3, 1)
+        assert _coprime_on_line([x * (y - z), y * (z + x)])
+        # a common factor that is nonzero at (1:1:1) keeps its degree there
+        assert not _coprime_on_line([f * (x + y + z) for f in polys])
 
     def test_holds_on_the_threefold_involution(self):
         from planecubic.threefold import build_involution, desk_instance
