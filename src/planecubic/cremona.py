@@ -46,7 +46,7 @@ class CremonaMap:
     NVARS = 3
     __slots__ = ("components",)
 
-    def __init__(self, components, _normalized=False):
+    def __init__(self, components):
         n = self.NVARS
         comps = list(components)
         if len(comps) != n or any(c.nvars != n for c in comps):
@@ -55,8 +55,7 @@ class CremonaMap:
             raise CremonaError("a component is zero: the map is not dominant")
         if len({c.degree for c in comps}) != 1:
             raise CremonaError("components must share one degree")
-        if not _normalized:
-            comps = content_normalize(comps)
+        comps = content_normalize(comps)
         if _all_proportional(comps):
             raise CremonaError("components are proportional: map is not dominant")
         self.components = tuple(comps)
@@ -64,7 +63,7 @@ class CremonaMap:
     @classmethod
     def identity(cls):
         n = cls.NVARS
-        return cls([HomPoly.variable(n, i) for i in range(n)], _normalized=True)
+        return cls([HomPoly.variable(n, i) for i in range(n)])
 
     @property
     def degree(self) -> int:

@@ -10,6 +10,7 @@ from itertools import chain, combinations
 from math import gcd as int_gcd
 from math import isqrt
 from math import lcm as int_lcm
+from operator import add, sub
 from types import MappingProxyType
 
 Rational = Fraction
@@ -265,30 +266,19 @@ class AffinePoly:
         return AffinePoly._of(self.nvars, num, den)
 
     def substitute_two(self, u: "AffinePoly", v: "AffinePoly") -> "AffinePoly":
-        """Plug monomials (u, v) into a 2-variable polynomial: an exponent remap.
-        For u = (nu / du) s^eu, v = (nv / dv) s^ev, c s^a t^b goes to c nu^a
-        du^(A - a) nv^b dv^(B - b) s^(a eu + b ev) over du^A dv^B (A, B max)."""
+        """Plug unit monomials u = s^eu, v = s^ev in 2 variables into a
+        2-variable polynomial, with (a, b) -> a eu + b ev injective (as on
+        both blow-up charts): a renaming of keys, so no gcd is taken."""
         if self.nvars != 2:
             raise DimensionMismatch("substitute_two needs a 2-variable polynomial")
-        if len(u.num) != 1 or len(v.num) != 1 or u.nvars != v.nvars:
-            raise ExactError("substitute_two needs two monomials in the same variables")
-        ((eu, nu),) = u.num.items()
-        ((ev, nv),) = v.num.items()
-        du, dv = u.den, v.den
-        if nu == du == nv == dv == 1 and u.nvars == 2 and eu[0] * ev[1] != eu[1] * ev[0]:
-            # an injective remap with unit coefficients only renames keys
-            (i0, i1), (j0, j1) = eu, ev
-            num = {(a * i0 + b * j0, a * i1 + b * j1): c for (a, b), c in self.num.items()}
-            return AffinePoly._wrap(2, num, self.den)
-        A = max((a for a, _ in self.num), default=0)
-        B = max((b for _, b in self.num), default=0)
-        out = {}
-        for (a, b), c in self.num.items():
-            e = tuple([a * i + b * j for i, j in zip(eu, ev)])
-            c = c * nu**a * du ** (A - a) * nv**b * dv ** (B - b)
-            out[e] = out[e] + c if e in out else c
-        den = self.den * du**A * dv**B
-        return AffinePoly._of(u.nvars, {e: c for e, c in out.items() if c}, den)
+        if u.nvars != 2 or v.nvars != 2 or len(u.num) != 1 or len(v.num) != 1:
+            raise ExactError("substitute_two needs two monomials in 2 variables")
+        (((i0, i1), nu),) = u.num.items()
+        (((j0, j1), nv),) = v.num.items()
+        if nu != 1 or nv != 1 or u.den != 1 or v.den != 1 or i0 * j1 == i1 * j0:
+            raise ExactError("substitute_two needs unit monomials with an injective exponent map")
+        num = {(a * i0 + b * j0, a * i1 + b * j1): c for (a, b), c in self.num.items()}
+        return AffinePoly._wrap(2, num, self.den)
 
     def divide_var_power(self, i: int, k: int) -> "AffinePoly":
         """Exact division by u_i^k; raises if some term is not divisible."""
@@ -296,22 +286,6 @@ class AffinePoly:
             raise ExactError("not divisible by requested variable power")
         num = {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in self.num.items()}
         return AffinePoly._wrap(self.nvars, num, self.den)
-
-    def restrict_zero(self, i: int) -> "AffinePoly":
-        """Set u_i = 0."""
-        num = {e: c for e, c in self.num.items() if e[i] == 0}
-        return AffinePoly._of(self.nvars, num, self.den)
-
-    def univariate_in(self, i: int):
-        """Coefficient list (ascending) when the polynomial involves only u_i."""
-        coeffs = {}
-        for e, c in self.num.items():
-            if any(v and j != i for j, v in enumerate(e)):
-                raise ExactError("polynomial is not univariate in the requested variable")
-            coeffs[e[i]] = c
-        if not coeffs:
-            return []
-        return [Fraction(coeffs.get(k, 0), self.den) for k in range(max(coeffs) + 1)]
 
 
 class HomPoly(AffinePoly):
@@ -412,13 +386,13 @@ def poly_gcd(polys) -> HomPoly:
 
     Two or more inputs first meet the exact coprimality certificate
     `_coprime_on_line`, which needs no sympy; when it holds the gcd is 1.
-    Otherwise the gcd is computed in integers in the chart x_j = 1, for the
-    last x_j whose pure power some input keeps (else x_last): the gcd of the
-    dehomogenized inputs, homogenized to its own degree, times x_j^k for the
-    least x_j-exponent k over all terms (the x_j-free part of a homogeneous
-    gcd is determined by its dehomogenization).  The heuristic gcd
-    `_heu_gcd` finds it where it can prove its answer; sympy's ZZ ring does
-    the rest.
+    Otherwise the common monomial x^low comes off every input, low_i the
+    least x_i-exponent over all terms, and goes back on the result.  No x_j
+    divides the gcd of the stripped inputs, so it is the homogenization of
+    their gcd in the chart x_j = 1, for the last x_j whose pure power some
+    stripped input keeps (else x_last), computed in integers.  The heuristic
+    gcd `_heu_gcd` finds it where it can prove its answer; sympy's ZZ ring
+    does the rest.
     """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
@@ -426,12 +400,15 @@ def poly_gcd(polys) -> HomPoly:
     nvars = polys[0].nvars
     if len(polys) > 1 and _coprime_on_line(polys):
         return HomPoly._of(nvars, {(0,) * nvars: 1})
+    low = list(map(min, zip(*chain.from_iterable(p.num for p in polys))))
+    nums = [p.num for p in polys]
+    if any(low):
+        nums = [{tuple(map(sub, e, low)): c for e, c in f.items()} for f in nums]
     # an input with x_j^d is nonzero at e_j, so e_j is no common zero of the
     # cofactors, and the chart puts e_j where _heu_gcd's curve starts
-    j = next((j for j in reversed(range(nvars)) if any(_keeps_top(p, j) for p in polys)), nvars - 1)
-    k = min(e[j] for p in polys for e in p.num)
-    base = max(p.degree for p in polys) + 1
-    affine = [{e[:j] + e[j + 1 :]: c for e, c in p.num.items()} for p in polys]
+    j = next((j for j in reversed(range(nvars)) if any(_keeps_top(f, j) for f in nums)), nvars - 1)
+    base = max(p.degree for p in polys) - sum(low) + 1
+    affine = [{e[:j] + e[j + 1 :]: c for e, c in f.items()} for f in nums]
 
     def unpack(f: dict) -> dict:
         return {_unpack(key, base, nvars - 1): c for key, c in f.items()}
@@ -453,8 +430,9 @@ def poly_gcd(polys) -> HomPoly:
             if g.is_ground:
                 break
         g = {e: int(c) for e, c in g.primitive()[1].items()}
-    d = max(map(sum, g)) + k  # homogenized, times x_j^k
-    g = HomPoly._of(nvars, {e[:j] + (d - sum(e),) + e[j:]: c for e, c in g.items()})
+    d = max(map(sum, g))
+    g = [(e[:j] + (d - sum(e),) + e[j:], c) for e, c in g.items()]  # homogenized
+    g = HomPoly._of(nvars, {tuple(map(add, e, low)): c for e, c in g})
     return -g if g.num[max(g.num)] < 0 else g
 
 
@@ -593,17 +571,17 @@ def _coprime_on_line(polys) -> bool:
     at (1, ..., 1), and f = H K gives f(1, ..., 1) = H(1, ..., 1) K(1, ..., 1).
     """
     for j in range(polys[0].nvars):
-        if any(_keeps_top(p, j) for p in polys):
+        if any(_keeps_top(p.num, j) for p in polys):
             return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
     if any(sum(p.num.values()) % _PRIME for p in polys):
         return _constant_gcd_mod_prime(map(_diagonal_restriction, polys))
     return False
 
 
-def _keeps_top(p: HomPoly, j: int) -> bool:
-    """Whether p's numerator keeps its x_j^d coefficient mod _PRIME."""
-    e = next(iter(p.num))
-    c = p.num.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
+def _keeps_top(num: dict, j: int) -> bool:
+    """Whether a form's numerator keeps its x_j^d coefficient mod _PRIME."""
+    e = next(iter(num))
+    c = num.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
     return c is not None and c % _PRIME != 0
 
 
@@ -967,15 +945,9 @@ def common_zeros_plane(polys, weierstrass=None):
     else:
         candidates = _cubic_candidates(polys, *weierstrass)
 
-    points = []
-    for cand in candidates:
-        try:
-            pt = normalize_point(cand)
-        except ExactError:
-            continue
-        if all(evaluate(p, pt) == 0 for p in polys):
-            points.append(pt)
-    return sorted(set(points))
+    # each candidate is built as normalize_point returns it, a tuple of
+    # Fractions: (1:0:0), (x0:1:0), (0:1:0) or (x:y:1)
+    return sorted(pt for pt in candidates if all(evaluate(p, pt) == 0 for p in polys))
 
 
 def _plane_candidates(polys) -> set:
@@ -983,8 +955,7 @@ def _plane_candidates(polys) -> set:
     # on z = 0: (1:0:0), and the common roots of the nonzero rows at y = 1
     # (a row that vanishes identically imposes no condition)
     candidates = {(Fraction(1), Fraction(0), Fraction(0))}
-    rows = [p.dehomogenize(1).restrict_zero(1).univariate_in(0) for p in polys]
-    rows = [r for r in rows if r]
+    rows = [r for r in (_x_coeffs_at(p.dehomogenize(1), Fraction(0)) for p in polys) if r]
     if rows:
         candidates.update((x0, Fraction(1), Fraction(0)) for x0 in rational_roots(*rows))
 
@@ -1167,8 +1138,10 @@ def _affine_y_candidates(affine):
     with_x = [f for f in affine if has_x(f)]
     pure_y = [f for f in affine if not has_x(f)]
     if pure_y:
-        # any nonzero x-free equation already pins y to its root set
-        return rational_roots(pure_y[0].univariate_in(1))
+        # any nonzero x-free equation already pins y to its root set; its
+        # numerators have the same roots
+        f = pure_y[0]
+        return rational_roots([f.num.get((0, k), 0) for k in range(f.degree + 1)])
     # resultants eliminate x and land in ZZ[y]
     pairs = combinations(with_x, 2)
     if len(with_x) >= 3:

@@ -97,16 +97,17 @@ class QuarticData:
         return quadratic_form_rank(self.A)
 
 
-def _certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
-    """Restrict to lines through pairs of small rational points; an
-    irreducible degree-4 restriction certifies irreducibility of D.  D(u + t v)
-    has constant term D(u) and t^4 coefficient D(v), so a line with D(u) = 0
-    or D(v) = 0 is skipped unrestricted (the first 7 pass through P)."""
+def _certify_irreducible(D: HomPoly) -> bool:
+    """Restrict to the lines through the first 12 pairs of small rational
+    points; an irreducible degree-4 restriction certifies irreducibility of
+    D.  D(u + t v) has constant term D(u) and t^4 coefficient D(v), so a
+    line with D(u) = 0 or D(v) = 0 is skipped unrestricted (the first 7 pass
+    through P)."""
     pts = [
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 1, 1), (1, 2, 3, 4), (2, -1, 1, 3), (1, -1, 2, -2),
     ]
-    for u, v in itertools.islice(itertools.combinations(pts, 2), tries):
+    for u, v in itertools.islice(itertools.combinations(pts, 2), 12):
         if evaluate(D, u) and evaluate(D, v) and is_irreducible(restrict_to_line(D, u, v)):
             return True
     return False

@@ -46,7 +46,9 @@ equation, the degree-4 translation map and the small-point scan.
 `cremona._forest_from`: three copies of the node step (proper point, chart A
 direction, chart B origin), ids from a counter, the cubic's transform carried
 along every branch, incidence by evaluating it at each point, and a guard
-that skips a direction of multiplicity 0.
+that skips a direction of multiplicity 0.  Its charts are built by
+`reference_substitute_two` and a term-by-term division, and its rows on
+the exceptional line are read off `terms`.
 """
 
 from fractions import Fraction
@@ -251,7 +253,14 @@ def reference_certify_irreducible(D: HomPoly, tries: int = 12) -> bool:
 def reference_x_coeffs_at(a: AffinePoly, y0) -> list:
     """Ascending x-coefficients of a(x, y0) for an AffinePoly a in (x, y), by
     shifting the whole polynomial to y = y0 and keeping its y-free row."""
-    return a.shift((0, y0)).restrict_zero(1).univariate_in(0)
+    return _reference_row(reference_shift(a, (0, y0)), 1)
+
+
+def _reference_row(p: AffinePoly, i: int) -> list:
+    """Ascending coefficients, without trailing zeros, of a 2-variable p on
+    the line u_i = 0, in the other variable."""
+    row = {e[1 - i]: c for e, c in p.terms.items() if not e[i]}
+    return [row.get(k, Fraction(0)) for k in range(max(row) + 1)] if row else []
 
 
 def reference_eval(p: AffinePoly, point) -> Fraction:
@@ -493,19 +502,28 @@ _ST = AffinePoly(2, {(1, 1): 1})
 _T = AffinePoly(2, {(0, 1): 1})
 
 
+def _reference_chart(g: AffinePoly, u, v, i: int, m: int) -> AffinePoly:
+    """g(u, v) divided by u_i^m, by polynomial products and sums and an
+    exact division term by term."""
+    h = reference_substitute_two(g, u, v)
+    if any(e[i] < m for e in h.terms):
+        raise ExactError("chart is not divisible by the exceptional power")
+    return AffinePoly(2, {e[:i] + (e[i] - m,) + e[i + 1 :]: c for e, c in h.terms.items()})
+
+
 def _reference_blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
     # chart A: (u, v) = (s, s t), exceptional line s = 0
-    chart_a = [g.substitute_two(_S, _ST).divide_var_power(0, m) for g in locals_]
+    chart_a = [_reference_chart(g, _S, _ST, 0, m) for g in locals_]
     cub_a = None
     if cub_local is not None:
         mc = cub_local.order()  # the cubic's multiplicity here (0 off it)
-        cub_a = cub_local.substitute_two(_S, _ST).divide_var_power(0, mc)
+        cub_a = _reference_chart(cub_local, _S, _ST, 0, mc)
 
-    restrictions = [g.restrict_zero(0) for g in chart_a]
-    nonzero = [r for r in restrictions if not r.is_zero]
+    restrictions = [_reference_row(g, 0) for g in chart_a]
+    nonzero = [r for r in restrictions if r]
     if not nonzero:
         raise CremonaError("exceptional valuation exceeded multiplicity (bug)")
-    for t0 in rational_roots(*(r.univariate_in(1) for r in nonzero)):
+    for t0 in rational_roots(*nonzero):
         shifted = [g.shift((0, t0)) for g in chart_a]
         cm = _reference_system_mult(shifted)
         if cm == 0:
@@ -518,11 +536,11 @@ def _reference_blow_up(locals_, m, cub_local, parent_id, level, nodes, new_id):
 
     # chart B: (u, v) = (s t, t), exceptional line t = 0; only its origin
     if all((0, m) not in g.num for g in locals_):
-        chart_b = [g.substitute_two(_ST, _T).divide_var_power(1, m) for g in locals_]
+        chart_b = [_reference_chart(g, _ST, _T, 1, m) for g in locals_]
         cm = _reference_system_mult(chart_b)
         cub_b = None
         if cub_local is not None:
-            cub_b = cub_local.substitute_two(_ST, _T).divide_var_power(1, mc)
+            cub_b = _reference_chart(cub_local, _ST, _T, 1, mc)
         on_c = cub_b is not None and (0, 0) not in cub_b.num
         nid = new_id()
         nodes.append(BubbleNode(nid, parent_id, level, cm, on_c, None, DIR_INF))
