@@ -507,9 +507,8 @@ def _heu_gcd_at(fs, s: int):
     G = _balanced_digits(reduce(int_gcd, vals), s)
     cont = int_gcd(*G.values())
     G = {key: c // cont for key, c in G.items()}
+    # a G of 1-norm >= 2^(s-1) fails the cofactor bound below, as Q_i != 0
     g_norm, half = sum(map(abs, G.values())), 1 << (s - 1)
-    if g_norm >= half:
-        return None
     g_val = _at_power(G, s)
     cofactors = []
     for v in vals:
@@ -1130,7 +1129,8 @@ def _affine_y_candidates(affine):
     as AffinePolys in (x, y) (resultants are taken in ZZ[x, y]).
 
     Over-generation is fine (candidates get verified); the only requirement
-    is that every true common zero's y-value appears.
+    is that every true common zero's y-value appears.  The system has at
+    least two nonzero equations, so without an x-free one each has x.
     """
     def has_x(f):
         return any(e[0] for e in f.num)
@@ -1154,6 +1154,4 @@ def _affine_y_candidates(affine):
         res = _ring(2).from_dict(f.num).resultant(_ring(2).from_dict(g.num))
         if res:
             return rational_roots([int(c) for c in reversed(res.to_dense())])
-    if with_x:
-        raise ExactError("could not isolate y-candidates (degenerate system)")
-    return []
+    raise ExactError("could not isolate y-candidates (degenerate system)")

@@ -64,6 +64,8 @@ def poly_from_json(obj) -> HomPoly:
             tuple(_json_int(x) for x in t["exp"]): rat_from_json(t["coef"])
             for t in obj["terms"]
         }
+        if len(terms) != len(obj["terms"]):
+            raise DecodeError("an exponent is repeated in terms")
         return HomPoly(nvars, terms)
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad polynomial object: {e}")
@@ -111,10 +113,9 @@ def proj_point_to_json(pt):
 
 
 def proj_point_from_json(obj):
-    try:
-        return tuple(rat_from_json(c) for c in obj)
-    except TypeError as e:
-        raise DecodeError(f"bad projective point: {e}")
+    if type(obj) is not list:
+        raise DecodeError(f"bad projective point: expected a JSON list, got {obj!r}")
+    return tuple(rat_from_json(c) for c in obj)
 
 
 def forest_to_json(forest: BubbleForest) -> list:

@@ -112,17 +112,22 @@ def plane_state(degree: int, points) -> FactorizationState:
     """Enriched starting state on P^2.
 
     `points` is a list of (mult, on_cubic[, children]) with children nested
-    the same way; ids are assigned in order.
+    the same way; ids are assigned in order.  Degrees and multiplicities
+    must be ints and on_cubic a bool: nothing is cast.
     """
+    if type(degree) is not int:
+        raise EngineError(f"degree must be an int, got {degree!r}")
 
     def build(spec, pid=-1):
         mult, on_c, *rest = spec
+        if type(mult) is not int or type(on_c) is not bool:
+            raise EngineError(f"bad point {spec!r}: mult must be an int, on_cubic a bool")
         kids = tuple(build(k) for k in (rest[0] if rest else ()))
-        return TrackedPoint(pid, int(mult), bool(on_c), children=kids)
+        return TrackedPoint(pid, mult, on_c, children=kids)
 
     tracked = tuple(build(spec, pid) for pid, spec in enumerate(points))
     return FactorizationState(
-        SurfaceModel.plane(), (int(degree),), tracked, (3,),
+        SurfaceModel.plane(), (degree,), tracked, (3,),
         next_id=len(tracked),
     )
 
@@ -154,13 +159,6 @@ def state_from_map(f, curve) -> FactorizationState:
 # -- link updates --------------------------------------------------------------
 
 
-def _on_negative_section(state: FactorizationState, pt: TrackedPoint) -> bool:
-    # on F_0 every point lies on a section of the labeled E class
-    if not state.model.is_plane and state.model.n == 0:
-        return True
-    return pt.on_negative_section
-
-
 def _push(kind: str, cls: tuple, m: int, on_e: bool):
     """Carry a class through one link whose center has multiplicity m on it.
 
@@ -180,11 +178,50 @@ def _push(kind: str, cls: tuple, m: int, on_e: bool):
     return (b, a), None
 
 
-def _apply_link(state: FactorizationState, kind: str, pt: Optional[TrackedPoint] = None):
-    """Apply a link whose preconditions hold: the system and the boundary C
-    go through the same class map, C with its own multiplicity at the center
-    in place of the system's."""
-    on_e = kind == "II" and _on_negative_section(state, pt)
+_START_ERRORS = {
+    "I": "type I link starts on P^2",
+    "II": "type II link needs a Hirzebruch model",
+    "III": "type III link starts on F_1",
+    "IV": "type IV link needs F_0",
+}
+
+
+def apply_link(state: FactorizationState, kind: str, center_id: Optional[int] = None):
+    """Apply one link to `state` and return (link, state').
+
+    I blows up the point `center_id` of P^2 (P^2 -> F_1).  II is the
+    elementary transformation at the base point `center_id` of F_n: blow it
+    up and contract the strict transform of the fiber through it.  III blows
+    down the negative section of F_1 (F_1 -> P^2).  IV swaps the two rulings
+    of F_0 (relabels which projection is the fibration), an automorphism, so
+    always volume preserving.  III and IV have no center.  The system and
+    the boundary C go through the same class map, C with its own
+    multiplicity at the center in place of the system's.
+    """
+    if kind not in _START_ERRORS:
+        raise EngineError(f"unknown link kind {kind!r}")
+    n = state.model.n
+    if not {"I": n is None, "II": n is not None, "III": n == 1, "IV": n == 0}[kind]:
+        raise EngineError(_START_ERRORS[kind])
+    pt = None
+    if kind in ("I", "II"):
+        pt = state.point(center_id)
+    elif center_id is not None:
+        raise EngineError(f"type {kind} link has no center")
+    if kind == "II":
+        if pt.mult <= 0:
+            raise EngineError("type II center must have positive multiplicity")
+        if pt.fiber_tangent_to_cubic and pt.children:
+            raise EngineError(
+                "tangent-fiber elementary transformation with an infinitely near "
+                f"chain at the center is not supported; state: {state!r}"
+            )
+    if kind == "III" and any(p.on_negative_section for p in state.points):
+        raise EngineError(
+            f"type III with tracked points on the negative section; state: {state!r}"
+        )
+    # on F_0 every point lies on a section of the labeled E class
+    on_e = kind == "II" and (n == 0 or pt.on_negative_section)
     m, mc = (pt.mult, int(pt.on_cubic)) if pt else (0, 0)
     system, q_mult = _push(kind, state.system, m, on_e)
     cubic, c_dot = _push(kind, state.cubic, mc, on_e)
@@ -192,14 +229,12 @@ def _apply_link(state: FactorizationState, kind: str, pt: Optional[TrackedPoint]
     if c_dot is not None:
         vp = blowdown_vp(c_dot) and vp
 
-    if kind == "I":
-        model = SurfaceModel.hirzebruch(1)
-    elif kind == "II":
-        model = SurfaceModel.hirzebruch(state.model.n + (1 if on_e else -1))
-    elif kind == "III":
-        model = SurfaceModel.plane()
-    else:
+    if kind == "II":
+        model = SurfaceModel.hirzebruch(n + (1 if on_e else -1))
+    elif kind == "IV":
         model = state.model
+    else:  # I lands on F_1, III on P^2
+        model = SurfaceModel.hirzebruch(1) if kind == "I" else SurfaceModel.plane()
 
     others = [p for p in state.points if pt is None or p.id != pt.id]
     if kind in ("I", "III"):
@@ -207,7 +242,7 @@ def _apply_link(state: FactorizationState, kind: str, pt: Optional[TrackedPoint]
             replace(p, on_negative_section=False, fiber_tangent_to_cubic=False)
             for p in others
         ]
-    elif kind == "II" and state.model.n == 0:
+    elif kind == "II" and n == 0:
         # the new negative section is the E-section through the center; the
         # other points are taken off it (the transverse default)
         others = [replace(p, on_negative_section=False) for p in others]
@@ -249,57 +284,7 @@ def _apply_link(state: FactorizationState, kind: str, pt: Optional[TrackedPoint]
     return link, new_state
 
 
-def link_I_update(state: FactorizationState, center_id: int):
-    """Blow up a point of P^2: P^2 -> F_1."""
-    if not state.model.is_plane:
-        raise EngineError("type I link starts on P^2")
-    return _apply_link(state, "I", state.point(center_id))
-
-
-def elementary_transform_update(state: FactorizationState, center_id: int):
-    """Elementary transformation at a base point of F_n: blow up, contract the
-    strict transform of the fiber through it.  Returns (link, state')."""
-    if state.model.is_plane:
-        raise EngineError("type II link needs a Hirzebruch model")
-    pt = state.point(center_id)
-    if pt.mult <= 0:
-        raise EngineError("type II center must have positive multiplicity")
-    if pt.fiber_tangent_to_cubic and pt.children:
-        raise EngineError(
-            "tangent-fiber elementary transformation with an infinitely near "
-            f"chain at the center is not supported; state: {state!r}"
-        )
-    return _apply_link(state, "II", pt)
-
-
-def link_III_update(state: FactorizationState):
-    """Blow down the negative section of F_1: F_1 -> P^2."""
-    if state.model.is_plane or state.model.n != 1:
-        raise EngineError("type III link starts on F_1")
-    if any(_on_negative_section(state, p) for p in state.points):
-        raise EngineError(
-            f"type III with tracked points on the negative section; state: {state!r}"
-        )
-    return _apply_link(state, "III")
-
-
-def link_IV_update(state: FactorizationState):
-    """Swap the two rulings of F_0 (relabel which projection is the fibration);
-    an automorphism, so always volume preserving."""
-    if state.model.is_plane or state.model.n != 0:
-        raise EngineError("type IV link needs F_0")
-    return _apply_link(state, "IV")
-
-
 # -- the flowchart -------------------------------------------------------------
-
-
-def _max_mult_point(points):
-    best = None
-    for p in points:
-        if best is None or p.mult > best.mult or (p.mult == best.mult and p.id < best.id):
-            best = p
-    return best
 
 
 def next_link(state: FactorizationState):
@@ -313,22 +298,20 @@ def next_link(state: FactorizationState):
     """
     if state.is_terminal:
         raise EngineError("state is terminal (P^2 with the system of lines)")
-    if state.model.is_plane:
-        (d,) = state.system
-        pt = _max_mult_point(state.points)
-        if pt is None or Fraction(pt.mult) <= state.degree:
-            raise StuckState(
-                f"no base point above the Sarkisov degree on P^2; state: {state!r}"
-            )
-        return link_I_update(state, pt.id)
+    # the flowchart's center: the largest multiplicity, ties to the lowest id
     deg = state.degree
-    big = [p for p in state.points if Fraction(p.mult) > deg]
+    big = [p for p in state.points if p.mult > deg]
     if big:
-        return elementary_transform_update(state, _max_mult_point(big).id)
+        pt = min(big, key=lambda p: (-p.mult, p.id))
+        return apply_link(state, "I" if state.model.is_plane else "II", pt.id)
+    if state.model.is_plane:
+        raise StuckState(
+            f"no base point above the Sarkisov degree on P^2; state: {state!r}"
+        )
     if state.model.n == 1:
-        return link_III_update(state)
+        return apply_link(state, "III")
     if state.model.n == 0 and state.system[0] < state.system[1]:
-        return link_IV_update(state)
+        return apply_link(state, "IV")
     raise StuckState(f"no Sarkisov rule applies; state: {state!r}")
 
 

@@ -34,6 +34,13 @@ def translate_output():
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("flag", ["--help", "-h", "help"])
+    def test_help_prints_usage_to_stdout(self, flag, capsys):
+        from planecubic.cli import _USAGE
+
+        assert run([flag]) == (EX_OK, _USAGE + "\n")
+        assert capsys.readouterr().err == ""
+
     def test_unknown_command_is_64(self):
         code, _ = run(["frobnicate"], {})
         assert code == EX_USAGE
@@ -350,6 +357,26 @@ class TestDecCheck:
         assert "fewer than two usable sample points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "samples", [["011", "231"], [{"x": "0", "y": "1"}, [2, 3, 1]]], ids=["strings", "object"]
+    )
+    def test_samples_not_lists_are_1(self, samples, capsys):
+        # "011" and "231" are not read as (0:1:1) and (2:3:1), two points of
+        # the cubic that show the map below contracting it
+        from planecubic import jsonio
+        from planecubic.exact import variables
+
+        x, y, z = variables(3)
+        cubic = jsonio.curve_from_json(CURVE).equation
+        h = x**3 + y**3 + 2 * z**3
+        coeffs = ((2, 1), (3, 0), (1, 5))
+        f = {"components": [jsonio.poly_to_json(a * h + b * cubic) for a, b in coeffs]}
+        payload = {"cubic": jsonio.poly_to_json(cubic), "map": f, "samples": samples}
+        assert run(["dec-check"], payload) == (EX_MALFORMED, "")
+        assert "DecodeError: bad projective point" in capsys.readouterr().err
+        listed = dict(payload, samples=[[0, 1, 1], [2, 3, 1]])
+        assert run(["dec-check"], listed) == (EX_OK, '{"in_dec": false}\n')
+
+    @pytest.mark.parametrize(
         "curve, P",
         [(CURVE, P), ({"p": "-1/4", "q": "1/4"}, {"x": "1/2", "y": "1/2"})],
         ids=["integral", "fractional"],
@@ -399,7 +426,36 @@ class TestDecCheck:
         assert run(["dec-check"], {key: given, "map": f}) == expected
 
 
+SIGMA = {"components": [
+    {"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 1], [1, 0, 1], [1, 1, 0])
+]}
+
+
 class TestBaseForestCmd:
+    def test_hints_give_the_searched_forest(self):
+        # sigma = (yz : xz : xy) has its base points at the vertices; hints
+        # in any scaling and order give the forest the search finds
+        searched = run(["base-forest"], {"map": SIGMA})
+        assert searched[0] == EX_OK
+        assert json.loads(searched[1])["type"] == {"d": 2, "mults": [1, 1, 1]}
+        for hints in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, "3"], ["-1/2", 0, 0], [0, 7, 0]]):
+            assert run(["base-forest"], {"map": SIGMA, "hints": hints}) == searched
+
+    def test_hint_off_the_base_locus_is_1(self, capsys):
+        hints = [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
+        assert run(["base-forest"], {"map": SIGMA, "hints": hints}) == (EX_MALFORMED, "")
+        assert "is not a base point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "hints",
+        [["100", "010", "001"], "100", [{"0": 1, "1": 0, "2": 0}], [[1, 0, 0], 5]],
+        ids=["digit-strings", "string", "object", "number"],
+    )
+    def test_hints_not_lists_are_1(self, hints, capsys):
+        # a string or an object is not read as its characters or its keys
+        assert run(["base-forest"], {"map": SIGMA, "hints": hints}) == (EX_MALFORMED, "")
+        assert "DecodeError: bad projective point" in capsys.readouterr().err
+
     def test_type_and_flags(self, translate_output):
         code, out = run(["base-forest"], {"curve": CURVE, "map": translate_output})
         assert code == EX_OK
@@ -787,6 +843,21 @@ class TestStrictDecoders:
             assert type(got) is Fraction and got == expected
 
 
+    @pytest.mark.parametrize("coefs", [("1", "2"), ("1", "1"), ("3", "-3")])
+    def test_repeated_exponent_is_1(self, coefs, capsys):
+        # x + 2x is not read as its last term 2x, nor x - x as 0 or -3x
+        from planecubic import jsonio
+
+        repeated = {"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": c} for c in coefs]}
+        with pytest.raises(jsonio.DecodeError, match="repeated"):
+            jsonio.poly_from_json(repeated)
+        lin = {"components": [repeated] + [
+            {"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 0], [0, 0, 1])
+        ]}
+        assert run(["compose"], {"f": lin, "g": lin}) == (EX_MALFORMED, "")
+        assert "repeated" in capsys.readouterr().err
+
+
 class TestRoundTrips:
     def test_trace_links_decode_to_their_fields(self):
         # every kind and every type II case tag, from real traces
@@ -794,8 +865,8 @@ class TestRoundTrips:
         from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
         from planecubic.sarkisov import (
             FactorizationState,
+            apply_link,
             factorize,
-            link_IV_update,
             plane_state,
         )
         from planecubic.surfaces import SurfaceModel
@@ -804,7 +875,7 @@ class TestRoundTrips:
         links = list(factorize(translation_map(curve, CurvePoint.affine(2, 3)), curve).links)
         links += factorize(plane_state(2, [(1, True), (1, True), (1, False)])).links
         f0 = FactorizationState(SurfaceModel.hirzebruch(0), (3, 1), (), (2, 2))
-        links.append(link_IV_update(f0)[0])
+        links.append(apply_link(f0, "IV")[0])
         assert {l.kind for l in links} == {"I", "II", "III", "IV"}
         assert {l.case_tag for l in links if l.kind == "II"} == {1, 3, "off-cubic"}
         for link in links:

@@ -467,6 +467,17 @@ class TestDecMembership:
         }
         assert not is_in_dec(f, cubic)
 
+    def test_map_into_a_cubic_singular_off_q_not_in_dec(self):
+        # C = x (x^2 + y^2 - 2z^2) is singular only at (0 : +-sqrt(2) : 1), so
+        # the rational check passes it; f sends (x : y) along the conic's
+        # parametrization from (1 : 1 : 1), so C(f) = 0, which C divides,
+        # yet f maps the plane into C
+        cubic = x * (x * x + y * y - 2 * z * z)
+        f = CremonaMap([x * x + 2 * x * y - y * y, -x * x + 2 * x * y + y * y, x * x + y * y])
+        assert check_cubic_nonsingular(cubic) is None
+        assert substitute(cubic, f.components).is_zero
+        assert not is_in_dec(f, cubic)
+
     def test_singular_cubic_rejected(self):
         nodal = y * y * z - x * x * (x + z)  # node at the origin
         with pytest.raises(CremonaError):

@@ -1360,6 +1360,37 @@ class TestHeuristicGcd:
         f, g = {0: 100, 1: -56, 2: 101}, {0: 2, 1: 3, 2: 1}
         assert _heu_gcd_at([f, g], 8) is None
 
+    def test_gcd_past_the_cofactor_bound_is_refused(self):
+        # f = 99 t + 100 is its own primitive gcd: at xi = 2^8 its 1-norm 199
+        # reaches 2^7, so no cofactor bound holds; at xi = 2^16 it is proved
+        from planecubic.exact import _heu_gcd_at
+
+        f = {0: 100, 1: 99}
+        assert _heu_gcd_at([f], 8) is None
+        assert _heu_gcd_at([f], 16) == (f, [{0: 1}])
+
+    def test_list_retry_squares_xi(self, monkeypatch):
+        # (t^2 - 1)^9 and (t + 1)^9 (t - 2) share G = (t + 1)^9: at the first
+        # xi = 2^16, ||G||_1 = 2^9 times the cofactor (t - 1)^9's C(9, 4) =
+        # 126 reaches 2^15, so the bound refuses; xi^2 = 2^32 proves G
+        from planecubic import exact
+
+        tries = []
+        real = exact._heu_gcd_at
+        monkeypatch.setattr(exact, "_heu_gcd_at", lambda fs, s: tries.append(s) or real(fs, s))
+        G = [int(c) for c in _times_roots([1], [-1] * 9)]
+        lists = [exact._int_poly_mul(G, [int(c) for c in _times_roots([1], [1] * 9)]),
+                 exact._int_poly_mul(G, [-2, 1])]
+        gcd, cofactors = exact._list_gcd(lists)
+        assert tries == [16, 32]
+        assert gcd == G and [exact._int_poly_mul(gcd, q) for q in cofactors] == lists
+
+        def form(f):  # sum f[k] t^k as a binary form
+            return HomPoly(2, {(k, len(f) - 1 - k): c for k, c in enumerate(f)})
+
+        assert reference_poly_gcd([form(f) for f in lists]) == form(G)
+        assert rational_roots(*lists) == [-1] == reference_rational_roots(*lists)
+
     def test_chart_keeps_the_cofactors_off_its_origin(self, monkeypatch):
         # both cofactors vanish at (0 : 0 : 1), and no input keeps z^3: the
         # chart y = 1 (the second input keeps y^3) lets _heu_gcd prove it

@@ -17,12 +17,9 @@ from planecubic.sarkisov import (
     StepCapExceeded,
     StuckState,
     TrackedPoint,
-    elementary_transform_update,
+    apply_link,
     factorize,
     jonquieres_centers,
-    link_I_update,
-    link_III_update,
-    link_IV_update,
     next_link,
     plane_state,
     state_from_map,
@@ -84,7 +81,7 @@ class TestQuadraticOracle:
 class TestElementaryTransform:
     def test_off_section_drops_n(self):
         st = hirz_state(2, (4, 2), [TrackedPoint(0, 2, True)], cubic_cls=(4, 2))
-        link, new = elementary_transform_update(st, 0)
+        link, new = apply_link(st, "II", 0)
         assert new.model == SurfaceModel.hirzebruch(1)
         assert new.system == (2, 2)
         assert new.points == ()  # b - m = 0: no new point
@@ -97,7 +94,7 @@ class TestElementaryTransform:
             [TrackedPoint(0, 1, True, on_negative_section=True)],
             cubic_cls=(3, 2),
         )
-        link, new = elementary_transform_update(st, 0)
+        link, new = apply_link(st, "II", 0)
         assert new.model == SurfaceModel.hirzebruch(2)
         assert new.system == (3, 1)
         assert new.cubic == (4, 2) == neg_k(new.model)
@@ -105,7 +102,7 @@ class TestElementaryTransform:
 
     def test_new_point_mult_is_b_minus_m(self):
         st = hirz_state(1, (3, 2), [TrackedPoint(0, 1, True)], cubic_cls=(3, 2))
-        link, new = elementary_transform_update(st, 0)
+        link, new = apply_link(st, "II", 0)
         assert new.system == (2, 2)
         assert len(new.points) == 1
         q = new.points[0]
@@ -115,7 +112,7 @@ class TestElementaryTransform:
 
     def test_off_cubic_center_not_vp_and_singular_image(self):
         st = hirz_state(1, (3, 2), [TrackedPoint(0, 1, False)], cubic_cls=(3, 2))
-        link, new = elementary_transform_update(st, 0)
+        link, new = apply_link(st, "II", 0)
         assert not link.vp
         assert link.case_tag == "off-cubic"
         # C-check . fiber = 2: the image of C is no longer anticanonical
@@ -129,17 +126,17 @@ class TestElementaryTransform:
             cubic_cls=(3, 2),
         )
         with pytest.raises(EngineError):
-            elementary_transform_update(st, 0)
+            apply_link(st, "II", 0)
 
     def test_plane_rejected(self):
         with pytest.raises(EngineError):
-            elementary_transform_update(plane_state(2, [(1, True)]), 0)
+            apply_link(plane_state(2, [(1, True)]), "II", 0)
 
 
 class TestLinkIII:
     def test_anticanonical_system(self):
         st = hirz_state(1, (3, 2), [], cubic_cls=(3, 2))
-        link, new = link_III_update(st)
+        link, new = apply_link(st, "III")
         assert new.model.is_plane and new.system == (3,)
         assert len(new.points) == 1 and new.points[0].mult == 1
         assert new.points[0].on_cubic
@@ -147,23 +144,23 @@ class TestLinkIII:
 
     def test_low_system(self):
         st = hirz_state(1, (2, 1), [], cubic_cls=(3, 2))
-        _, new = link_III_update(st)
+        _, new = apply_link(st, "III")
         assert new.system == (2,) and new.points[0].mult == 1
 
     def test_balanced_system_no_new_point(self):
         st = hirz_state(1, (2, 2), [], cubic_cls=(3, 2))
-        _, new = link_III_update(st)
+        _, new = apply_link(st, "III")
         assert new.system == (2,) and new.points == ()
 
     def test_wrong_model_rejected(self):
         with pytest.raises(EngineError):
-            link_III_update(hirz_state(2, (3, 2), [], cubic_cls=(4, 2)))
+            apply_link(hirz_state(2, (3, 2), [], cubic_cls=(4, 2)), "III")
 
 
 class TestLinkIV:
     def test_swap(self):
         st = hirz_state(0, (3, 1), [], cubic_cls=(2, 2))
-        link, new = link_IV_update(st)
+        link, new = apply_link(st, "IV")
         assert new.system == (1, 3)
         assert new.model == SurfaceModel.hirzebruch(0)
         assert link.vp
@@ -177,6 +174,55 @@ class TestLinkIV:
         assert new.system == (3, 1) and new.degree < st.degree
         with pytest.raises(StuckState):
             next_link(new)
+
+
+class TestApplyLink:
+    @pytest.mark.parametrize("kind", ["V", "ii", None])
+    def test_unknown_kind_rejected(self, kind):
+        st = hirz_state(1, (3, 2), [TrackedPoint(0, 1, True)], cubic_cls=(3, 2))
+        with pytest.raises(EngineError, match="unknown link kind"):
+            apply_link(st, kind, 0)
+
+    @pytest.mark.parametrize("n, kind", [(1, "III"), (0, "IV")])
+    def test_center_rejected_where_the_link_has_none(self, n, kind):
+        model = SurfaceModel.hirzebruch(n)
+        st = hirz_state(n, (1, 3), [TrackedPoint(0, 1, True)], cubic_cls=neg_k(model))
+        with pytest.raises(EngineError, match=f"type {kind} link has no center"):
+            apply_link(st, kind, 0)
+        assert apply_link(st, kind)[0].center is None
+
+    def test_start_model_checked_before_the_center(self):
+        # on F_1 a type I link fails on its model, not on the missing point
+        st = hirz_state(1, (3, 2), [], cubic_cls=(3, 2))
+        with pytest.raises(EngineError, match=r"type I link starts on P\^2"):
+            apply_link(st, "I", 99)
+
+
+class TestPlaneState:
+    @pytest.mark.parametrize(
+        "degree, points",
+        [
+            (2.9, [(1.5, "no"), (1, True), (1, True)]),
+            (2.0, [(1, True), (1, True), (1, True)]),
+            (True, []),
+            (2, [(1.5, True), (1, True), (1, True)]),
+            (2, [(1, "no"), (1, True), (1, True)]),
+            (2, [(1, 1), (1, True), (1, True)]),
+            (2, [(1, True, [(1.0, True)]), (1, True)]),
+        ],
+        ids=["float-degree-and-point", "float-degree", "bool-degree", "float-mult",
+             "string-flag", "int-flag", "float-child"],
+    )
+    def test_no_cast(self, degree, points):
+        # a cast would read 2.9 as 2, 1.5 as 1 and "no" as on the cubic
+        with pytest.raises(EngineError):
+            plane_state(degree, points)
+
+    def test_ints_and_bools_kept(self):
+        st = plane_state(2, [(1, True, [(1, False)]), (1, False)])
+        assert st.system == (2,) and st.next_id == 2
+        assert [(p.id, p.mult, p.on_cubic) for p in st.points] == [(0, 1, True), (1, 1, False)]
+        assert st.points[0].children == (TrackedPoint(-1, 1, False),)
 
 
 class TestTranslationMapRun:
@@ -332,6 +378,21 @@ class TestLints:
         assert trace.kinds() == ["III"]
         assert any("type III" in lint for lint in trace.lints)
 
+    def test_opening_type_iv_flagged(self):
+        trace = factorize(f0_opening_with_iv())
+        assert trace.kinds() == ["IV", "II", "II", "II", "III"]
+        assert trace.lints == ("link 0: type IV not preceded by type II",)
+        assert trace.all_vp and trace.final.system == (1,)
+        assert all(s.cubic == neg_k(s.model) for s in trace.states)
+
+
+def f0_opening_with_iv():
+    """F_0 with the system F + 2E through three points of multiplicity 1 on
+    C: none is above the degree 2/2, and 1 < 2, so the rulings swap first
+    (the degree drops to 1/2) before any link at a point.  The class is
+    homaloidal: D^2 - sum m^2 = 4 - 3 = 1 and -K.D - sum m = 6 - 3 = 3."""
+    return hirz_state(0, (1, 2), [TrackedPoint(i, 1, True) for i in range(3)], (2, 2))
+
 
 class TestJonquieres:
     def test_translation_trace_single_block(self):
@@ -365,6 +426,12 @@ class TestJonquieres:
         rep = jonquieres_centers(broken)
         assert not rep.grouped
         assert len(rep.centers) == 3  # every I/II center reported flat
+
+    def test_trace_opening_with_type_iv(self):
+        # no I (II)* III block opens the trace: every II center, in order
+        rep = jonquieres_centers(factorize(f0_opening_with_iv()))
+        assert not rep.grouped
+        assert rep.centers == ((0, True), (1, True), (2, True))
 
 
 KIND_MODELS = {
@@ -601,12 +668,11 @@ def _run_lines(state, cap=40):
 def _update_lines(state):
     """Every link update applied directly, at every point id and a missing one."""
     ids = [p.id for p in state.points] + [99]
-    calls = [(link_III_update,), (link_IV_update,)]
-    calls += [(f, pid) for f in (link_I_update, elementary_transform_update) for pid in ids]
+    calls = [("III",), ("IV",)] + [(kind, pid) for kind in ("I", "II") for pid in ids]
     lines = []
-    for f, *args in calls:
+    for args in calls:
         try:
-            link, new = f(state, *args)
+            link, new = apply_link(state, *args)
         except (EngineError, SurfaceError) as e:
             lines.append(_error_line(e))
         else:

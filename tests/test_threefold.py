@@ -8,7 +8,7 @@ from _oracles import binary_restriction, reference_certify_irreducible
 
 from planecubic.cremona import CremonaError, CremonaMap, compose
 from planecubic.elliptic import CurvePoint, WeierstrassCurve, translation_map
-from planecubic.exact import HomPoly, poly_divide, variables
+from planecubic.exact import HomPoly, poly_divide, substitute, variables
 from planecubic.threefold import (
     QuarticData,
     SpaceMap,
@@ -58,6 +58,21 @@ class TestQuarticData:
         assert quadratic_form_rank(u1 * u3 - u2**2) == 3
         assert quadratic_form_rank(u1 * u2) == 2
         assert quadratic_form_rank(u1**2) == 1
+
+    @pytest.mark.parametrize(
+        "form",
+        [u1**2 + u1 * u2 + u2**2 + u3**2, (u1 + u2 + u3) ** 2, (u1 + u2) ** 2 + u3**2,
+         u1 * u2 + u2 * u3 + u3 * u1, (u1 - 2 * u3) * (3 * u2 + u3)],
+    )
+    def test_rank_with_elimination_below_the_pivot(self, form):
+        # each form's matrix has a nonzero entry under its first pivot
+        from sympy import Matrix, Rational
+
+        hessian = [[form.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)]
+                   for i in range(3)]
+        expected = Matrix([[Rational(c.numerator, c.denominator) for c in row]
+                           for row in hessian]).rank()
+        assert quadratic_form_rank(form) == expected
 
     def test_wrong_degrees_rejected(self):
         with pytest.raises(ThreefoldError):
@@ -218,6 +233,18 @@ class TestPreservesQuartic:
 
     def test_generic_linear_does_not(self, desk):
         assert not preserves_quartic(SpaceMap([x0 + x1, x1, x2, x3]), desk)
+
+    def test_map_into_the_quartic_does_not(self):
+        # A, B and C vanish at (1:1:1), so D holds the line {(s : t : t : t)}
+        # and f = (x0 : x1 : x1 : x1) maps all of P^3 into it: D(f) = 0,
+        # which D divides, but f is no member
+        A = u1**2 + u2**2 - 2 * u3**2
+        B = u1**3 - u2 * u3**2
+        C = u1**4 + u2**4 - 2 * u3**4
+        q = QuarticData.build(A, B, C)
+        f = SpaceMap([x0, x1, x1, x1])
+        assert substitute(q.D, f.components).is_zero
+        assert not preserves_quartic(f, q)
 
 
 class TestBaseLines:
