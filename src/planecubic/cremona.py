@@ -172,9 +172,6 @@ class BubbleForest:
     def children(self, node_id):
         return [n for n in self.nodes if n.parent == node_id]
 
-    def mults(self):
-        return sorted((n.mult for n in self.nodes), reverse=True)
-
     def key_of(self, node_id):
         """Lineage key identifying the bubble point independently of the map."""
         n = self._by_id[node_id]
@@ -205,8 +202,9 @@ def base_forest(
     Every node has multiplicity >= 1, so a forest that misses a base point
     has sum m < 3d - 3, and the equations of condition certify the points
     found; if they fail, the forest is rebuilt once from a search of the
-    whole plane.
+    whole plane.  A given cubic must pass `check_cubic_nonsingular`.
     """
+    weierstrass = None if cubic is None else check_cubic_nonsingular(cubic)
     if f.degree == 1:
         return BubbleForest([])
     if hints is not None:
@@ -217,7 +215,6 @@ def base_forest(
                 raise CremonaError(f"hint {pt} is not a base point")
             proper.append(pt)
         return _forest_from(f, proper, cubic)
-    weierstrass = _is_weierstrass(cubic) if cubic is not None else None
     if weierstrass is not None:
         try:
             return _forest_from(f, common_zeros_plane(f, weierstrass), cubic)
@@ -235,7 +232,7 @@ def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
         cub = None if cubic is None else local_chart(cubic, pt)[0]
         _add_node(nodes, forms, cub, None, 0, tuple(pt))
     forest = BubbleForest(nodes)
-    t = HomaloidalType(f.degree, tuple(forest.mults()))
+    t = HomaloidalType(f.degree, tuple(n.mult for n in forest))
     if not noether_check(t):
         raise IrrationalBasePointError(
             f"forest type {t} violates the equations of condition: irrational "
@@ -304,7 +301,7 @@ def homaloidal_type(f: CremonaMap, forest: Optional[BubbleForest] = None) -> Hom
     """(degree; nonincreasing multiplicities of every forest node)."""
     if forest is None:
         forest = base_forest(f)
-    t = HomaloidalType(f.degree, tuple(forest.mults()))
+    t = HomaloidalType(f.degree, tuple(n.mult for n in forest))
     if not noether_check(t):
         raise NoetherViolation(
             f"type {t} violates the equations of condition: base-forest bug"
@@ -328,27 +325,20 @@ def shared_base_pairs(forest_f: BubbleForest, forest_g: BubbleForest):
 _WEIERSTRASS_TERMS = {(0, 2, 1), (3, 0, 0), (1, 0, 2), (0, 0, 3)}  # y^2 z, x^3, x z^2, z^3
 
 
-def _is_weierstrass(cubic: HomPoly):
-    """Recognize lambda*(y^2 z - x^3 - p x z^2 - q z^3); returns (p, q) or None."""
-    num = cubic.num
-    lam = num.get((0, 2, 1))
-    if not lam or num.get((3, 0, 0)) != -lam or not num.keys() <= _WEIERSTRASS_TERMS:
-        return None
-    return Fraction(-num.get((1, 0, 2), 0), lam), Fraction(-num.get((0, 0, 3), 0), lam)
-
-
 def check_cubic_nonsingular(cubic: HomPoly) -> Optional[tuple]:
-    """Nonsingularity precondition: discriminant for Weierstrass shapes, no
+    """Nonsingularity precondition: a plane cubic, with nonzero discriminant
+    for the Weierstrass shape lambda*(y^2 z - x^3 - p x z^2 - q z^3), and no
     rational common zero of the partials otherwise (Q-only, documented).
     Returns the Weierstrass (p, q) it recognized, or None."""
-    if cubic.nvars != 3:
-        raise CremonaError(f"a plane cubic has 3 variables, got {cubic.nvars}")
-    wz = _is_weierstrass(cubic)
-    if wz is not None:
-        p, q = wz
-        if -16 * (4 * p**3 + 27 * q**2) == 0:
+    if cubic.nvars != 3 or cubic.degree != 3:
+        raise CremonaError(f"not a plane cubic: {cubic.nvars} variables, degree {cubic.degree}")
+    num = cubic.num
+    lam = num.get((0, 2, 1))
+    if lam and num.get((3, 0, 0)) == -lam and num.keys() <= _WEIERSTRASS_TERMS:
+        p, q = Fraction(-num.get((1, 0, 2), 0), lam), Fraction(-num.get((0, 0, 3), 0), lam)
+        if 4 * p**3 + 27 * q**2 == 0:
             raise CremonaError("cubic is singular (zero discriminant)")
-        return wz
+        return p, q
     parts = [cubic.partial(i) for i in range(3)]
     try:
         pts = common_zeros_plane(parts)

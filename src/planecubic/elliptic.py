@@ -180,17 +180,15 @@ def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     return found
 
 
-def default_samples(curve: WeierstrassCurve, count: int = 10, base: Optional[CurvePoint] = None):
-    """Distinct affine sample points: the subgroup generated by small points
-    (or by an explicit base), enumerated breadth-first.
+def default_samples(curve: WeierstrassCurve, count: int = 10):
+    """Distinct affine sample points: the subgroup generated by small points,
+    enumerated breadth-first.
 
     On torsion-only curves the closure is finite, so fewer than `count`
     points may come back; callers that need many samples should use a
     positive-rank curve.
     """
-    bases = [base] if base is not None else small_points(curve)
-    for b in bases:
-        curve._require(b)
+    bases = small_points(curve)
     out, seen = [], {O}
     # each entry stands for the point prev + b (b itself when prev is None),
     # added only when popped: the queue's tail is mostly never reached

@@ -49,20 +49,16 @@ class AffinePoly:
     __slots__ = ("nvars", "num", "den", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
-        if not isinstance(nvars, int) or nvars < 1:
+        if type(nvars) is not int or nvars < 1:
             raise DimensionMismatch(f"nvars must be a positive integer, got {nvars!r}")
         clean = {}
         for exp, c in terms.items():
+            if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
+                raise ExactError(f"bad exponent vector {exp!r}")
             if type(c) is not Fraction:
                 c = Fraction(c)
-            if not c:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
-                raise ExactError(f"bad exponent vector {exp}")
-            if exp in clean:  # int() merged two keys, e.g. ("1", 0) and (1, 0)
-                c += clean[exp]
-            clean[exp] = c
+            if c:
+                clean[tuple(exp)] = c
         # the lcm of reduced denominators leaves no common factor with den
         den = int_lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
@@ -695,10 +691,6 @@ def poly_divide(f: HomPoly, g: HomPoly):
     return HomPoly._of(n, quo, f.den * cont), True
 
 
-def divides(g: HomPoly, f: HomPoly) -> bool:
-    return poly_divide(f, g)[1]
-
-
 def rational_roots(*coeff_lists):
     """The rational roots common to every sum(coeffs[k] t^k), ascending.
 
@@ -968,19 +960,18 @@ def _plane_candidates(polys) -> set:
 
 
 def _x_coeffs_at(a: AffinePoly, y0: Fraction) -> list:
-    """Ascending coefficients of a(x, y0) in x, without trailing zeros, for an
-    AffinePoly a = A / den in (x, y): each x-row is evaluated at y0 = n / m in
-    integers, as sum A_ij n^j m^(top - j) / (den m^top).  One pass shares the
-    denominators across rows: `AffinePoly.eval` on each row costs 2.6 times
-    as much on threefold's calls, about as much as the Taylor shift it
-    replaces."""
+    """Ascending integer coefficients of den m^top a(x, y0) in x, without
+    trailing zeros, for an AffinePoly a = A / den in (x, y) and y0 = n / m:
+    row i is sum_j A_ij n^j m^(top - j), a positive multiple of a's row, so
+    its roots are a's.  One pass shares the denominators across rows:
+    `AffinePoly.eval` on each row costs 2.6 times as much on threefold's
+    calls, about as much as the Taylor shift it replaces."""
     n, m = y0.numerator, y0.denominator
     top = max(j for _, j in a.num)
     rows = {}
     for (i, j), c in a.num.items():
         rows[i] = rows.get(i, 0) + c * n**j * m ** (top - j)
-    scale = a.den * m**top
-    out = [Fraction(rows.get(i, 0), scale) for i in range(max(rows) + 1)]
+    out = [rows.get(i, 0) for i in range(max(rows) + 1)]
     while out and not out[-1]:
         out.pop()
     return out

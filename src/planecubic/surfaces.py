@@ -13,34 +13,35 @@ class SurfaceError(Exception):
     pass
 
 
+def _int(v):
+    """v itself if it is an int (bools excluded): nothing is cast."""
+    if type(v) is not int:
+        raise SurfaceError(f"expected an int, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
-    """P^2 with basis [H], or F_n with basis [F, E] (F a fiber, E the
-    negative section; for n = 0 the labels fix one ruling as the fibration)."""
+    """P^2 (n is None) with basis [H], or F_n with basis [F, E] (F a fiber, E
+    the negative section; for n = 0 the labels fix one ruling as the fibration)."""
 
-    kind: str  # "P2" | "Fn"
     n: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("P2", "Fn"):
-            raise SurfaceError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "Fn":
-            if self.n is None or self.n < 0:
-                raise SurfaceError("Hirzebruch surface needs n >= 0")
-        elif self.n is not None:
-            raise SurfaceError("P2 carries no ruling index")
+        if self.n is not None and _int(self.n) < 0:
+            raise SurfaceError("Hirzebruch surface needs n >= 0")
 
     @classmethod
     def plane(cls) -> "SurfaceModel":
-        return cls("P2")
+        return cls()
 
     @classmethod
     def hirzebruch(cls, n: int) -> "SurfaceModel":
-        return cls("Fn", n)
+        return cls(_int(n))
 
     @property
     def is_plane(self) -> bool:
-        return self.kind == "P2"
+        return self.n is None
 
     @property
     def rank(self) -> int:
@@ -53,7 +54,7 @@ class SurfaceModel:
 def _check_class(model: SurfaceModel, D):
     if len(D) != model.rank:
         raise SurfaceError(f"class {D} does not match basis of {model}")
-    return tuple(int(c) for c in D)
+    return tuple(_int(c) for c in D)
 
 
 def intersect(model: SurfaceModel, D1, D2) -> int:
@@ -89,7 +90,7 @@ def blowup_vp(point_mult_on_boundary: int):
     1 - m, and the blowup is volume preserving exactly when it vanishes.
     Returns (vp, discrepancy).
     """
-    m = int(point_mult_on_boundary)
+    m = _int(point_mult_on_boundary)
     if m not in (0, 1):
         raise SurfaceError(
             f"boundary multiplicity {m} impossible for a nonsingular boundary"
@@ -100,8 +101,7 @@ def blowup_vp(point_mult_on_boundary: int):
 def blowdown_vp(c_dot_e: int) -> bool:
     """Volume-preservation of contracting a (-1)-curve E: true iff C.E = 1
     (then the image curve stays nonsingular)."""
-    c_dot_e = int(c_dot_e)
-    if c_dot_e < 0:
+    if _int(c_dot_e) < 0:
         raise SurfaceError("C.E < 0 would make E a component of the boundary")
     return c_dot_e == 1
 

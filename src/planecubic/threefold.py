@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .cremona import CremonaMap, compose
+from .cremona import CremonaMap
 from .exact import (
     HomPoly,
     PositiveDimensionalError,
@@ -147,20 +147,20 @@ def build_involution(q: QuarticData) -> SpaceMap:
 def is_involution(f: CremonaMap) -> bool:
     """Whether f o f is the identity: its components g_i = f_i(f) are H x_i
     for one nonzero form H, read off g_0 = H x_0 by an exponent shift (no
-    content gcd).  Where they are not, compose decides; like compose, this
-    raises CremonaError on a degenerate f o f."""
-    comps = f.components
-    g0 = substitute(comps[0], comps)
+    content gcd).  Where they are not, the map of the g_i (compose's body)
+    decides; like compose, this raises CremonaError on a degenerate f o f."""
+    g = [substitute(c, f.components) for c in f.components]
+    g0 = g[0]
     if g0.num and all(e[0] for e in g0.num):
         H = {(e[0] - 1,) + e[1:]: c for e, c in g0.num.items()}
         n = g0.nvars
         if all(
-            substitute(comp, comps)
+            gi
             == HomPoly._of(n, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in H.items()}, g0.den)
-            for i, comp in enumerate(comps[1:], 1)
+            for i, gi in enumerate(g[1:], 1)
         ):
             return True
-    return compose(f, f).is_identity
+    return type(f)(g).is_identity
 
 
 def preserves_quartic(f: SpaceMap, q: QuarticData) -> bool:
@@ -224,6 +224,11 @@ def line_restrictions(lines, q: QuarticData):
 # -- concrete rational instances ------------------------------------------------
 
 
+_X1, _X2, _X3 = variables(3)
+_CONIC = _X1 * _X3 - _X2**2
+_FOURTH_POWERS = _X1**4 + _X2**4 + _X3**4
+
+
 def _cubic_from_conic_restriction(root_pattern):
     """A cubic in (x1, x2, x3) whose restriction to the conic x1 x3 = x2^2,
     parametrized by (1 : t : t^2), equals the given monic degree-6 polynomial
@@ -249,33 +254,28 @@ def _poly_from_roots(roots):
     return coeffs
 
 
+def _conic_instance(roots, C: HomPoly, validate: bool = True) -> QuarticData:
+    """A = x1 x3 - x2^2 (rank 3), B cutting the conic in the six parameter
+    values `roots`, and C."""
+    B = _cubic_from_conic_restriction(_poly_from_roots(roots))
+    return QuarticData.build(_CONIC, B, C, validate=validate)
+
+
 def desk_instance() -> QuarticData:
-    """The concrete rational witness: A = x1 x3 - x2^2 (rank 3), B cutting the
-    conic in the six parameter values {0, +-1, +-2, 3}, C = sum of fourth
-    powers (which vanishes at none of the six points, so no base line lies
-    on D)."""
-    x1, x2, x3 = variables(3)
-    A = x1 * x3 - x2**2
-    B = _cubic_from_conic_restriction(_poly_from_roots([0, 1, -1, 2, -2, 3]))
-    C = x1**4 + x2**4 + x3**4
-    return QuarticData.build(A, B, C)
+    """The concrete rational witness: B cuts the conic in {0, +-1, +-2, 3},
+    and C, the sum of fourth powers, vanishes at none of the six points, so
+    no base line lies on D."""
+    return _conic_instance([0, 1, -1, 2, -2, 3], _FOURTH_POWERS)
 
 
 def tangent_instance() -> QuarticData:
     """B meets the conic with a double parameter value: base_lines must
     reject it."""
-    x1, x2, x3 = variables(3)
-    A = x1 * x3 - x2**2
-    B = _cubic_from_conic_restriction(_poly_from_roots([0, 0, 1, -1, 2, -2]))
-    C = x1**4 + x2**4 + x3**4
-    return QuarticData.build(A, B, C, validate=False)
+    return _conic_instance([0, 0, 1, -1, 2, -2], _FOURTH_POWERS, validate=False)
 
 
 def rigged_instance() -> QuarticData:
     """C forced to vanish on the whole conic, so every base line lies inside
     the (no longer general) quartic: the negative witness."""
-    x1, x2, x3 = variables(3)
-    A = x1 * x3 - x2**2
-    B = _cubic_from_conic_restriction(_poly_from_roots([0, 1, -1, 2, -2, 3]))
-    C = A * (x1**2 + x2**2 + x3**2)
-    return QuarticData.build(A, B, C, validate=False)
+    C = _CONIC * (_X1**2 + _X2**2 + _X3**2)
+    return _conic_instance([0, 1, -1, 2, -2, 3], C, validate=False)

@@ -70,7 +70,7 @@ from planecubic.cremona import (
     CremonaMap,
     IrrationalBasePointError,
 )
-from planecubic.elliptic import CurvePoint, O, small_points, to_projective
+from planecubic.elliptic import CurvePoint, O, to_projective
 from planecubic.exact import (
     AffinePoly,
     DimensionMismatch,
@@ -320,10 +320,10 @@ def reference_content_normalize(maps) -> list:
     return maps
 
 
-def reference_default_samples(curve, count=10, base=None):
+def reference_default_samples(curve, count=10):
     """default_samples with a queue of points: each output point's sums with
     every base are formed as soon as the point is popped."""
-    bases = [base] if base is not None else small_points(curve)
+    bases = elliptic.small_points(curve)  # looked up per call: patchable
     out, seen = [], {O}
     queue = list(bases)
     steps = 0

@@ -431,6 +431,11 @@ SIGMA = {"components": [
 ]}
 
 
+def poly_json(terms):
+    """A polynomial payload from (exponent list, integer coefficient) pairs."""
+    return {"vars": len(terms[0][0]), "terms": [{"exp": e, "coef": str(c)} for e, c in terms]}
+
+
 class TestBaseForestCmd:
     def test_hints_give_the_searched_forest(self):
         # sigma = (yz : xz : xy) has its base points at the vertices; hints
@@ -455,6 +460,25 @@ class TestBaseForestCmd:
         # a string or an object is not read as its characters or its keys
         assert run(["base-forest"], {"map": SIGMA, "hints": hints}) == (EX_MALFORMED, "")
         assert "DecodeError: bad projective point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hints", [None, [[0, 1, 0], [2, 3, 1]]], ids=["searched", "hinted"])
+    @pytest.mark.parametrize(
+        "cubic, reason",
+        [
+            (poly_json([([0, 2, 1], 1), ([3, 0, 0], -1)]), "singular"),  # cuspidal y^2 z - x^3
+            (poly_json([([3, 0, 0, 0], 1)]), "not a plane cubic: 4 variables"),  # x0^3
+            (poly_json([([2, 0, 0], 1)]), "not a plane cubic: 3 variables, degree 2"),  # x^2
+        ],
+        ids=["cuspidal", "four-variable", "conic"],
+    )
+    def test_bad_cubic_is_1_as_in_dec_check(self, cubic, reason, hints, translate_output, capsys):
+        payload = {"map": translate_output, "cubic": cubic}
+        if hints is not None:
+            payload["hints"] = hints  # phi_P's proper base points
+        assert run(["base-forest"], payload) == (EX_MALFORMED, "")
+        assert reason in capsys.readouterr().err
+        assert run(["dec-check"], {"map": translate_output, "cubic": cubic}) == (EX_MALFORMED, "")
+        assert reason in capsys.readouterr().err
 
     def test_type_and_flags(self, translate_output):
         code, out = run(["base-forest"], {"curve": CURVE, "map": translate_output})

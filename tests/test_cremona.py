@@ -308,8 +308,10 @@ class TestBaseForestOnCubic:
 
     def test_no_cubic_searches_the_plane(self, zero_search_calls):
         base_forest(SIGMA)
-        base_forest(SIGMA, cubic=x**3 + y**3 + z**3)  # not in Weierstrass form
-        assert zero_search_calls == [None, None]
+        # not in Weierstrass form: its nonsingularity check searches the
+        # partials' common zeros, then the forest searches the plane
+        base_forest(SIGMA, cubic=x**3 + y**3 + z**3)
+        assert zero_search_calls == [None, None, None]
 
     def test_irrational_base_points_still_detected(self, zero_search_calls):
         f = CremonaMap([x * z, y * z, x * x - 2 * (y * y)])

@@ -32,7 +32,6 @@ from planecubic.exact import (
     PositiveDimensionalError,
     common_zeros_plane,
     content_normalize,
-    divides,
     evaluate,
     is_irreducible,
     mult_at,
@@ -121,6 +120,23 @@ class TestHomPoly:
         assert repr(aff) == "u0^2 + 2/5*u0*u1 - 3*u1"
         assert aff.degree == 2
         assert aff.partial(1) == AffinePoly(2, {(1, 0): Fraction(2, 5), (0, 0): -3})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(1.5, 0, 1.5): 1},  # int() made it x*z
+            {(True, 1, 1): 1},  # int() made it x*y*z
+            {("1", 1, 1): 2, (1, 1, 1): 3},  # int() merged the keys into 5*x*y*z
+            {(1.5, 0, 1.5): 0},  # a zero coefficient does not excuse the key
+        ],
+    )
+    def test_exponents_must_be_ints(self, terms):
+        with pytest.raises(ExactError, match="bad exponent vector"):
+            HomPoly(3, terms)
+
+    def test_nvars_must_be_an_int(self):
+        with pytest.raises(ExactError, match="nvars must be a positive integer"):
+            AffinePoly(True, {(2,): 1})  # isinstance() read it as 1 variable
 
 
 class TestEval:
@@ -489,7 +505,7 @@ class TestCommonZerosAgainstQQRoute:
         got = zeros_outcome(common_zeros_plane, polys)
         assert got == zeros_outcome(reference_common_zeros_plane, polys)
         if got[0] == "PositiveDimensionalError":
-            assert divides(got[1], h * reduce(operator.mul, cofactors))
+            assert poly_divide(h * reduce(operator.mul, cofactors), got[1])[1]
 
     @SETTINGS
     @given(*[plane_forms(most=2)] * 3)
@@ -670,7 +686,6 @@ class TestDivision:
     def test_non_divisible(self):
         _, ok = poly_divide(x * x + y * y, x + y)
         assert not ok
-        assert not divides(x + y, x * x + y * y)
 
     def test_affine_shift_roundtrip(self):
         p = AffinePoly(2, {(2, 0): 1, (0, 1): -3, (1, 1): 2})
@@ -1536,8 +1551,16 @@ class TestRootsOfTheGcd:
         assert rational_roots(*lists) == reference_rational_roots(*lists)
 
 
+def scaled_x_coeffs(a: AffinePoly, y0) -> list:
+    """The shift route's row of a(x, y0) times den m^top (y0 = n / m, top the
+    largest y-exponent of a): the integer scale _x_coeffs_at keeps."""
+    scale = a.den * Fraction(y0).denominator ** max(j for _, j in a.num)
+    return [c * scale for c in reference_x_coeffs_at(a, y0)]
+
+
 class TestXCoeffsAt:
-    """_plane_candidates reads a(x, y0) row by row; the shift route is the reference."""
+    """_plane_candidates reads den m^top a(x, y0) row by row, in integers; the
+    shift route is the reference."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -1551,9 +1574,12 @@ class TestXCoeffsAt:
     )
     def test_matches_shift_route(self, terms, y0):
         a = AffinePoly(2, terms)
-        assert _x_coeffs_at(a, y0) == reference_x_coeffs_at(a, y0)
+        got = _x_coeffs_at(a, y0)
+        assert got == scaled_x_coeffs(a, y0)
+        assert all(type(c) is int for c in got)
 
     def test_cancelling_rows(self):
-        a = AffinePoly(2, {(2, 1): 1, (2, 0): -3, (0, 2): Fraction(1, 2)})
-        assert _x_coeffs_at(a, Fraction(3)) == [Fraction(9, 2)] == reference_x_coeffs_at(a, 3)
-        assert _x_coeffs_at(a, Fraction(0)) == [0, 0, -3]
+        a = AffinePoly(2, {(2, 1): 1, (2, 0): -3, (0, 2): Fraction(1, 2)})  # den 2, top 2
+        assert reference_x_coeffs_at(a, 3) == [Fraction(9, 2)]
+        assert _x_coeffs_at(a, Fraction(3)) == [9] == scaled_x_coeffs(a, 3)
+        assert _x_coeffs_at(a, Fraction(0)) == [0, 0, -6] == scaled_x_coeffs(a, 0)

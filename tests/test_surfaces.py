@@ -120,6 +120,35 @@ class TestModelValidation:
         with pytest.raises(SurfaceError):
             SurfaceModel.hirzebruch(-1)
 
-    def test_plane_has_no_index(self):
+    def test_plane_and_hirzebruch_by_index(self):
+        assert P2 == SurfaceModel() and P2.is_plane and P2.rank == 1 and repr(P2) == "P2"
+        F0 = SurfaceModel.hirzebruch(0)
+        assert F0 == SurfaceModel(0) and not F0.is_plane and F0.rank == 2 and repr(F0) == "F0"
+
+    @pytest.mark.parametrize("n", [None, True, 1.0, Fraction(2)])
+    def test_index_must_be_an_int(self, n):
         with pytest.raises(SurfaceError):
-            SurfaceModel("P2", 1)
+            SurfaceModel.hirzebruch(n)
+
+
+class TestNothingIsCast:
+    """The lattice functions take ints only, bools excluded."""
+
+    @pytest.mark.parametrize("D", [(2.7,), (Fraction(2),), (True,)])
+    def test_plane_class(self, D):
+        with pytest.raises(SurfaceError):
+            intersect(P2, D, (1,))
+
+    def test_hirzebruch_class(self):
+        with pytest.raises(SurfaceError):
+            sarkisov_degree(SurfaceModel.hirzebruch(1), (2, 1.5))
+
+    @pytest.mark.parametrize("m", [1.9, 0.5, True, False])
+    def test_blowup_multiplicity(self, m):
+        with pytest.raises(SurfaceError):
+            blowup_vp(m)
+
+    @pytest.mark.parametrize("c_dot_e", [1.5, 1.0, True])
+    def test_blowdown_intersection(self, c_dot_e):
+        with pytest.raises(SurfaceError):
+            blowdown_vp(c_dot_e)
