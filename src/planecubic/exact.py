@@ -55,8 +55,7 @@ class AffinePoly:
         for exp, c in terms.items():
             if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
                 raise ExactError(f"bad exponent vector {exp!r}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _rational(c)
             if c:
                 clean[tuple(exp)] = c
         # the lcm of reduced denominators leaves no common factor with den
@@ -79,17 +78,13 @@ class AffinePoly:
 
     @classmethod
     def constant(cls, nvars: int, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int):
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, nvars: int, exp, coef=1):
-        return cls(nvars, {tuple(exp): Fraction(coef)})
+        if type(i) is not int or not 0 <= i < nvars:
+            raise ExactError(f"no variable {i!r} among {nvars!r}")
+        return cls(nvars, {tuple(int(k == i) for k in range(nvars)): 1})
 
     @classmethod
     def _of(cls, nvars: int, num: dict, den: int = 1):
@@ -186,8 +181,8 @@ class AffinePoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+        if not isinstance(other, AffinePoly):
+            other = _rational(other)
             num = {e: c * other.numerator for e, c in self.num.items()} if other else {}
             return type(self)._of(self.nvars, num, self.den * other.denominator)
         if self.nvars != other.nvars:
@@ -300,6 +295,13 @@ class HomPoly(AffinePoly):
         # one total degree: dropping a coordinate keeps exponents distinct
         num = {e[:chart] + e[chart + 1 :]: c for e, c in self.num.items()}
         return AffinePoly._wrap(self.nvars - 1, num, self.den)
+
+
+def _rational(c) -> Fraction:
+    """An int (not a bool) or a Fraction, as a Fraction; nothing is cast."""
+    if type(c) not in (int, Fraction):
+        raise ExactError(f"coefficients must be ints or Fractions, got {c!r}")
+    return Fraction(c) if type(c) is int else c
 
 
 def variables(n: int):
@@ -538,46 +540,51 @@ def _balanced_digits(v: int, s: int) -> dict:
     return {key: d for key, d in enumerate(digits) if d}
 
 
-_PRIME = 2**61 - 1  # a Mersenne prime: the modulus of _coprime_on_line
-
-
 def _coprime_on_line(polys) -> bool:
     """True only if the nonzero forms share no nonconstant factor; a False
     decides nothing.
 
     Each form's integral numerator is restricted to a line through the
-    vertex e_j, reduced mod the prime _PRIME: the first j for which some form
-    keeps its x_j^d coefficient mod the prime.  Line j goes through the point
-    with coordinates k + 2 (k != j), so it avoids (1:...:1); line 0 of the
-    plane, (s : 3 : 4), holds no point (x : y : 1) with x and y integers.
-    The form's s^i coefficient there (at t = 1) sums its coefficients with
-    x_j-exponent i, each times the point's coordinates to the other
-    exponents.  The certificate holds when the restrictions' gcd mod the
-    prime (Euclid in s) is a nonzero constant.  No later line is tried, so
-    a real common factor costs one line.  When no form keeps a pure power,
-    the line x_k = k + 2 + s, of direction (1, ..., 1), is used instead if
-    some form's coefficient sum survives mod the prime.
+    vertex e_j, for the first j at which some form has an x_j^d term.  Line
+    j goes through the point with coordinates k + 2 (k != j), so it avoids
+    (1:...:1); line 0 of the plane, (s : 3 : 4), holds no point (x : y : 1)
+    with x and y integers.  The form's s^i coefficient there (at t = 1) sums
+    its coefficients with x_j-exponent i, each times the point's coordinates
+    to the other exponents.  When no form has a pure power, the line x_k =
+    k + 2 + s, of direction (1, ..., 1), is used instead if some form is
+    nonzero at (1 : ... : 1).  No later line is tried, so a real common
+    factor costs one line.  The certificate holds when the integer gcd of
+    the restrictions' values at xi = 2^s is below xi / 2, with s 8 bits
+    above every restriction's largest coefficient, so xi / 2 > 1 + that
+    coefficient in size.
 
     Exact: a common factor H of the integral forms is, up to a unit,
-    integral and primitive, and H(e_j) divides each form's x_j^d coefficient
-    (Gauss's lemma).  So where that coefficient survives mod the prime, H's
-    restriction mod the prime has degree deg H and divides every restriction
-    mod the prime.  On the diagonal line the s^d coefficient is the value
-    at (1, ..., 1), and f = H K gives f(1, ..., 1) = H(1, ..., 1) K(1, ..., 1).
+    integral and primitive, so H(e_j) divides each form's x_j^d coefficient
+    (Gauss's lemma) and is nonzero, as one form has that term.  So H's
+    restriction h has degree deg H >= 1, with top coefficient H(e_j), and
+    divides every restriction in Z[s].  On the diagonal line that coefficient is H(1, ..., 1), which
+    divides some form's nonzero value there.  A root a of h is a root of a
+    nonzero restriction r, so |a| < 1 + ||r||_inf < xi / 2 (Cauchy's bound)
+    and |h(xi)| >= prod |xi - a| > (xi / 2)^deg h >= xi / 2.  h(xi) divides
+    every value, r(xi) != 0 among them, so their gcd is above xi / 2.
     """
-    for j in range(polys[0].nvars):
-        if any(_keeps_top(p.num, j) for p in polys):
-            return _constant_gcd_mod_prime(_line_restriction(p, j) for p in polys)
-    if any(sum(p.num.values()) % _PRIME for p in polys):
-        return _constant_gcd_mod_prime(map(_diagonal_restriction, polys))
-    return False
+    nvars = polys[0].nvars
+    j = next((j for j in range(nvars) if any(_keeps_top(p.num, j) for p in polys)), None)
+    if j is not None:
+        rows = [_line_restriction(p, j) for p in polys]
+    elif any(sum(p.num.values()) for p in polys):
+        rows = list(map(_diagonal_restriction, polys))
+    else:
+        return False
+    s = max(abs(c) for row in rows for c in row).bit_length() + 8
+    values = (reduce(lambda v, c: (v << s) + c, reversed(row), 0) for row in rows)  # Horner
+    return int_gcd(*values) < 1 << (s - 1)
 
 
 def _keeps_top(num: dict, j: int) -> bool:
-    """Whether a form's numerator keeps its x_j^d coefficient mod _PRIME."""
+    """Whether a form's numerator has an x_j^d term."""
     e = next(iter(num))
-    c = num.get((0,) * j + (sum(e),) + (0,) * (len(e) - j - 1))
-    return c is not None and c % _PRIME != 0
+    return (0,) * j + (sum(e),) + (0,) * (len(e) - j - 1) in num
 
 
 def _line_restriction(p: HomPoly, j: int) -> list:
@@ -593,48 +600,16 @@ def _line_restriction(p: HomPoly, j: int) -> list:
 
 
 def _diagonal_restriction(p: HomPoly) -> list:
-    """Ascending s-coefficients mod _PRIME of p's numerator on the line
-    x_k = k + 2 + s of _coprime_on_line."""
+    """Ascending s-coefficients of p's numerator on the line x_k = k + 2 + s
+    of _coprime_on_line."""
     out = [0] * (p.degree + 1)
     for e, c in p.num.items():
-        row = [c % _PRIME]
+        row = [c]
         for k, ek in enumerate(e):
             for _ in range(ek):  # times (k + 2 + s)
-                row = [(a * (k + 2) + b) % _PRIME for a, b in zip(row + [0], [0] + row)]
+                row = [a * (k + 2) + b for a, b in zip(row + [0], [0] + row)]
         out = [a + b for a, b in zip(out, row)]
     return out
-
-
-def _constant_gcd_mod_prime(lists) -> bool:
-    """Whether the ascending integer coefficient lists' gcd over Z/_PRIME is
-    a nonzero constant; stops at the first list that makes it one."""
-    g = []
-    for f in lists:
-        row = [c % _PRIME for c in f]
-        while row and not row[-1]:
-            row.pop()
-        g = _gcd_mod_prime(g, row)
-        if len(g) == 1:
-            return True
-    return False
-
-
-def _gcd_mod_prime(a: list, b: list) -> list:
-    """Gcd of two ascending coefficient lists without trailing zeros over
-    Z/_PRIME, by Euclid; [] stands for zero."""
-    while b:
-        inv = pow(b[-1], -1, _PRIME)
-        n = len(b) - 1
-        a = list(a)
-        while len(a) > n:
-            q = a.pop() * inv % _PRIME
-            s = len(a) - n
-            for i in range(n):
-                a[s + i] = (a[s + i] - q * b[i]) % _PRIME
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return a
 
 
 def poly_divide(f: HomPoly, g: HomPoly):

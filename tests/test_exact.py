@@ -42,12 +42,12 @@ from planecubic.exact import (
     reduce_on_cubic,
     substitute,
     variables,
-    _PRIME,
     _coprime_on_line,
     _x_coeffs_at,
 )
 
 x, y, z = variables(3)
+BIG_PRIME = 2**61 - 1  # a big odd input
 
 
 def degree_ten_composite():
@@ -71,9 +71,9 @@ def rand_poly(rng, degree, nvars=3, terms=4):
         exp = [0] * nvars
         for _ in range(degree):
             exp[rng.randrange(nvars)] += 1
-        out = out + HomPoly.monomial(nvars, exp, rand_rat(rng))
+        out = out + HomPoly(nvars, {tuple(exp): rand_rat(rng)})
     if out.is_zero:
-        return HomPoly.monomial(nvars, (degree,) + (0,) * (nvars - 1), 1)
+        return HomPoly(nvars, {(degree,) + (0,) * (nvars - 1): 1})
     return out
 
 
@@ -137,6 +137,33 @@ class TestHomPoly:
     def test_nvars_must_be_an_int(self):
         with pytest.raises(ExactError, match="nvars must be a positive integer"):
             AffinePoly(True, {(2,): 1})  # isinstance() read it as 1 variable
+
+    @pytest.mark.parametrize(
+        "coef",
+        [
+            True,  # Fraction() made HomPoly(3, {(1, 1, 1): True}) x*y*z
+            False,  # a zero does not excuse the type
+            1.5,  # Fraction() read a float as its binary value
+            0.1,  # constant(3, 0.1) was 3602879701896397/36028797018963968
+            "1/2",  # Fraction() parsed the string
+            None,
+        ],
+    )
+    def test_coefficients_must_be_ints_or_fractions(self, coef):
+        match = "coefficients must be ints or Fractions"
+        for build in (
+            lambda: HomPoly(3, {(1, 1, 1): coef}),
+            lambda: AffinePoly.constant(2, coef),
+            lambda: x * coef,  # x * True was x
+            lambda: coef * x,
+        ):
+            with pytest.raises(ExactError, match=match):
+                build()
+
+    @pytest.mark.parametrize("i", [True, 3, -1, 1.0])
+    def test_variable_index_must_be_in_range(self, i):
+        with pytest.raises(ExactError, match="no variable"):
+            HomPoly.variable(3, i)
 
 
 class TestEval:
@@ -1060,12 +1087,12 @@ def planted_factors(nvars):
     first, second, last = v[0], v[1], v[-1]
     return {
         "none": None,
-        "the line": second - last,  # y - z in the plane: vanishes on the line
+        "the line": v[1] * 4 - v[2] * 3,  # 4y - 3z: vanishes on line 0 in 3 and 4 variables
         "last": last,
         "last^2": last * last,
         "second": second,
         "through (1:0:..:0)": first * second + last * last * Fraction(3, 2),
-        "x0 coefficient p": first * _PRIME + second,
+        "x0 coefficient p": first * BIG_PRIME + second,
         "generic": first * 3 - second * Fraction(1, 2) + last,
     }
 
@@ -1125,15 +1152,23 @@ class TestCoprimeCertificate:
         assert not _coprime_on_line(on_line.components)
         assert poly_gcd(on_line.components) == HomPoly.constant(3, 1)
 
-    def test_lost_top_coefficient_falls_back(self):
-        # coprime, and neither form keeps its x^d coefficient mod the prime:
-        # line 0 decides nothing, and line 1, through (0:1:0) and (2:0:4),
-        # keeps y's and certifies (restrictions s and s^2 + 8)
-        polys = [x * _PRIME + y, x * z + y * y]
+    def test_big_top_coefficient_certifies_on_line_0(self):
+        # coprime, with a 61-bit x coefficient: line 0, (s : 3 : 4), takes it
+        # (restrictions p s + 3 and 4 s + 9), and 2^s grows past the root bound
+        polys = [x * BIG_PRIME + y, x * z + y * y]
         assert _coprime_on_line(polys)
         assert poly_gcd(polys) == HomPoly.constant(3, 1)
-        # one form that keeps it on line 0 is enough there
         assert _coprime_on_line(polys + [x * x + z * z])
+
+    def test_restrictions_sharing_a_root_mod_a_prime(self, monkeypatch):
+        # on line 0 the restrictions are s and 3 s + 3 p: they share the root
+        # 0 modulo p = 2^61 - 1 only, and the integer test sees no factor
+        from planecubic import exact
+
+        monkeypatch.setattr(exact, "_ring", None)
+        polys = [x, x * 3 + y * BIG_PRIME]
+        assert _coprime_on_line(polys)
+        assert poly_gcd(polys) == HomPoly.constant(3, 1)
 
     def test_no_pure_power_falls_back_to_sympy(self):
         # no form has an x^2, y^2 or z^2 term, and every form vanishes at
@@ -1165,7 +1200,7 @@ class TestCoprimeCertificate:
         assert poly_gcd(comps) == HomPoly.constant(4, 1)
 
     def test_single_and_constant_inputs(self):
-        assert poly_gcd([x * _PRIME + y]) == x * _PRIME + y
+        assert poly_gcd([x * BIG_PRIME + y]) == x * BIG_PRIME + y
         assert poly_gcd([HomPoly.constant(3, 5), x * y]) == HomPoly.constant(3, 1)
         assert _coprime_on_line([HomPoly.constant(4, Fraction(2, 3)), HomPoly.variable(4, 1)])
 
@@ -1191,13 +1226,13 @@ def _times_roots(coeffs, roots):
 def root_searches(draw):
     """One to three coefficient lists for rational_roots, each a constant, a
     linear list, a quadratic with a square or a non-square discriminant, a
-    random list of degree <= 5, or _PRIME t + c (leading coefficient 0 mod
-    _PRIME); each times planted shared roots (some with denominator _PRIME)
-    and scaled by a Fraction."""
+    random list of degree <= 5, or p t + c for the big prime p; each times
+    planted shared roots (some with denominator p) and scaled by a
+    Fraction."""
     small = st.integers(-6, 6)
     rat = st.builds(Fraction, small, st.integers(1, 4))
     nonzero = rat.filter(bool)
-    over_prime = st.builds(Fraction, small.filter(bool), st.just(_PRIME))
+    over_prime = st.builds(Fraction, small.filter(bool), st.just(BIG_PRIME))
     shared = draw(st.lists(st.one_of(rat, over_prime), max_size=2))
     lists = []
     for _ in range(draw(st.integers(1, 3))):
@@ -1214,8 +1249,8 @@ def root_searches(draw):
             base = [c * draw(nonzero) for c in (a * a - k, -2 * a, 1)]
         elif kind == "random":
             base = draw(st.lists(small, min_size=1, max_size=6).filter(any))
-        else:  # (_PRIME t + c) times a small list
-            base = [draw(small.filter(bool)), _PRIME]
+        else:  # (p t + c) times a small list
+            base = [draw(small.filter(bool)), BIG_PRIME]
         scale = draw(nonzero)
         lists.append([c * scale for c in _times_roots(base, shared)])
     return lists
@@ -1245,11 +1280,10 @@ class TestRationalRootsAgainstSympy:
         assert rational_roots([-4, 0, 9], [2, 3]) == [Fraction(-2, 3)]
 
     def test_root_with_denominator_prime(self):
-        # every list keeps the root 1 / _PRIME, so no list keeps its leading
-        # coefficient mod the prime
-        r = Fraction(1, _PRIME)
-        lists = [_times_roots([_PRIME], [1, 2, 3, r]), _times_roots([_PRIME], [5, 7, 11, r])]
-        assert rational_roots(*lists) == [Fraction(1, _PRIME)] == reference_rational_roots(*lists)
+        # every list keeps the root 1 / p, so p divides each leading coefficient
+        r = Fraction(1, BIG_PRIME)
+        lists = [_times_roots([BIG_PRIME], [1, 2, 3, r]), _times_roots([BIG_PRIME], [5, 7, 11, r])]
+        assert rational_roots(*lists) == [r] == reference_rational_roots(*lists)
 
 
 @st.composite
