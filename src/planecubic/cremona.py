@@ -20,6 +20,7 @@ from .exact import (
     rational_roots,
     reduce_on_cubic,
     substitute,
+    substitute_all,
     _all_proportional,
 )
 
@@ -95,7 +96,7 @@ class CremonaMap:
 def compose(f: CremonaMap, g: CremonaMap) -> CremonaMap:
     """f after g, of f's type.  Substitutes, strips the common content,
     renormalizes."""
-    return type(f)([substitute(c, g.components) for c in f.components])
+    return type(f)(substitute_all(f.components, g.components))
 
 
 # -- homaloidal types ---------------------------------------------------------

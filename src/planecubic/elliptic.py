@@ -6,11 +6,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from math import lcm as int_lcm
 from typing import Optional
 
 from .cremona import CremonaMap
-from .exact import HomPoly, _rational_sqrt, substitute
+from .exact import HomPoly, substitute_all
 
 
 class EllipticError(Exception):
@@ -139,7 +140,7 @@ def translation_map(curve: WeierstrassCurve, P: CurvePoint) -> CremonaMap:
     if P.is_infinity:
         return CremonaMap.identity()
     a, b = P.x, P.y
-    # the forms in X = x - a z, Y = y - b z and z, then one substitution each
+    # the forms in X = x - a z, Y = y - b z and z, then one shared substitution
     templates = (
         {(1, 2, 1): 1, (4, 0, 0): -1, (3, 0, 1): -2 * a},
         {(0, 3, 1): -1, (3, 1, 0): 1, (2, 1, 1): 3 * a, (3, 0, 1): -b},
@@ -150,7 +151,7 @@ def translation_map(curve: WeierstrassCurve, P: CurvePoint) -> CremonaMap:
         HomPoly(3, {(0, 1, 0): 1, (0, 0, 1): -b}),
         HomPoly(3, {(0, 0, 1): 1}),
     ]
-    return CremonaMap([substitute(HomPoly(3, t), shifted) for t in templates])
+    return CremonaMap(substitute_all([HomPoly(3, t) for t in templates], shifted))
 
 
 def to_projective(pt: CurvePoint):
@@ -161,15 +162,20 @@ def to_projective(pt: CurvePoint):
 
 def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     """Affine rational points with small integer x (sampling seeds)."""
-    # x^3 + p x + q = (den x^3 + P x + Q) / den with integral P, Q
+    # x^3 + p x + q = v / den for v = den x^3 + P x + Q with integral P, Q;
+    # v / den = (v den) / den^2 is a rational square iff s = v den is a square
     den = int_lcm(curve.p.denominator, curve.q.denominator)
     P = curve.p.numerator * (den // curve.p.denominator)
     Q = curve.q.numerator * (den // curve.q.denominator)
     found = []
     for ax in range(-bound, bound + 1):
-        y0 = _rational_sqrt(Fraction(den * ax**3 + P * ax + Q, den))
-        if y0 is None:
+        s = ((den * ax * ax + P) * ax + Q) * den
+        if s < 0:
             continue
+        r = isqrt(s)
+        if r * r != s:
+            continue
+        y0 = Fraction(r, den)
         found.append(CurvePoint(Fraction(ax), y0))
         if y0 != 0:
             found.append(CurvePoint(Fraction(ax), -y0))

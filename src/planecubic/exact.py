@@ -55,7 +55,8 @@ class AffinePoly:
         for exp, c in terms.items():
             if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
                 raise ExactError(f"bad exponent vector {exp!r}")
-            c = _rational(c)
+            if type(c) is not int:
+                c = _rational(c)
             if c:
                 clean[tuple(exp)] = c
         # the lcm of reduced denominators leaves no common factor with den
@@ -806,43 +807,60 @@ def mult_at(p: HomPoly, pt) -> int:
 
 def substitute(p: HomPoly, maps) -> HomPoly:
     """p(f_1, ..., f_n) for homogeneous f_i; the nonzero f_i share one degree
-    and a zero f_i substitutes 0.
+    and a zero f_i substitutes 0."""
+    return substitute_all([p], maps)[0]
+
+
+def substitute_all(ps, maps) -> list:
+    """[p(f_1, ..., f_n) for p in ps], as `substitute` reads each: the ps
+    share the products of the f_i, each built once.
 
     Works in integers on packed exponents: with den the lcm of the F_i's
     denominators, F_i = G_i / den (G_i integral) and p = q / pden, p(F) =
     q(G) / (pden den^deg p).  An exponent vector is packed into one int in
-    base deg(F) deg(p) + 1, which no output exponent reaches, so exponents
-    add as ints.
+    base deg(F) max(deg p) + 1, which no output exponent reaches, so
+    exponents add as ints.  A table keyed by the exponent vectors e of all
+    the ps lists each e's coefficients; G^e is built from cached pure powers
+    G_i^k, added into every p that has e, and dropped, so at most one such
+    product is held at a time.
     """
-    maps = list(maps)
-    if len(maps) != p.nvars:
+    ps, maps = list(ps), list(maps)
+    if any(len(maps) != p.nvars for p in ps):
         raise DimensionMismatch("one substituting polynomial per variable required")
     degs = {m.degree for m in maps if not m.is_zero}
     if len(degs) != 1:
         raise ExactError("nonzero substituting polynomials must share one degree")
     nvars = maps[0].nvars
-    if p.is_zero:
-        return HomPoly.zero(nvars)
-    (dm,), dp = degs, p.degree
-    base = dm * max(dp, 1) + 1  # dp = 0 uses only 0th powers
+    (dm,) = degs
+    base = dm * max([p.degree for p in ps if p.num] + [1]) + 1  # deg 0 uses only 0th powers
     den = int_lcm(*(m.den for m in maps))
     powers = [
         [{0: 1}, {_pack(e, base): c * (den // m.den) for e, c in m.num.items()}]
         for m in maps
     ]
-    out = {}
-    get = out.get
-    for e, c in p.num.items():
-        term = {0: 1}
+    accs = [{} for _ in ps]
+    uses = {}
+    for acc, p in zip(accs, ps):
+        for e, c in p.num.items():
+            uses.setdefault(e, []).append((acc, c))
+    for e, cs in uses.items():
+        term = None  # the product so far, None while it is 1
         for pw, k in zip(powers, e):
-            while len(pw) <= k:
-                pw.append(_mul_packed(pw[-1], pw[1]))
             if k:
-                term = _mul_packed(term, pw[k])
-        for key, v in term.items():
-            out[key] = get(key, 0) + c * v
-    num = {_unpack(key, base, nvars): v for key, v in out.items() if v}
-    return HomPoly._of(nvars, num, p.den * den**dp)
+                while len(pw) <= k:
+                    pw.append(_mul_packed(pw[-1], pw[1]))
+                term = pw[k] if term is None else _mul_packed(term, pw[k])
+        if term is None:
+            term = {0: 1}
+        for acc, c in cs:
+            get = acc.get
+            for key, v in term.items():
+                acc[key] = get(key, 0) + c * v
+    out = []
+    for p, acc in zip(ps, accs):
+        num = {_unpack(key, base, nvars): v for key, v in acc.items() if v}
+        out.append(HomPoly._of(nvars, num, p.den * den**p.degree) if p.num else HomPoly.zero(nvars))
+    return out
 
 
 def content_normalize(maps) -> list:

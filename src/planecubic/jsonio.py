@@ -20,11 +20,17 @@ def rat_to_json(r) -> str:
 
 
 def rat_from_json(s) -> Fraction:
+    return Fraction(_number_from_json(s))
+
+
+def _number_from_json(s):
+    """A rational as an int when its text is -?[0-9]+ (the common case), else
+    as a Fraction; either way it has the value Fraction(str(s)) reads."""
     try:
         text = str(s)
         digits = text[1:] if text[:1] == "-" else text
-        if digits.isascii() and digits.isdigit():  # -?[0-9]+, the common case
-            return Fraction(int(text))
+        if digits.isascii() and digits.isdigit():
+            return int(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise DecodeError(f"bad rational {s!r}: {e}")
@@ -61,7 +67,7 @@ def poly_from_json(obj) -> HomPoly:
         if nvars not in (3, 4):
             raise DecodeError(f"vars must be 3 or 4, got {nvars}")
         terms = {
-            tuple(_json_int(x) for x in t["exp"]): rat_from_json(t["coef"])
+            tuple(_json_int(x) for x in t["exp"]): _number_from_json(t["coef"])
             for t in obj["terms"]
         }
         if len(terms) != len(obj["terms"]):
@@ -143,10 +149,14 @@ def type_to_json(t: HomaloidalType) -> dict:
 
 
 def type_from_json(obj) -> HomaloidalType:
+    """{"d": d, "mults": [m, ...]}: the degree and every multiplicity an integer >= 1."""
     try:
-        return HomaloidalType(_json_int(obj["d"]), tuple(_json_int(m) for m in obj["mults"]))
+        d, mults = _json_int(obj["d"]), tuple(_json_int(m) for m in obj["mults"])
     except (KeyError, TypeError) as e:
         raise DecodeError(f"bad homaloidal type: {e}")
+    if min((d,) + mults) < 1:
+        raise DecodeError(f"bad homaloidal type: d and mults must be >= 1, got {d}; {list(mults)}")
+    return HomaloidalType(d, mults)
 
 
 def model_to_json(m: SurfaceModel) -> dict:

@@ -113,15 +113,15 @@ def plane_state(degree: int, points) -> FactorizationState:
 
     `points` is a list of (mult, on_cubic[, children]) with children nested
     the same way; ids are assigned in order.  Degrees and multiplicities
-    must be ints and on_cubic a bool: nothing is cast.
+    must be ints >= 1 and on_cubic a bool: nothing is cast.
     """
-    if type(degree) is not int:
-        raise EngineError(f"degree must be an int, got {degree!r}")
+    if type(degree) is not int or degree < 1:
+        raise EngineError(f"degree must be an int >= 1, got {degree!r}")
 
     def build(spec, pid=-1):
         mult, on_c, *rest = spec
-        if type(mult) is not int or type(on_c) is not bool:
-            raise EngineError(f"bad point {spec!r}: mult must be an int, on_cubic a bool")
+        if type(mult) is not int or mult < 1 or type(on_c) is not bool:
+            raise EngineError(f"bad point {spec!r}: mult must be an int >= 1, on_cubic a bool")
         kids = tuple(build(k) for k in (rest[0] if rest else ()))
         return TrackedPoint(pid, mult, on_c, children=kids)
 

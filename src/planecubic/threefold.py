@@ -18,6 +18,7 @@ from .exact import (
     mult_at,
     poly_divide,
     substitute,
+    substitute_all,
     variables,
 )
 
@@ -149,7 +150,7 @@ def is_involution(f: CremonaMap) -> bool:
     for one nonzero form H, read off g_0 = H x_0 by an exponent shift (no
     content gcd).  Where they are not, the map of the g_i (compose's body)
     decides; like compose, this raises CremonaError on a degenerate f o f."""
-    g = [substitute(c, f.components) for c in f.components]
+    g = substitute_all(f.components, f.components)
     g0 = g[0]
     if g0.num and all(e[0] for e in g0.num):
         H = {(e[0] - 1,) + e[1:]: c for e, c in g0.num.items()}

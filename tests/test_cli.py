@@ -211,6 +211,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("noether", {"d": 2, "mults": [1, 1, 1, 0]}),
+            ("noether", {"d": 2, "mults": [1, 1, 1, -1, 1]}),
+            ("noether", {"d": 0, "mults": []}),
+            ("factorize", {"state": {"degree": 2, "points": [{"mult": 1}] * 3 + [{"mult": 0}]}}),
+            ("factorize", {"state": {"degree": 0, "points": []}}),
+            ("vp-verify", {"state": {"degree": 2, "points": [
+                {"mult": 1, "children": [{"mult": 0}]}, {"mult": 1}, {"mult": 1}]}}),
+        ],
+        ids=["noether-mult-0", "noether-mult-negative", "noether-degree-0", "state-mult-0",
+             "state-degree-0", "state-child-mult-0"],
+    )
+    def test_degree_or_multiplicity_below_1_is_1(self, command, payload, capsys):
+        # (2; 1^3, 0) would read as (2; 1^3) and a mult-0 point as a base point
+        code, out = run([command], payload)
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
     def test_non_integer_map_degree_is_1(self, translate_output, capsys):
         f = dict(translate_output, deg=4.0)
         code, out = run(["compose"], {"f": f, "g": translate_output})
@@ -843,14 +864,14 @@ def run_with_config(args):
     return code, out.getvalue()
 
 
+RATIONAL_TEXTS = ["007", "-0", "+5", " 5", "1_0", "\u0661\u0662", "\u00b2", "-", "--1", "", "1/2",
+                  "1e3", "-12", "3/0", "0.5", 7, -3]
+
+
 class TestStrictDecoders:
     """The rational decoder's integer fast path accepts what Fraction accepts."""
 
-    @pytest.mark.parametrize(
-        "text",
-        ["007", "-0", "+5", " 5", "1_0", "\u0661\u0662", "\u00b2", "-", "--1", "", "1/2", "1e3",
-         "-12", "3/0", "0.5", 7, -3],
-    )
+    @pytest.mark.parametrize("text", RATIONAL_TEXTS)
     def test_rational_parity_with_fraction(self, text):
         # integers take a faster parse; what is accepted, and its value, must not change
         from fractions import Fraction
@@ -866,6 +887,22 @@ class TestStrictDecoders:
             got = jsonio.rat_from_json(text)
             assert type(got) is Fraction and got == expected
 
+    @pytest.mark.parametrize("text", RATIONAL_TEXTS)
+    def test_coefficient_parity_with_fraction(self, text):
+        # integer coefficients reach HomPoly as ints: the same texts, the same values
+        from fractions import Fraction
+
+        from planecubic import jsonio
+        from planecubic.exact import HomPoly
+
+        obj = {"vars": 3, "terms": [{"exp": [2, 0, 1], "coef": text}]}
+        try:
+            expected = HomPoly(3, {(2, 0, 1): Fraction(str(text))})
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(jsonio.DecodeError):
+                jsonio.poly_from_json(obj)
+        else:
+            assert jsonio.poly_from_json(obj) == expected
 
     @pytest.mark.parametrize("coefs", [("1", "2"), ("1", "1"), ("3", "-3")])
     def test_repeated_exponent_is_1(self, coefs, capsys):

@@ -293,3 +293,29 @@ class TestIntegerBuilders:
                 small_points(curve, limit=limit)
         else:
             assert small_points(curve, limit=limit) == expected
+
+    @pytest.mark.parametrize(
+        "p, q, two_torsion",
+        [
+            (0, Fraction(1, 4), []),
+            (Fraction(-1, 4), Fraction(1, 4), []),
+            (Fraction(1, 2), Fraction(3, 4), []),
+            (Fraction(-2, 9), Fraction(1, 9), []),
+            (Fraction(-7, 9), Fraction(2, 9), [-1]),
+            (Fraction(-9, 4), 0, [0]),
+            (Fraction(3, 4), Fraction(-7, 4), [1]),
+        ],
+    )
+    def test_small_points_over_a_denominator(self, p, q, two_torsion):
+        # den(p, q) > 1; a point with y = 0 is its own negative, listed once
+        curve = WeierstrassCurve(p, q)
+        got = small_points(curve)
+        assert got == reference_small_points(curve)
+        assert [pt.x for pt in got if pt.y == 0] == two_torsion
+
+    @pytest.mark.parametrize("p, q", [(0, 7), (Fraction(1, 3), Fraction(5, 6))])
+    def test_no_small_point(self, p, q):
+        curve = WeierstrassCurve(p, q)
+        assert reference_small_points(curve) == []
+        with pytest.raises(EllipticError, match="no small rational point"):
+            small_points(curve)

@@ -30,6 +30,7 @@ from planecubic.exact import (
     poly_divide,
     reduce_on_cubic,
     substitute,
+    substitute_all,
 )
 from planecubic.jsonio import poly_to_json
 
@@ -229,6 +230,24 @@ def test_kernels_are_canonical(data, nvars, dp, dm):
     if any(not m.is_zero for m in maps):
         for got, ref in zip(content_normalize(maps), reference_content_normalize(maps)):
             assert_reads_as(got, dict(ref.terms))
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([3, 4]), st.integers(1, 3))
+def test_substitute_all_matches_reference(data, nvars, dm):
+    """Forms of mixed degrees, a zero form among them, substituted together
+    (sharing the products of the maps, one of them zero): each reads as its
+    own substitution."""
+    degrees = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    ps = [data.draw(forms(nvars, d)) for d in degrees]
+    ps.insert(data.draw(st.integers(0, len(ps))), HomPoly.zero(nvars))
+    maps = [data.draw(forms(nvars, dm).filter(lambda f: not f.is_zero)) for _ in range(nvars)]
+    maps[data.draw(st.integers(0, nvars - 1))] = HomPoly.zero(nvars)
+    got = substitute_all(ps, maps)
+    assert len(got) == len(ps)
+    for p, out in zip(ps, got):
+        assert_reads_as(out, dict(reference_substitute(p, maps).terms))
+        assert substitute(p, maps) == substitute_all([p], maps)[0] == out
 
 
 @SETTINGS

@@ -218,6 +218,16 @@ class TestPlaneState:
         with pytest.raises(EngineError):
             plane_state(degree, points)
 
+    @pytest.mark.parametrize(
+        "degree, points",
+        [(0, []), (-1, []), (2, [(0, True), (1, True), (1, True)]),
+         (2, [(1, True, [(-1, False)]), (1, True)])],
+        ids=["degree-0", "degree-negative", "mult-0", "child-mult-negative"],
+    )
+    def test_below_1_rejected(self, degree, points):
+        with pytest.raises(EngineError):
+            plane_state(degree, points)
+
     def test_ints_and_bools_kept(self):
         st = plane_state(2, [(1, True, [(1, False)]), (1, False)])
         assert st.system == (2,) and st.next_id == 2
