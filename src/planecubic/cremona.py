@@ -14,7 +14,7 @@ from .exact import (
     common_zeros_plane,
     content_normalize,
     evaluate,
-    local_chart,
+    local_charts,
     normalize_point,
     poly_divide,
     rational_roots,
@@ -22,6 +22,8 @@ from .exact import (
     substitute,
     substitute_all,
     _all_proportional,
+    _normalized,
+    _projective_ints,
 )
 
 
@@ -87,10 +89,11 @@ class CremonaMap:
 
     def apply(self, pt):
         """Image of a projective point, or None if pt is a base point."""
-        vals = [evaluate(c, pt) for c in self.components]
-        if all(v == 0 for v in vals):
-            return None
-        return normalize_point(vals)
+        nums, D = _projective_ints(pt, self.NVARS)
+        # canonical components share one degree and denominator 1, so their
+        # values on one scaling of pt share one scale, which the image drops
+        vals = [c._scaled_value(nums, D)[0] for c in self.components]
+        return _normalized(vals) if any(vals) else None
 
 
 def compose(f: CremonaMap, g: CremonaMap) -> CremonaMap:
@@ -229,8 +232,8 @@ def _forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
     equations of condition."""
     nodes = []
     for pt in sorted(set(proper)):
-        forms = [local_chart(c, pt)[0] for c in f.components]
-        cub = None if cubic is None else local_chart(cubic, pt)[0]
+        forms = local_charts(f.components + (() if cubic is None else (cubic,)), pt)
+        cub = None if cubic is None else forms.pop()
         _add_node(nodes, forms, cub, None, 0, tuple(pt))
     forest = BubbleForest(nodes)
     t = HomaloidalType(f.degree, tuple(n.mult for n in forest))

@@ -59,6 +59,11 @@ class WeierstrassCurve:
             raise EllipticError(
                 f"singular curve: discriminant of y^2=x^3+({self.p})x+({self.q}) is 0"
             )
+        # x^3 + p x + q = (den x^3 + P x + Q) / den with integral P and Q
+        den = int_lcm(self.p.denominator, self.q.denominator)
+        P = self.p.numerator * (den // self.p.denominator)
+        Q = self.q.numerator * (den // self.q.denominator)
+        object.__setattr__(self, "_integral", (den, P, Q))
 
     @property
     def discriminant(self) -> Fraction:
@@ -71,7 +76,11 @@ class WeierstrassCurve:
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
             return True
-        return pt.y**2 == pt.x**3 + self.p * pt.x + self.q
+        # with x = a / b and y = c / e: c^2 den b^3 = e^2 (den a^3 + P a b^2 + Q b^3)
+        den, P, Q = self._integral
+        a, b, c, e = pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator
+        bb = b * b
+        return c * c * den * bb * b == e * e * ((den * a * a + P * bb) * a + Q * bb * b)
 
     def _require(self, pt: CurvePoint):
         if not self.contains(pt):
@@ -94,14 +103,20 @@ def add(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return Q
     if Q.is_infinity:
         return P
+    # in integers, with x_i = n_i / d_i and y_i = c_i / e_i: the slope a / b,
+    # then x3 = m^2 - x1 - x2 and y3 = m (x1 - x3) - y1, one Fraction each
+    n1, d1, c1, e1 = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+    n2, d2, c2, e2 = Q.x.numerator, Q.x.denominator, Q.y.numerator, Q.y.denominator
     if P.x == Q.x:
         if P.y == -Q.y:
             return O
-        m = (3 * P.x**2 + curve.p) / (2 * P.y)
+        den, pn, _ = curve._integral  # m = (3 x1^2 + pn / den) / (2 y1)
+        a, b = (3 * n1 * n1 * den + pn * d1 * d1) * e1, 2 * c1 * d1 * d1 * den
     else:
-        m = (Q.y - P.y) / (Q.x - P.x)
-    x3 = m * m - P.x - Q.x
-    y3 = m * (P.x - x3) - P.y
+        a, b = (c2 * e1 - c1 * e2) * d1 * d2, (n2 * d1 - n1 * d2) * e1 * e2
+    x3 = Fraction(a * a * d1 * d2 - (n1 * d2 + n2 * d1) * b * b, b * b * d1 * d2)
+    n3, d3 = x3.numerator, x3.denominator
+    y3 = Fraction(a * (n1 * d3 - n3 * d1) * e1 - c1 * b * d1 * d3, b * d1 * d3 * e1)
     return CurvePoint(x3, y3)
 
 
@@ -162,11 +177,9 @@ def to_projective(pt: CurvePoint):
 
 def small_points(curve: WeierstrassCurve, bound: int = 50, limit: int = 8):
     """Affine rational points with small integer x (sampling seeds)."""
-    # x^3 + p x + q = v / den for v = den x^3 + P x + Q with integral P, Q;
+    # x^3 + p x + q = v / den for v = den x^3 + P x + Q;
     # v / den = (v den) / den^2 is a rational square iff s = v den is a square
-    den = int_lcm(curve.p.denominator, curve.q.denominator)
-    P = curve.p.numerator * (den // curve.p.denominator)
-    Q = curve.q.numerator * (den // curve.q.denominator)
+    den, P, Q = curve._integral
     found = []
     for ax in range(-bound, bound + 1):
         s = ((den * ax * ax + P) * ax + Q) * den

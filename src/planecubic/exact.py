@@ -6,11 +6,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from math import gcd as int_gcd
 from math import isqrt
 from math import lcm as int_lcm
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 
 Rational = Fraction
@@ -219,23 +219,25 @@ class AffinePoly:
         return type(self)._of(self.nvars, num, self.den)
 
     def eval(self, point) -> Fraction:
-        """Value at a point, summed in integers: with the point's coordinates
-        n_i / D, p = sum num_e prod n_i^e_i D^(d - |e|) / (den D^d) for d the
-        degree (0 for the zero polynomial)."""
-        point = [Fraction(c) for c in point]
-        D = int_lcm(*(c.denominator for c in point))
-        nums = [c.numerator * (D // c.denominator) for c in point]
+        """Value at a point: `_scaled_value` on its integer scaling, read as
+        one Fraction (none for a zero value)."""
+        total, scale = self._scaled_value(*_point_ints(point))
+        return Fraction(total, scale) if total else _ZERO
+
+    def _scaled_value(self, nums, D) -> tuple:
+        """(total, scale) with value = total / scale at the point with
+        coordinates n_i / D: total = sum num_e prod n_i^e_i D^(d - |e|) and
+        scale = den D^d, for d the degree (0 for the zero polynomial), summed
+        over per-coordinate power tables."""
         d = self.degree or 0
+        tables = [_powers(n, d) for n in nums]
+        lift = _powers(D, d)
         total = 0
         for e, v in self.num.items():
-            for n, k in zip(nums, e):
-                if k:
-                    if not n:
-                        break
-                    v *= n**k
-            else:
-                total += v * D ** (d - sum(e))
-        return Fraction(total, self.den * D**d)
+            for t, k in zip(tables, e):
+                v *= t[k]
+            total += v * lift[d - sum(e)]
+        return total, self.den * lift[d]
 
     # -- chart operations ---------------------------------------------------
 
@@ -250,7 +252,7 @@ class AffinePoly:
         num, den = self.num, self.den
         for i, c in enumerate(point):
             if c:
-                num, den = _shift_var(num, den, i, Fraction(c))
+                num, den = _shift_var(num, den, i, c if type(c) in (int, Fraction) else Fraction(c))
         if den == self.den:
             # no shift had a denominator: an integer shift is invertible over
             # Z, so it keeps the numerators' content and the pair canonical
@@ -303,6 +305,33 @@ def _rational(c) -> Fraction:
     if type(c) not in (int, Fraction):
         raise ExactError(f"coefficients must be ints or Fractions, got {c!r}")
     return Fraction(c) if type(c) is int else c
+
+
+_ZERO = Fraction(0)
+
+
+def _point_ints(point) -> tuple:
+    """A point's coordinates as integer numerators over their lcm D: (nums, D).
+    Ints and Fractions are read as they are; anything else goes through
+    Fraction."""
+    point = [c if type(c) in (int, Fraction) else Fraction(c) for c in point]
+    D = int_lcm(*(c.denominator for c in point))
+    return [c.numerator * (D // c.denominator) for c in point], D
+
+
+def _projective_ints(pt, nvars: int) -> tuple:
+    """`_point_ints` of a projective point with nvars coordinates."""
+    nums, D = _point_ints(pt)
+    if len(nums) != nvars:
+        raise DimensionMismatch(f"point has {len(nums)} coordinates, expected {nvars}")
+    if not any(nums):
+        raise ExactError("not a projective point: all coordinates zero")
+    return nums, D
+
+
+def _powers(n: int, d: int) -> list:
+    """[n^0, ..., n^d]."""
+    return list(accumulate(repeat(n, d), mul, initial=1))
 
 
 def variables(n: int):
@@ -764,42 +793,43 @@ def is_irreducible(coeffs) -> bool:
 
 def evaluate(p: HomPoly, pt) -> Fraction:
     """Value of p at an affine representative of the projective point."""
-    pt = [Fraction(c) for c in pt]
-    if len(pt) != p.nvars:
-        raise DimensionMismatch(f"point has {len(pt)} coordinates, poly has {p.nvars}")
-    if all(c == 0 for c in pt):
-        raise ExactError("not a projective point: all coordinates zero")
-    return p.eval(pt)
+    total, scale = p._scaled_value(*_projective_ints(pt, p.nvars))
+    return Fraction(total, scale) if total else _ZERO
 
 
 def normalize_point(pt):
-    """Scale so the last nonzero coordinate is 1 (canonical representative)."""
-    pt = [Fraction(c) for c in pt]
-    last = None
-    for i in range(len(pt) - 1, -1, -1):
-        if pt[i] != 0:
-            last = i
-            break
-    if last is None:
+    """Scale so the last nonzero coordinate is 1 (canonical representative),
+    as a tuple of Fractions.  A point of Fractions whose last nonzero
+    coordinate is 1 already comes back as it is."""
+    pt = tuple(pt)
+    last = next((c for c in reversed(pt) if c), None)
+    if last == 1 and all(type(c) is Fraction for c in pt):
+        return pt
+    return _normalized(_point_ints(pt)[0])
+
+
+def _normalized(nums) -> tuple:
+    """The integer vector's point with its last nonzero entry 1, as Fractions."""
+    last = next((n for n in reversed(nums) if n), 0)
+    if not last:
         raise ExactError("zero vector is not a projective point")
-    return tuple(c / pt[last] for c in pt)
+    return tuple(Fraction(n, last) for n in nums)
 
 
-def local_chart(p: HomPoly, pt):
-    """Dehomogenized polynomial in the chart of pt's last nonzero coordinate,
-    shifted so pt sits at the origin.  Returns (affine poly, chart index)."""
+def local_charts(ps, pt) -> list:
+    """Each form dehomogenized in the chart of pt's last nonzero coordinate
+    and shifted so that pt sits at the origin; pt is normalized once."""
     pt = normalize_point(pt)
-    chart = max(i for i, c in enumerate(pt) if c != 0)
-    aff = p.dehomogenize(chart)
-    coords = [c for i, c in enumerate(pt) if i != chart]
-    return aff.shift(coords), chart
+    chart = max(i for i, c in enumerate(pt) if c)
+    coords = pt[:chart] + pt[chart + 1 :]
+    return [p.dehomogenize(chart).shift(coords) for p in ps]
 
 
 def mult_at(p: HomPoly, pt) -> int:
     """Order of vanishing of p at the projective point pt."""
     if p.is_zero:
         raise ExactError("multiplicity of the zero polynomial is undefined")
-    local, _ = local_chart(p, pt)
+    (local,) = local_charts([p], pt)
     if local.is_zero:
         raise ExactError("polynomial vanishes on the whole chart")
     return local.order()
@@ -884,11 +914,15 @@ def content_normalize(maps) -> list:
     # canonical scaling, in integers: numerators over one denominator, divided
     # by their content, signed so the first nonzero lex-leading one is positive
     den = int_lcm(*(m.den for m in maps))
-    ints = [{e: c * (den // m.den) for e, c in m.num.items()} for m in maps]
+    ints = [m.num for m in maps] if den == 1 else [
+        {e: c * (den // m.den) for e, c in m.num.items()} for m in maps
+    ]
     content = int_gcd(*(c for t in ints for c in t.values()))
     lead = next(t for t in ints if t)
     if lead[max(lead)] < 0:
         content = -content
+    if den == 1 and content == 1:
+        return maps  # already canonical, as a map decoded from its own JSON is
     return [
         type(m)._of(m.nvars, {e: c // content for e, c in t.items()}) for m, t in zip(maps, ints)
     ]

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm as int_lcm
 
-from .cremona import BubbleForest, CremonaMap, HomaloidalType
+from .cremona import BubbleForest, CremonaMap, HomaloidalType, noether_check
 from .elliptic import CurvePoint, WeierstrassCurve
 from .exact import HomPoly
 from .sarkisov import FactorizationState, SarkisovLink, plane_state
@@ -24,14 +25,19 @@ def rat_from_json(s) -> Fraction:
 
 
 def _number_from_json(s):
-    """A rational as an int when its text is -?[0-9]+ (the common case), else
-    as a Fraction; either way it has the value Fraction(str(s)) reads."""
+    """A rational as an int when it is a JSON integer or its text is
+    -?[0-9]+ (the common case), else as a Fraction; either way it has the
+    value Fraction(str(s)) reads.  Only strings and JSON integers are read:
+    a float, a bool or null is rejected, not cast."""
+    if type(s) is int:
+        return s
+    if type(s) is not str:
+        raise DecodeError(f"bad rational {s!r}: expected a string or a JSON integer")
     try:
-        text = str(s)
-        digits = text[1:] if text[:1] == "-" else text
+        digits = s[1:] if s[:1] == "-" else s
         if digits.isascii() and digits.isdigit():
-            return int(text)
-        return Fraction(text)
+            return int(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise DecodeError(f"bad rational {s!r}: {e}")
 
@@ -62,17 +68,29 @@ def _json_bool(x) -> bool:
 
 
 def poly_from_json(obj) -> HomPoly:
+    """One pass over the terms: each exponent vector has `vars` entries, all
+    JSON integers >= 0, none is repeated, and the nonzero terms share one
+    total degree; each coefficient is read by `_number_from_json`.  The
+    numerators over their common denominator are wrapped as they are."""
     try:
         nvars = _json_int(obj["vars"])
         if nvars not in (3, 4):
             raise DecodeError(f"vars must be 3 or 4, got {nvars}")
-        terms = {
-            tuple(_json_int(x) for x in t["exp"]): _number_from_json(t["coef"])
-            for t in obj["terms"]
-        }
-        if len(terms) != len(obj["terms"]):
-            raise DecodeError("an exponent is repeated in terms")
-        return HomPoly(nvars, terms)
+        coefs, degree = {}, None
+        for t in obj["terms"]:
+            exp = tuple(t["exp"])
+            if len(exp) != nvars or any(type(k) is not int or k < 0 for k in exp):
+                raise DecodeError(f"bad exponent vector {t['exp']!r}")
+            if exp in coefs:
+                raise DecodeError("an exponent is repeated in terms")
+            c = coefs[exp] = _number_from_json(t["coef"])
+            if c and degree != sum(exp):
+                if degree is not None:
+                    raise DecodeError(f"non-homogeneous terms: degrees {degree} and {sum(exp)}")
+                degree = sum(exp)
+        den = int_lcm(*(c.denominator for c in coefs.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in coefs.items() if c}
+        return HomPoly._of(nvars, num, den)
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad polynomial object: {e}")
 
@@ -182,12 +200,15 @@ def link_to_json(link: SarkisovLink) -> dict:
 def state_from_json(obj) -> FactorizationState:
     """Enriched starting state on P^2 with the boundary cubic: {"degree": d,
     "points": [{"mult", "on_cubic", "children": [...]}, ...]}.  The cubic is
-    always tracked, so a "track_cubic" key is rejected."""
+    always tracked, so a "track_cubic" key is rejected.  The multiplicities,
+    children included, must satisfy the equations of condition."""
+    mults = []
 
     def spec(node):
         try:
+            mults.append(_json_int(node["mult"]))
             return (
-                _json_int(node["mult"]),
+                mults[-1],
                 _json_bool(node.get("on_cubic", False)),
                 [spec(k) for k in node.get("children", [])],
             )
@@ -201,4 +222,8 @@ def state_from_json(obj) -> FactorizationState:
         points = [spec(p) for p in obj.get("points", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad enriched state: {e}")
-    return plane_state(degree, points)
+    state = plane_state(degree, points)
+    t = HomaloidalType(degree, tuple(mults))
+    if not noether_check(t):
+        raise DecodeError(f"bad enriched state: {t} fails the equations of condition")
+    return state

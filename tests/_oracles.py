@@ -82,7 +82,7 @@ from planecubic.exact import (
     _norm_on_cubic,
     _rational_sqrt,
     evaluate,
-    local_chart,
+    local_charts,
     normalize_point,
     rational_roots,
     variables,
@@ -476,12 +476,12 @@ def reference_forest_from(f: CremonaMap, proper, cubic) -> BubbleForest:
         return counter[0] - 1
 
     for pt in sorted(set(proper)):
-        locals_ = [local_chart(c, pt)[0] for c in f.components]
+        locals_ = local_charts(f.components, pt)
         m = _reference_system_mult(locals_)
         on_c = cubic is not None and evaluate(cubic, pt) == 0
         nid = new_id()
         nodes.append(BubbleNode(nid, None, 0, m, on_c, tuple(pt)))
-        cub_local = local_chart(cubic, pt)[0] if cubic is not None else None
+        cub_local = local_charts([cubic], pt)[0] if cubic is not None else None
         _reference_blow_up(locals_, m, cub_local, nid, 1, nodes, new_id)
 
     forest = BubbleForest(nodes)

@@ -232,6 +232,34 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"state": {"degree": 1, "points": [{"mult": 5, "on_cubic": True}]}},
+            {"state": {"degree": 2, "points": [{"mult": 1}, {"mult": 1}]}},
+            {"state": {"degree": 2, "points": [{"mult": 1, "children": [{"mult": 1}]},
+                                               {"mult": 1}, {"mult": 1}]}},
+            {"state": {"degree": 3, "points": [{"mult": 2}] + [{"mult": 1}] * 3}},
+        ],
+        ids=["d1-mult5", "d2-two-points", "d2-extra-child", "d3-sum-ok-squares-not"],
+    )
+    @pytest.mark.parametrize("command", ["factorize", "vp-verify"])
+    def test_state_failing_the_equations_of_condition_is_1(self, command, payload, capsys):
+        # (1; 5) once ran no link and reported all_vp true
+        code, out = run([command], payload)
+        assert code == EX_MALFORMED and out == ""
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "equations of condition" in json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize(
+        "points",
+        [[{"mult": 1}] * 3, [{"mult": 1, "children": [{"mult": 1}]}, {"mult": 1}]],
+        ids=["three-points", "infinitely-near"],
+    )
+    def test_homaloidal_states_still_factorize(self, points):
+        code, out = run(["factorize"], {"state": {"degree": 2, "points": points}})
+        assert code == EX_OK and json.loads(out.strip().splitlines()[-1])["links"] > 0
+
     def test_non_integer_map_degree_is_1(self, translate_output, capsys):
         f = dict(translate_output, deg=4.0)
         code, out = run(["compose"], {"f": f, "g": translate_output})
@@ -917,6 +945,83 @@ class TestStrictDecoders:
         ]}
         assert run(["compose"], {"f": lin, "g": lin}) == (EX_MALFORMED, "")
         assert "repeated" in capsys.readouterr().err
+
+
+MALFORMED_POLYS = {
+    "bool-exponent": [{"exp": [True, 0, 0], "coef": "1"}],
+    "negative-exponent": [{"exp": [2, -1, 0], "coef": "1"}],
+    "float-exponent": [{"exp": [1.0, 0, 0], "coef": "1"}],
+    "short-exponent": [{"exp": [1, 0], "coef": "1"}],
+    "long-exponent": [{"exp": [1, 0, 0, 0], "coef": "1"}],
+    "repeated-exponent": [{"exp": [1, 0, 0], "coef": "1"}, {"exp": [1, 0, 0], "coef": "0"}],
+    "mixed-degrees": [{"exp": [1, 0, 0], "coef": "1"}, {"exp": [0, 2, 0], "coef": "1"}],
+    "float-coefficient": [{"exp": [1, 0, 0], "coef": 1.5}],
+    "integral-float-coefficient": [{"exp": [1, 0, 0], "coef": 2.0}],
+    "bool-coefficient": [{"exp": [1, 0, 0], "coef": True}],
+    "null-coefficient": [{"exp": [1, 0, 0], "coef": None}],
+}
+
+
+class TestPolynomialDecoder:
+    """poly_from_json checks each term once and wraps its integers as they are."""
+
+    @pytest.mark.parametrize("terms", MALFORMED_POLYS.values(), ids=MALFORMED_POLYS.keys())
+    def test_malformed_polynomial_is_1(self, terms, capsys):
+        from planecubic import jsonio
+
+        with pytest.raises(jsonio.DecodeError):
+            jsonio.poly_from_json({"vars": 3, "terms": terms})
+        lin = [{"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 0], [0, 0, 1])]
+        payload = {"f": {"components": [{"vars": 3, "terms": terms}] + lin},
+                   "g": {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": "1"}]}] + lin}}
+        assert run(["compose"], payload) == (EX_MALFORMED, "")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_zero_term_of_another_degree_is_dropped(self):
+        # a zero coefficient imposes no degree, as in HomPoly
+        from planecubic import jsonio
+        from planecubic.exact import HomPoly
+
+        obj = {"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": "2"}, {"exp": [0, 3, 0], "coef": "0"}]}
+        assert jsonio.poly_from_json(obj) == HomPoly(3, {(1, 0, 0): 2})
+
+    @pytest.mark.parametrize(
+        "coefs",
+        [
+            (["6", "-4", "2"], ["2", "8", "-10"], ["4", "6", "0"]),  # a common integer factor 2
+            (["-1", "2", "3"], ["1", "0", "1"], ["5", "1", "7"]),  # a negative lex-leading term
+            (["1/2", "-3/4", "1"], ["5/6", "1", "0"], ["-1/3", "2", "1/4"]),  # fractions
+            (["2", "3", "5"], ["7", "0", "11"], ["1", "13", "0"]),  # canonical already
+        ],
+        ids=["integer-content", "negative-lead", "fractions", "canonical"],
+    )
+    def test_map_decodes_to_the_canonical_map(self, coefs):
+        from fractions import Fraction
+
+        from planecubic import jsonio
+        from planecubic.cremona import CremonaMap
+        from planecubic.exact import HomPoly
+
+        exps = ([2, 0, 0], [0, 1, 1], [0, 0, 2])
+        comps = [{"vars": 3, "terms": [{"exp": e, "coef": c} for e, c in zip(exps, row)]}
+                 for row in coefs]
+        reference = CremonaMap([
+            HomPoly(3, {tuple(t["exp"]): Fraction(t["coef"]) for t in comp["terms"]})
+            for comp in comps
+        ])
+        got = jsonio.map_from_json({"components": comps})
+        assert got == reference
+        assert all(c.den == 1 for c in got.components)
+        assert jsonio.map_from_json(jsonio.map_to_json(got)) == got
+
+    def test_canonical_components_come_back_unchanged(self, translate_output):
+        from planecubic import jsonio
+        from planecubic.exact import content_normalize
+
+        f = jsonio.map_from_json(translate_output)
+        out = content_normalize(f.components)
+        assert all(a is b for a, b in zip(out, f.components))
 
 
 class TestRoundTrips:

@@ -283,6 +283,37 @@ class TestIntegerBuilders:
         assert translation_map(curve, P) == reference_translation_map(curve, P)
 
     @settings(max_examples=40, deadline=None, database=None)
+    @given(small_rationals, small_rationals, small_rationals, small_rationals)
+    def test_contains_matches_the_fraction_formula(self, p, a, b, dy):
+        # the curve through (a, b), so p, q and the point may all be
+        # non-integral; (a, b + dy) is off it unless it is (a, -b) or dy = 0
+        q = b * b - a**3 - p * a
+        assume(4 * p**3 + 27 * q**2 != 0)
+        curve = WeierstrassCurve(p, q)
+        assert curve.contains(CurvePoint(a, b))
+        for x, y in ((a, b + dy), (a + dy, b), (int(a), int(b))):
+            assert curve.contains(CurvePoint(x, y)) == (y * y == x**3 + p * x + q)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(small_rationals, small_rationals, small_rationals, small_rationals)
+    def test_add_matches_chord_reflect_over_a_denominator(self, a1, b1, a2, b2):
+        # the curve through (a1, b1) and (a2, b2): chord, tangent and inverse
+        # on curves whose p and q may be non-integral
+        assume(a1 != a2)
+        p = (b2 * b2 - a2**3 - b1 * b1 + a1**3) / (a2 - a1)
+        q = b1 * b1 - a1**3 - p * a1
+        assume(4 * p**3 + 27 * q**2 != 0)
+        curve = WeierstrassCurve(p, q)
+        P, Q = CurvePoint(a1, b1), CurvePoint(a2, b2)
+        for X, Y in ((P, Q), (Q, P), (P, P), (Q, Q), (P, neg(curve, Q))):
+            assert add(curve, X, Y) == chord_reflect(curve, X, Y)
+        assert add(curve, P, neg(curve, P)) == O
+
+    def test_contains_integer_coordinates(self):
+        assert TORSION.contains(CurvePoint(2, 3)) and not TORSION.contains(CurvePoint(2, 4))
+        assert add(TORSION, CurvePoint(2, 3), CurvePoint(0, 1)) == CurvePoint.affine(-1, 0)
+
+    @settings(max_examples=40, deadline=None, database=None)
     @given(small_rationals, small_rationals, st.integers(1, 12))
     def test_small_points(self, p, q, limit):
         assume(4 * p**3 + 27 * q**2 != 0)

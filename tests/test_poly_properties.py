@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from _oracles import (
     reference_content_normalize,
+    reference_eval,
     reference_poly_divide,
     reference_shift,
     reference_substitute,
 )
 
+from planecubic.cremona import CremonaError, CremonaMap
 from planecubic.exact import (
     AffinePoly,
+    DimensionMismatch,
     ExactError,
     HomPoly,
     content_normalize,
@@ -284,3 +287,80 @@ def test_json_prints_the_fraction_reading(data, nvars, d):
         "vars": nvars,
         "terms": [{"exp": list(e), "coef": str(c)} for e, c in sorted(f.terms.items(), reverse=True)],
     }
+
+
+# -- points in integers: one scaling per point, Fractions only in the result
+
+
+# coordinates mix ints and Fractions, zero included
+coords = st.one_of(st.integers(-4, 4), rationals)
+
+
+def points(nvars):
+    return st.lists(coords, min_size=nvars, max_size=nvars)
+
+
+def reference_normalized(pt) -> tuple:
+    last = next(Fraction(c) for c in reversed(pt) if c)
+    return tuple(Fraction(c) / last for c in pt)
+
+
+@SETTINGS
+@given(st.data(), nvars_st)
+def test_eval_matches_reference(data, nvars):
+    p = data.draw(affine_polys(nvars))
+    F = data.draw(forms(nvars, data.draw(st.integers(0, 4))))
+    pt = data.draw(points(nvars))
+    for q in (p, F):
+        got = q.eval(pt)
+        assert type(got) is Fraction and got == reference_eval(q, pt)
+    if any(pt):
+        got = evaluate(F, pt)
+        assert type(got) is Fraction and got == reference_eval(F, pt)
+    else:
+        with pytest.raises(ExactError):
+            evaluate(F, pt)
+
+
+@SETTINGS
+@given(st.data(), nvars_st)
+def test_normalize_point_matches_fraction_division(data, nvars):
+    pt = data.draw(points(nvars))
+    if not any(pt):
+        with pytest.raises(ExactError):
+            normalize_point(pt)
+        return
+    got = normalize_point(pt)
+    assert got == reference_normalized(pt)
+    assert type(got) is tuple and all(type(c) is Fraction for c in got)
+    assert normalize_point(got) == got and normalize_point(list(got)) == got
+
+
+def test_normalize_point_reads_ints_as_fractions():
+    assert normalize_point((2, 4, 1)) == (Fraction(2), Fraction(4), Fraction(1))
+    assert all(type(c) is Fraction for c in normalize_point((2, 4, 1)))
+    assert normalize_point((Fraction(1, 2), 3, 0)) == (Fraction(1, 6), Fraction(1), Fraction(0))
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([3, 4]), st.integers(1, 3))
+def test_apply_matches_normalized_values(data, nvars, d):
+    comps = [data.draw(forms(nvars, d).filter(lambda f: not f.is_zero)) for _ in range(nvars)]
+    try:
+        f = type("Map", (CremonaMap,), {"NVARS": nvars})(comps)
+    except (CremonaError, ExactError):
+        assume(False)
+    pt = data.draw(points(nvars).filter(any))
+    vals = [reference_eval(c, pt) for c in f.components]
+    assert f.apply(pt) == (reference_normalized(vals) if any(vals) else None)
+
+
+def test_apply_base_point_and_bad_points():
+    x, y, z = (HomPoly.variable(3, i) for i in range(3))
+    sigma = CremonaMap([y * z, x * z, x * y])
+    assert sigma.apply((1, 0, 0)) is None
+    assert sigma.apply((Fraction(1, 2), 3, 1)) == (Fraction(2), Fraction(1, 3), Fraction(1))
+    with pytest.raises(ExactError):
+        sigma.apply((0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        sigma.apply((1, 2))
