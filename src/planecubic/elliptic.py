@@ -7,11 +7,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from math import lcm as int_lcm
 from typing import Optional
 
 from .cremona import CremonaMap
-from .exact import HomPoly, substitute_all
+from .exact import HomPoly, _ints_over_lcm, substitute_all
 
 
 class EllipticError(Exception):
@@ -60,9 +59,7 @@ class WeierstrassCurve:
                 f"singular curve: discriminant of y^2=x^3+({self.p})x+({self.q}) is 0"
             )
         # x^3 + p x + q = (den x^3 + P x + Q) / den with integral P and Q
-        den = int_lcm(self.p.denominator, self.q.denominator)
-        P = self.p.numerator * (den // self.p.denominator)
-        Q = self.q.numerator * (den // self.q.denominator)
+        (P, Q), den = _ints_over_lcm((self.p, self.q))
         object.__setattr__(self, "_integral", (den, P, Q))
 
     @property

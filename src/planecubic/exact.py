@@ -59,11 +59,9 @@ class AffinePoly:
                 c = _rational(c)
             if c:
                 clean[tuple(exp)] = c
-        # the lcm of reduced denominators leaves no common factor with den
-        den = int_lcm(*(c.denominator for c in clean.values()))
+        nums, self.den = _ints_over_lcm(clean.values())
         self.nvars = nvars
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
-        self.den = den
+        self.num = dict(zip(clean, nums))
         self._terms = self._hash = None
         self._validate()
 
@@ -310,13 +308,16 @@ def _rational(c) -> Fraction:
 _ZERO = Fraction(0)
 
 
+def _ints_over_lcm(values) -> tuple:
+    """Ints and Fractions as integer numerators over the lcm D of their
+    denominators: (nums, D), with gcd(D, *nums) = 1."""
+    D = int_lcm(*(c.denominator for c in values))
+    return [c.numerator * (D // c.denominator) for c in values], D
+
+
 def _point_ints(point) -> tuple:
-    """A point's coordinates as integer numerators over their lcm D: (nums, D).
-    Ints and Fractions are read as they are; anything else goes through
-    Fraction."""
-    point = [c if type(c) in (int, Fraction) else Fraction(c) for c in point]
-    D = int_lcm(*(c.denominator for c in point))
-    return [c.numerator * (D // c.denominator) for c in point], D
+    """`_ints_over_lcm` of a point; a coordinate not an int or Fraction goes through Fraction."""
+    return _ints_over_lcm([c if type(c) in (int, Fraction) else Fraction(c) for c in point])
 
 
 def _projective_ints(pt, nvars: int) -> tuple:
@@ -752,8 +753,7 @@ def _packed_list(f: dict) -> list:
 def _int_coeffs(coeffs) -> list:
     """A nonzero ascending coefficient list times the lcm of its
     denominators, as ints without trailing zeros."""
-    den = int_lcm(*(c.denominator for c in coeffs))
-    out = [c.numerator * (den // c.denominator) for c in coeffs]
+    out = _ints_over_lcm(coeffs)[0]
     while not out[-1]:
         out.pop()
     return out
@@ -1015,7 +1015,7 @@ def _cubic_candidates(polys, p, q) -> set:
     imposes no condition.
     """
     p, q = Fraction(p), Fraction(q)
-    w = _delta_w(p, q)
+    w = _delta_w(Fraction(p), Fraction(q))
     norms = (_norm_on_cubic(f, w) for f in polys)
     # some norm is nonzero: the caller ruled out a common curve component
     candidates = {(Fraction(0), Fraction(1), Fraction(0))}
@@ -1029,13 +1029,8 @@ def _cubic_candidates(polys, p, q) -> set:
 def _delta_w(p: Fraction, q: Fraction) -> list:
     """delta w for w(x) = x^3 + p x + q, with delta = lcm of the denominators
     of p and q: an integral ascending coefficient list with leading delta."""
-    delta = int_lcm(p.denominator, q.denominator)
-    return [
-        q.numerator * (delta // q.denominator),
-        p.numerator * (delta // p.denominator),
-        0,
-        delta,
-    ]
+    (qn, pn), delta = _ints_over_lcm((q, p))
+    return [qn, pn, 0, delta]
 
 
 def _halves_on_cubic(f: HomPoly, w, den: int, k: int) -> tuple:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import lcm as int_lcm
 
 from .cremona import BubbleForest, CremonaMap, HomaloidalType, noether_check
 from .elliptic import CurvePoint, WeierstrassCurve
-from .exact import HomPoly
+from .exact import ExactError, HomPoly
 from .sarkisov import FactorizationState, SarkisovLink, plane_state
 from .surfaces import SurfaceModel
 
@@ -28,7 +28,9 @@ def _number_from_json(s):
     """A rational as an int when it is a JSON integer or its text is
     -?[0-9]+ (the common case), else as a Fraction; either way it has the
     value Fraction(str(s)) reads.  Only strings and JSON integers are read:
-    a float, a bool or null is rejected, not cast."""
+    a float, a bool or null is rejected, not cast, and so is a decimal
+    exponent above Python's integer-string limit (when it has one), whose
+    value could be neither built quickly nor printed."""
     if type(s) is int:
         return s
     if type(s) is not str:
@@ -37,6 +39,10 @@ def _number_from_json(s):
         digits = s[1:] if s[:1] == "-" else s
         if digits.isascii() and digits.isdigit():
             return int(s)
+        _, sep, exponent = s.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or none before 3.10.7: no limit
+        if sep and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent above the {limit}-digit integer limit")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise DecodeError(f"bad rational {s!r}: {e}")
@@ -68,30 +74,21 @@ def _json_bool(x) -> bool:
 
 
 def poly_from_json(obj) -> HomPoly:
-    """One pass over the terms: each exponent vector has `vars` entries, all
-    JSON integers >= 0, none is repeated, and the nonzero terms share one
-    total degree; each coefficient is read by `_number_from_json`.  The
-    numerators over their common denominator are wrapped as they are."""
+    """`vars` is a JSON integer in {3, 4}, no exponent vector is repeated and
+    each coefficient is read by `_number_from_json`; the HomPoly constructor
+    checks the exponents and the one total degree."""
     try:
         nvars = _json_int(obj["vars"])
         if nvars not in (3, 4):
             raise DecodeError(f"vars must be 3 or 4, got {nvars}")
-        coefs, degree = {}, None
+        terms = {}
         for t in obj["terms"]:
             exp = tuple(t["exp"])
-            if len(exp) != nvars or any(type(k) is not int or k < 0 for k in exp):
-                raise DecodeError(f"bad exponent vector {t['exp']!r}")
-            if exp in coefs:
+            if exp in terms:
                 raise DecodeError("an exponent is repeated in terms")
-            c = coefs[exp] = _number_from_json(t["coef"])
-            if c and degree != sum(exp):
-                if degree is not None:
-                    raise DecodeError(f"non-homogeneous terms: degrees {degree} and {sum(exp)}")
-                degree = sum(exp)
-        den = int_lcm(*(c.denominator for c in coefs.values()))
-        num = {e: c.numerator * (den // c.denominator) for e, c in coefs.items() if c}
-        return HomPoly._of(nvars, num, den)
-    except (KeyError, TypeError, ValueError) as e:
+            terms[exp] = _number_from_json(t["coef"])
+        return HomPoly(nvars, terms)
+    except (ExactError, KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad polynomial object: {e}")
 
 

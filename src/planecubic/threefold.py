@@ -35,28 +35,20 @@ def lift_plane_poly(p: HomPoly) -> HomPoly:
 
 
 def quadratic_form_rank(A: HomPoly) -> int:
-    """Rank of a quadratic form in 3 variables, by exact elimination on its
-    symmetric matrix."""
+    """Rank of a quadratic form in 3 variables: the size of the largest
+    nonzero principal minor of its symmetric matrix (a symmetric matrix of
+    rank r has a nonzero principal r-minor), read off A's integer numerators
+    as the matrix times 2 den, which has the same rank."""
     if A.nvars != 3 or A.degree != 2:
         raise ThreefoldError("rank check needs a 3-variable quadratic form")
-    # the symmetric matrix of A is half its (constant) Hessian
-    rows = [
-        [A.partial(i).partial(j).coefficient((0, 0, 0)) / 2 for j in range(3)]
-        for i in range(3)
-    ]
-    rank = 0
-    for col in range(3):
-        pivot = next((r for r in range(rank, 3) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, 3):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
+    n = A.num.get
+    a, d, f = 2 * n((2, 0, 0), 0), 2 * n((0, 2, 0), 0), 2 * n((0, 0, 2), 0)
+    b, c, e = n((1, 1, 0), 0), n((1, 0, 1), 0), n((0, 1, 1), 0)
+    if a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d):
+        return 3
+    if a * d - b * b or a * f - c * c or d * f - e * e:
+        return 2
+    return 1  # A is nonzero
 
 
 @dataclass(frozen=True)
@@ -233,17 +225,9 @@ _FOURTH_POWERS = _X1**4 + _X2**4 + _X3**4
 def _cubic_from_conic_restriction(root_pattern):
     """A cubic in (x1, x2, x3) whose restriction to the conic x1 x3 = x2^2,
     parametrized by (1 : t : t^2), equals the given monic degree-6 polynomial
-    in t (as a coefficient list, ascending)."""
-    x1, x2, x3 = variables(3)
-    lift = {
-        0: x1**3, 1: x1**2 * x2, 2: x1**2 * x3, 3: x1 * x2 * x3,
-        4: x1 * x3**2, 5: x2 * x3**2, 6: x3**3,
-    }
-    B = HomPoly.zero(3)
-    for m, c in enumerate(root_pattern):
-        if c:
-            B = B + Fraction(c) * lift[m]
-    return B
+    in t (as a coefficient list, ascending): t^m is the m-th monomial below."""
+    lift = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1), (1, 0, 2), (0, 1, 2), (0, 0, 3)]
+    return HomPoly(3, dict(zip(lift, root_pattern)))
 
 
 def _poly_from_roots(roots):

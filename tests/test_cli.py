@@ -932,6 +932,32 @@ class TestStrictDecoders:
         else:
             assert jsonio.poly_from_json(obj) == expected
 
+    @pytest.mark.parametrize("text", ["1e5000", "-1E5000", "1e-5000", "0.5e5000"])
+    def test_exponent_above_the_integer_limit_is_1(self, text, capsys):
+        # past the integer-string limit such a value could not be printed back
+        from planecubic import jsonio
+
+        with pytest.raises(jsonio.DecodeError, match="exponent"):
+            jsonio.rat_from_json(text)
+        lin = [{"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 0], [0, 0, 1])]
+        f = {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": text}]}] + lin}
+        assert run(["compose"], {"f": f, "g": f}) == (EX_MALFORMED, "")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "exponent" in json.loads(err[0])["error"]
+
+    def test_no_exponent_limit_where_python_has_none(self):
+        import sys
+        from fractions import Fraction
+
+        from planecubic import jsonio
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert jsonio.rat_from_json("1e-5000") == Fraction(1, 10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("coefs", [("1", "2"), ("1", "1"), ("3", "-3")])
     def test_repeated_exponent_is_1(self, coefs, capsys):
         # x + 2x is not read as its last term 2x, nor x - x as 0 or -3x
@@ -952,6 +978,8 @@ MALFORMED_POLYS = {
     "negative-exponent": [{"exp": [2, -1, 0], "coef": "1"}],
     "float-exponent": [{"exp": [1.0, 0, 0], "coef": "1"}],
     "short-exponent": [{"exp": [1, 0], "coef": "1"}],
+    "short-exponent-zero-coefficient": [{"exp": [1, 0], "coef": "0"}],
+    "negative-exponent-zero-coefficient": [{"exp": [2, -1, 0], "coef": "0"}],
     "long-exponent": [{"exp": [1, 0, 0, 0], "coef": "1"}],
     "repeated-exponent": [{"exp": [1, 0, 0], "coef": "1"}, {"exp": [1, 0, 0], "coef": "0"}],
     "mixed-degrees": [{"exp": [1, 0, 0], "coef": "1"}, {"exp": [0, 2, 0], "coef": "1"}],

@@ -62,7 +62,9 @@ class TestQuarticData:
     @pytest.mark.parametrize(
         "form",
         [u1**2 + u1 * u2 + u2**2 + u3**2, (u1 + u2 + u3) ** 2, (u1 + u2) ** 2 + u3**2,
-         u1 * u2 + u2 * u3 + u3 * u1, (u1 - 2 * u3) * (3 * u2 + u3)],
+         u1 * u2 + u2 * u3 + u3 * u1, (u1 - 2 * u3) * (3 * u2 + u3),
+         (Fraction(1, 2) * u1 + u2) * (u2 - Fraction(2, 3) * u3),
+         Fraction(1, 2) * u1**2 + Fraction(1, 3) * u1 * u2 - u2 * u3 + Fraction(3, 5) * u3**2],
     )
     def test_rank_with_elimination_below_the_pivot(self, form):
         # each form's matrix has a nonzero entry under its first pivot

@@ -1,6 +1,7 @@
-"""Same-process A/B timing of two checkouts on one benchmark workload.
+"""Same-process A/B timing of two checkouts on benchmark workloads.
 
     python3 tools/ab_inprocess.py A B --workload chain4 [--seed 1] [--items 100]
+    python3 tools/ab_inprocess.py A B --workload all
 
 A and B are checkout roots (each with src/planecubic).  Their packages are
 copied into a temporary directory as `planecubic_a` and `planecubic_b`, so
@@ -8,13 +9,13 @@ both load into this one interpreter.  The workload's seeded items come from
 perfbench/workloads.py next to this script; each item runs on both
 packages, in the order A B for even items and B A for odd ones, so a change
 in core speed or a warm cache favours neither side.  One warm-up item runs
-untimed on both first.
+untimed on both first.  `--workload all` runs every workload in turn.
 
-Prints the median per-item time ratio B / A, the items on which B was
-faster, the summed times, and whether every call printed the same stdout
-bytes on both sides.  Exits 1 when the bytes differ.  Nothing is written
-outside the temporary directory; the perfbench modules are imported, not
-changed.
+Prints, per workload, the median per-item time ratio B / A, the items on
+which B was faster, the summed times, and whether every call printed the
+same stdout bytes on both sides.  Exits 1 when the bytes differ on any
+workload.  Nothing is written outside the temporary directory; the
+perfbench modules are imported, not changed.
 """
 
 from __future__ import annotations
@@ -49,11 +50,37 @@ def run_item(workload, item, cli) -> tuple:
     return sum(c.seconds for c in cli.calls), "\x00".join(c.out for c in cli.calls)
 
 
+def compare(workloads, name: str, sides, seed: int, count: int) -> bool:
+    """Print one workload's block; whether the stdout bytes were equal."""
+    workload = workloads.WORKLOADS[name]
+    items = workload.items(seed)
+    warm = next(items)
+    for cli in sides:
+        run_item(workload, warm, cli)
+    ratios, totals, same = [], [0.0, 0.0], True
+    for i in range(count):
+        item = next(items)
+        got = [None, None]
+        for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            got[k] = run_item(workload, item, sides[k])
+        (ta, out_a), (tb, out_b) = got
+        ratios.append(tb / ta)
+        totals[0] += ta
+        totals[1] += tb
+        same = same and out_a == out_b
+    print(f"workload {name} seed {seed} items {count}")
+    print(f"A total {totals[0]:.3f} s  B total {totals[1]:.3f} s")
+    print(f"median B/A {statistics.median(ratios):.4f}  "
+          f"B faster on {sum(r < 1 for r in ratios)} of {len(ratios)}")
+    print(f"stdout bytes equal: {same}")
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", type=Path, help="checkout root of side A (the baseline)")
     parser.add_argument("b", type=Path, help="checkout root of side B (the change)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload name, or all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--items", type=int, default=100)
     args = parser.parse_args(argv)
@@ -62,34 +89,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    if args.workload not in workloads.WORKLOADS:
-        raise SystemExit(f"error: workload must be one of {sorted(workloads.WORKLOADS)}")
-    workload = workloads.WORKLOADS[args.workload]
+    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    if not set(names) <= set(workloads.WORKLOADS):
+        raise SystemExit(f"error: workload must be all or one of {sorted(workloads.WORKLOADS)}")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = [workloads.CLI(load(root.resolve(), name, Path(tmp)))
                  for root, name in ((args.a, "planecubic_a"), (args.b, "planecubic_b"))]
-        items = workloads.WORKLOADS[args.workload].items(args.seed)
-        warm = next(items)
-        for cli in sides:
-            run_item(workload, warm, cli)
-        ratios, totals, same = [], [0.0, 0.0], True
-        for i in range(args.items):
-            item = next(items)
-            got = [None, None]
-            for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                got[k] = run_item(workload, item, sides[k])
-            (ta, out_a), (tb, out_b) = got
-            ratios.append(tb / ta)
-            totals[0] += ta
-            totals[1] += tb
-            same = same and out_a == out_b
-    print(f"workload {args.workload} seed {args.seed} items {args.items}")
-    print(f"A total {totals[0]:.3f} s  B total {totals[1]:.3f} s")
-    print(f"median B/A {statistics.median(ratios):.4f}  "
-          f"B faster on {sum(r < 1 for r in ratios)} of {len(ratios)}")
-    print(f"stdout bytes equal: {same}")
-    return 0 if same else 1
+        same = [compare(workloads, name, sides, args.seed, args.items) for name in names]
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
