@@ -409,26 +409,39 @@ def _univariate(ints: list):
     return _ring(1).from_dict({(k,): c for k, c in enumerate(ints) if c})
 
 
+class _Gcd(HomPoly):
+    """poly_gcd's answer g, carrying `cofactors`: one integer form q_i per
+    input, with g q_i the input's numerator (zero for a zero input)."""
+
+    __slots__ = ("cofactors",)
+
+
 def poly_gcd(polys) -> HomPoly:
     """Gcd of the nonzero polynomials, as an integer primitive polynomial with
-    positive lex-leading coefficient.
+    positive lex-leading coefficient; its `cofactors` (see _Gcd) are found
+    with it, so content_normalize divides nothing.
 
     Two or more inputs first meet the exact coprimality certificate
-    `_coprime_on_line`, which needs no sympy; when it holds the gcd is 1.
-    Otherwise the common monomial x^low comes off every input, low_i the
-    least x_i-exponent over all terms, and goes back on the result.  No x_j
-    divides the gcd of the stripped inputs, so it is the homogenization of
-    their gcd in the chart x_j = 1, for the last x_j whose pure power some
-    stripped input keeps (else x_last), computed in integers.  The heuristic
-    gcd `_heu_gcd` finds it where it can prove its answer; sympy's ZZ ring
-    does the rest.
+    `_coprime_on_line`, which needs no sympy; when it holds the gcd is 1 and
+    the cofactors are the numerators.  Otherwise the common monomial x^low
+    comes off every input, low_i the least x_i-exponent over all terms, and
+    goes back on the result alone.  No x_j divides the gcd of the stripped
+    inputs, so it is the homogenization of their gcd in the chart x_j = 1,
+    for the last x_j whose pure power some stripped input keeps (else
+    x_last), computed in integers; each cofactor is homogenized to its
+    input's degree less the gcd's.  The heuristic gcd `_heu_gcd` finds the
+    gcd and the cofactors where it can prove its answer; sympy's ZZ ring
+    does the rest, its gcd giving the cofactors as well.
     """
-    polys = [p for p in polys if not p.is_zero]
+    inputs = list(polys)
+    polys = [p for p in inputs if not p.is_zero]
     if not polys:
         raise ExactError("gcd of all-zero input")
     nvars = polys[0].nvars
+    if any(p.nvars != nvars for p in inputs):
+        raise DimensionMismatch("mixed variable counts")
     if len(polys) > 1 and _coprime_on_line(polys):
-        return HomPoly._of(nvars, {(0,) * nvars: 1})
+        return _with_cofactors(inputs, {(0,) * nvars: 1}, [p.num for p in polys])
     low = list(map(min, zip(*chain.from_iterable(p.num for p in polys))))
     nums = [p.num for p in polys]
     if any(low):
@@ -436,33 +449,61 @@ def poly_gcd(polys) -> HomPoly:
     # an input with x_j^d is nonzero at e_j, so e_j is no common zero of the
     # cofactors, and the chart puts e_j where _heu_gcd's curve starts
     j = next((j for j in reversed(range(nvars)) if any(_keeps_top(f, j) for f in nums)), nvars - 1)
-    base = max(p.degree for p in polys) - sum(low) + 1
+    degrees = [p.degree - sum(low) for p in polys]
+    base = max(degrees) + 1
     affine = [{e[:j] + e[j + 1 :]: c for e, c in f.items()} for f in nums]
 
     def unpack(f: dict) -> dict:
         return {_unpack(key, base, nvars - 1): c for key, c in f.items()}
 
+    proved = []  # the last answer accept saw, unpacked: [G_u, Q_u...]
+
     def accept(G, cofactors) -> bool:
         # the degree check of _heu_gcd: no exponent of G Q_i reaches the base
-        dg = max(map(sum, unpack(G)))
-        return all(dg + max(map(sum, unpack(q))) < base for q in cofactors)
+        proved[:] = map(unpack, [G, *cofactors])
+        dg = max(map(sum, proved[0]))
+        return all(dg + max(map(sum, q)) < base for q in proved[1:])
 
     packed = [{_pack(e, base): c for e, c in f.items()} for f in affine]
-    found = _heu_gcd(packed, accept, base ** max(nvars - 2, 0))
-    if found is not None:
-        g = unpack(found[0])
+    if _heu_gcd(packed, accept, base ** max(nvars - 2, 0)) is not None:
+        g, *cofactors = proved
     else:
-        g = None
-        for f in affine:
-            f = _ring(nvars - 1).from_dict(f)
-            g = f if g is None else g.gcd(f)
+        # sympy's gcd over ZZ comes with its cofactors: each input is g times
+        # its q, kept up to date as g shrinks
+        elems = [_ring(nvars - 1).from_dict(f) for f in affine]
+        g, cofactors = elems[0], [elems[0].ring.one]
+        for f in elems[1:]:
             if g.is_ground:
                 break
-        g = {e: int(c) for e, c in g.primitive()[1].items()}
+            g, a, b = g.cofactors(f)
+            cofactors = [q * a for q in cofactors] + [b]
+        if g.is_ground:
+            g, cofactors = {(0,) * (nvars - 1): 1}, affine
+        else:
+            content, g = g.primitive()
+            cofactors = [q * content for q in cofactors]
+            g, *cofactors = ({e: int(c) for e, c in q.items()} for q in [g, *cofactors])
     d = max(map(sum, g))
-    g = [(e[:j] + (d - sum(e),) + e[j:], c) for e, c in g.items()]  # homogenized
-    g = HomPoly._of(nvars, {tuple(map(add, e, low)): c for e, c in g})
-    return -g if g.num[max(g.num)] < 0 else g
+
+    def homogenized(f: dict, deg: int) -> dict:
+        return {e[:j] + (deg - sum(e),) + e[j:]: c for e, c in f.items()}
+
+    g = {tuple(map(add, e, low)): c for e, c in homogenized(g, d).items()}
+    cofactors = [homogenized(q, deg - d) for q, deg in zip(cofactors, degrees)]
+    return _with_cofactors(inputs, g, cofactors)
+
+
+def _with_cofactors(inputs, g: dict, cofactors) -> _Gcd:
+    """The gcd numerator g and the nonzero inputs' cofactors, signed so g's
+    lex-leading coefficient is positive, as a _Gcd."""
+    nvars = inputs[0].nvars
+    if g[max(g)] < 0:
+        g = {e: -c for e, c in g.items()}
+        cofactors = [{e: -c for e, c in q.items()} for q in cofactors]
+    out = _Gcd._wrap(nvars, g, 1)
+    quotients = iter(cofactors)
+    out.cofactors = [HomPoly._wrap(nvars, {} if p.is_zero else next(quotients), 1) for p in inputs]
+    return out
 
 
 # Packed operands above this many bits skip _heu_gcd: CPython's int gcd is
@@ -895,22 +936,14 @@ def substitute_all(ps, maps) -> list:
 
 def content_normalize(maps) -> list:
     """Divide a component list by its polynomial gcd, then scale to integer
-    primitive form with positive lex-leading coefficient (canonical form)."""
+    primitive form with positive lex-leading coefficient (canonical form).
+    The quotients are the gcd's cofactors over each component's denominator."""
     maps = list(maps)
     if not maps or all(m.is_zero for m in maps):
         raise ExactError("content_normalize of all-zero input")
     g = poly_gcd(maps)
-    if g.degree and g.degree > 0:
-        out = []
-        for m in maps:
-            if m.is_zero:
-                out.append(m)
-                continue
-            q, ok = poly_divide(m, g)
-            if not ok:
-                raise ExactError("gcd does not divide a component (bug)")
-            out.append(q)
-        maps = out
+    if g.degree:
+        maps = [HomPoly._of(m.nvars, q.num, m.den) for m, q in zip(maps, g.cofactors)]
     # canonical scaling, in integers: numerators over one denominator, divided
     # by their content, signed so the first nonzero lex-leading one is positive
     den = int_lcm(*(m.den for m in maps))

@@ -27,6 +27,7 @@ from _oracles import (
 from planecubic.cremona import _CHARTS, _S, _ST, _T  # the blowup charts and their monomials
 from planecubic.exact import (
     AffinePoly,
+    DimensionMismatch,
     ExactError,
     HomPoly,
     PositiveDimensionalError,
@@ -280,6 +281,33 @@ class TestContentNormalize:
     def test_all_zero_rejected(self):
         with pytest.raises(ExactError):
             content_normalize([HomPoly.zero(3)])
+
+    def test_mixed_variable_counts_rejected(self):
+        # x y in 3 variables beside x0 x1^2 in 4: the gcd is no form in either
+        x0, x1 = variables(4)[:2]
+        with pytest.raises(DimensionMismatch):
+            poly_gcd([x * y, x0 * x1 * x1])
+        with pytest.raises(DimensionMismatch):
+            content_normalize([x * y, x0 * x1 * x1])
+
+    def test_compose_divides_nothing(self, monkeypatch):
+        # compose16's shape: phi_2G o phi_G is 16 -> 10, phi_-G o phi_G 16 -> 1;
+        # the content gcd's cofactors are the quotients
+        from planecubic import exact
+        from planecubic.cremona import compose
+        from planecubic.elliptic import CurvePoint, WeierstrassCurve, multiple, translation_map
+
+        curve, G = WeierstrassCurve(0, -2), CurvePoint.affine(3, 5)
+        phi = {k: translation_map(curve, multiple(curve, k, G)) for k in (-1, 1, 2)}
+        expected = [compose(phi[k], phi[1]) for k in (2, -1)]
+
+        def refuse(f, g):
+            raise AssertionError("content_normalize divided")
+
+        monkeypatch.setattr(exact, "poly_divide", refuse)
+        got = [compose(phi[k], phi[1]) for k in (2, -1)]
+        assert got == expected
+        assert [f.degree for f in got] == [10, 1]
 
 
 class TestCommonZeros:
@@ -1002,9 +1030,12 @@ class TestIntegerKernels:
             [HomPoly.zero(3), 6 * x * x - 4 * y * z, HomPoly.zero(3)],
             [-(x * z) * Fraction(2, 7), HomPoly.zero(3), y * z * Fraction(4, 21)],  # gcd z
             [(x - 2 * y) * (x * x - y * z), (x - 2 * y) * (z * z) * -4, (x - 2 * y) * x * y],
+            [y, HomPoly.zero(3), x],  # a zero between coprime forms
+            [x * Fraction(3, 2), x * x * -6],  # mixed degrees: [1, x] up to scaling
         ],
         ids=[
-            "negative-lead", "zero-first", "one-nonzero", "one-quadric", "gcd-and-zero", "linear-gcd"
+            "negative-lead", "zero-first", "one-nonzero", "one-quadric", "gcd-and-zero",
+            "linear-gcd", "zero-middle", "mixed-degrees",
         ],
     )
     def test_content_normalize_cases(self, maps, monkeypatch):
@@ -1400,6 +1431,13 @@ class TestHeuristicGcd:
             assert poly_gcd(comps) == reference_poly_gcd(comps)
         assert len(answers) == 2 and all(answers)
 
+    def test_cofactors_take_the_sign(self):
+        # a lone -x y: _heu_gcd's G is -1 in the chart, and the sign that
+        # comes off the gcd goes onto the cofactor; a zero input's cofactor is 0
+        g = poly_gcd([HomPoly.zero(3), -(x * y) * Fraction(1, 2)])
+        assert g == x * y
+        assert g.cofactors == [HomPoly.zero(3), HomPoly.constant(3, -1)]
+
     def test_carry_is_rejected(self):
         # at xi = 256, (t + 1)(100 t + 100) = 100 t^2 + 200 t + 100 has the
         # digits of f = 101 t^2 - 56 t + 100, which t + 1 does not divide:
@@ -1523,6 +1561,8 @@ class TestHeuristicGcd:
             list(f.components),
             [common * rand_int_poly(rng, d, 4, True) for d in (1, 2)],
             [x * (y - z), y * (z + x)],
+            [6 * (x + y) * (y - z), 4 * (x + y) * (y + z)],  # sympy's gcd has content 2
+            [(x + y) * (y - z) * x, (x + y) * (y - z) * y, (x + y) * z],  # the gcd shrinks
         ]
         root_cases = [
             [[-1, 3, -3, 1]],  # (t - 1)^3
@@ -1532,7 +1572,9 @@ class TestHeuristicGcd:
         expected = [poly_gcd(polys) for polys in gcd_cases]
         expected_roots = [rational_roots(*lists) for lists in root_cases]
         rings = fallback_only(monkeypatch)
-        assert [poly_gcd(polys) for polys in gcd_cases] == expected
+        got = [poly_gcd(polys) for polys in gcd_cases]
+        assert got == expected
+        assert [g.cofactors for g in got] == [g.cofactors for g in expected]
         assert expected == [reference_poly_gcd(polys) for polys in gcd_cases]
         assert [rational_roots(*lists) for lists in root_cases] == expected_roots
         assert expected_roots == [reference_rational_roots(*lists) for lists in root_cases]

@@ -17,6 +17,7 @@ from _oracles import (
     reference_content_normalize,
     reference_eval,
     reference_poly_divide,
+    reference_poly_gcd,
     reference_shift,
     reference_substitute,
 )
@@ -31,6 +32,7 @@ from planecubic.exact import (
     evaluate,
     normalize_point,
     poly_divide,
+    poly_gcd,
     reduce_on_cubic,
     substitute,
     substitute_all,
@@ -122,6 +124,38 @@ def test_poly_divide_recovers_a_factor(data, nvars, dp, dq):
     assert poly_divide(p * q, q) == (p, True)
     f = p * q + data.draw(forms(nvars, dp + dq))
     assert poly_divide(f, q)[1] == reference_poly_divide(f, q)[1]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data(), st.integers(3, 4), st.sampled_from(["certificate", "heuristic", "sympy"]))
+def test_gcd_cofactors_on_every_route(data, nvars, route):
+    # a planted factor (a constant on the certificate's route) times cofactors
+    # of degrees 0..2, some of them zero: g times each cofactor is its input's
+    # numerator, on the route the gcd takes
+    from planecubic import exact
+
+    degree = 0 if route == "certificate" else data.draw(st.integers(1, 2))
+    common = data.draw(forms(nvars, degree).filter(lambda f: not f.is_zero))
+    degrees = data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=3))
+    fs = [common * data.draw(forms(nvars, d)) for d in degrees]
+    nonzero = [f for f in fs if not f.is_zero]
+    assume(nonzero)
+    if route == "certificate":
+        assume(len(nonzero) > 1 and exact._coprime_on_line(nonzero))
+    answers = []
+    real = exact._heu_gcd
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "sympy":
+            mp.setattr(exact, "_heu_gcd", lambda *args: None)
+        else:
+            mp.setattr(exact, "_heu_gcd", lambda *a: answers.append(real(*a)) or answers[-1])
+        g = poly_gcd(fs)
+    if route == "heuristic":
+        assume(answers[-1] is not None)
+    assert g == reference_poly_gcd(fs)
+    assert len(g.cofactors) == len(fs)
+    for f, q in zip(fs, g.cofactors):
+        assert g * q == HomPoly(nvars, f.num)
 
 
 # -- the representation: canonical numerators over one denominator ---------

@@ -12,10 +12,12 @@ in core speed or a warm cache favours neither side.  One warm-up item runs
 untimed on both first.  `--workload all` runs every workload in turn.
 
 Prints, per workload, the median per-item time ratio B / A, the items on
-which B was faster, the summed times, and whether every call printed the
-same stdout bytes on both sides.  Exits 1 when the bytes differ on any
-workload.  Nothing is written outside the temporary directory; the
-perfbench modules are imported, not changed.
+which B was faster, the summed times, the median ratio B / A of each call
+by its position in the item (compose#1, compose#2, dec-check#1: the
+command and its count among the item's calls of that command), and
+whether every call printed the same stdout bytes on both sides.  Exits 1
+when the bytes differ on any workload.  Nothing is written outside the
+temporary directory; the perfbench modules are imported, not changed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,13 +44,19 @@ def load(checkout: Path, name: str, into: Path):
 
 
 def run_item(workload, item, cli) -> tuple:
-    """(seconds in main, stdout bytes) of one item's chain of calls."""
+    """(seconds in main, stdout bytes, {position: seconds}) of one item's
+    chain of calls; a call's position is its command and its count among
+    the item's calls of that command, as compose#2."""
     cli.calls = []
     try:
         workload.run(item, cli)
     except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError):
         pass  # a broken chain stops early; the bytes comparison shows it
-    return sum(c.seconds for c in cli.calls), "\x00".join(c.out for c in cli.calls)
+    seen, by_position = Counter(), {}
+    for c in cli.calls:
+        seen[c.cmd] += 1
+        by_position[f"{c.cmd}#{seen[c.cmd]}"] = c.seconds
+    return sum(by_position.values()), "\x00".join(c.out for c in cli.calls), by_position
 
 
 def compare(workloads, name: str, sides, seed: int, count: int) -> bool:
@@ -58,13 +67,16 @@ def compare(workloads, name: str, sides, seed: int, count: int) -> bool:
     for cli in sides:
         run_item(workload, warm, cli)
     ratios, totals, same = [], [0.0, 0.0], True
+    per_call = {}  # position -> B/A ratios, on items where both sides reached it
     for i in range(count):
         item = next(items)
         got = [None, None]
         for k in ((0, 1) if i % 2 == 0 else (1, 0)):
             got[k] = run_item(workload, item, sides[k])
-        (ta, out_a), (tb, out_b) = got
+        (ta, out_a, calls_a), (tb, out_b, calls_b) = got
         ratios.append(tb / ta)
+        for position in calls_a.keys() & calls_b.keys():
+            per_call.setdefault(position, []).append(calls_b[position] / calls_a[position])
         totals[0] += ta
         totals[1] += tb
         same = same and out_a == out_b
@@ -72,6 +84,8 @@ def compare(workloads, name: str, sides, seed: int, count: int) -> bool:
     print(f"A total {totals[0]:.3f} s  B total {totals[1]:.3f} s")
     print(f"median B/A {statistics.median(ratios):.4f}  "
           f"B faster on {sum(r < 1 for r in ratios)} of {len(ratios)}")
+    print("per call median B/A " + "  ".join(
+        f"{position} {statistics.median(r):.4f}" for position, r in sorted(per_call.items())))
     print(f"stdout bytes equal: {same}")
     return same
 
