@@ -3,6 +3,7 @@ infinitely-near base point forests, homaloidal types."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -160,8 +161,11 @@ class BubbleNode:
 
 
 class BubbleForest:
+    """The nodes of a base point forest, read-only: `base_forest` hands one
+    forest to every caller that asks for an equal map and cubic."""
+
     def __init__(self, nodes):
-        self.nodes = list(nodes)
+        self.nodes = tuple(nodes)
         self._by_id = {n.id: n for n in self.nodes}
 
     def __len__(self):
@@ -206,7 +210,15 @@ def base_forest(
     Every node has multiplicity >= 1, so a forest that misses a base point
     has sum m < 3d - 3, and the equations of condition certify the points
     found; if they fail, the forest is rebuilt once from a search of the
-    whole plane.  A given cubic must pass `check_cubic_nonsingular`.
+    whole plane.  A given cubic must pass `check_cubic_nonsingular`, on every
+    call.
+
+    A searched forest is memoized by value, on the map and the cubic
+    together (the cubic sets the incidence flags): within one process an
+    equal map with an equal cubic, decoded afresh or built again, gets the
+    same read-only forest without a second search.  The memo keeps the last
+    `_FOREST_MEMO_SIZE` forests.  A failed search is not kept, so it raises
+    again on every call; a forest over given hints is always built anew.
     """
     weierstrass = None if cubic is None else check_cubic_nonsingular(cubic)
     if f.degree == 1:
@@ -219,6 +231,16 @@ def base_forest(
                 raise CremonaError(f"hint {pt} is not a base point")
             proper.append(pt)
         return _forest_from(f, proper, cubic)
+    return _searched_forest(f, cubic, weierstrass)
+
+
+_FOREST_MEMO_SIZE = 8  # a pipeline asks for one map's forest at a time
+
+
+@functools.lru_cache(maxsize=_FOREST_MEMO_SIZE)
+def _searched_forest(f: CremonaMap, cubic, weierstrass) -> BubbleForest:
+    """base_forest's search of the proper points; `weierstrass` is the
+    cubic's (p, q), or None, so it adds nothing to the memo's key."""
     if weierstrass is not None:
         try:
             return _forest_from(f, common_zeros_plane(f, weierstrass), cubic)

@@ -199,7 +199,7 @@ class AffinePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ExactError("negative power")
-        out = type(self).constant(self.nvars, 1)
+        out = type(self)._of(self.nvars, {(0,) * self.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -411,9 +411,14 @@ def _univariate(ints: list):
 
 class _Gcd(HomPoly):
     """poly_gcd's answer g, carrying `cofactors`: one integer form q_i per
-    input, with g q_i the input's numerator (zero for a zero input)."""
+    input, with g q_i the input's numerator (zero for a zero input).
+    Arithmetic on g gives a plain HomPoly, which has no cofactors."""
 
     __slots__ = ("cofactors",)
+
+    @classmethod
+    def _of(cls, nvars: int, num: dict, den: int = 1):
+        return HomPoly._of(nvars, num, den)
 
 
 def poly_gcd(polys) -> HomPoly:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .cremona import BubbleForest, CremonaMap, HomaloidalType, noether_check
+from .cremona import BubbleForest, CremonaMap, HomaloidalType
 from .elliptic import CurvePoint, WeierstrassCurve
 from .exact import ExactError, HomPoly
-from .sarkisov import FactorizationState, SarkisovLink, plane_state
+from .sarkisov import EngineError, FactorizationState, SarkisovLink, check_start_state, plane_state
 from .surfaces import SurfaceModel
 
 
@@ -199,13 +199,11 @@ def state_from_json(obj) -> FactorizationState:
     "points": [{"mult", "on_cubic", "children": [...]}, ...]}.  The cubic is
     always tracked, so a "track_cubic" key is rejected.  The multiplicities,
     children included, must satisfy the equations of condition."""
-    mults = []
 
     def spec(node):
         try:
-            mults.append(_json_int(node["mult"]))
             return (
-                mults[-1],
+                _json_int(node["mult"]),
                 _json_bool(node.get("on_cubic", False)),
                 [spec(k) for k in node.get("children", [])],
             )
@@ -220,7 +218,8 @@ def state_from_json(obj) -> FactorizationState:
     except (KeyError, TypeError, ValueError) as e:
         raise DecodeError(f"bad enriched state: {e}")
     state = plane_state(degree, points)
-    t = HomaloidalType(degree, tuple(mults))
-    if not noether_check(t):
-        raise DecodeError(f"bad enriched state: {t} fails the equations of condition")
+    try:
+        check_start_state(state)
+    except EngineError as e:
+        raise DecodeError(f"bad enriched state: {e}")
     return state

@@ -132,6 +132,24 @@ def plane_state(degree: int, points) -> FactorizationState:
     )
 
 
+def check_start_state(state: FactorizationState) -> None:
+    """A start state on P^2 must be homaloidal: its multiplicities, children
+    included, satisfy the equations of condition.  `is_terminal` reads only
+    the model and the system, so (1; 5) would otherwise run no link and
+    report all_vp.  A start on a Hirzebruch model is not checked."""
+    from .cremona import HomaloidalType, noether_check
+
+    def mults(points):
+        for p in points:
+            yield p.mult
+            yield from mults(p.children)
+
+    if state.model.is_plane:
+        t = HomaloidalType(state.system[0], tuple(mults(state.points)))
+        if not noether_check(t):
+            raise EngineError(f"{t} fails the equations of condition")
+
+
 def state_from_map(f, curve) -> FactorizationState:
     """Enrich a polynomial Cremona map against a Weierstrass cubic: compute
     the base forest with incidence flags and lift it to a starting state."""
@@ -320,6 +338,7 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
 
     Accepts either an enriched FactorizationState or a CremonaMap together
     with its Weierstrass cubic (which is then enriched via the base forest).
+    A start state on P^2 must pass `check_start_state`.
     """
     from .cremona import CremonaMap
 
@@ -332,6 +351,7 @@ def factorize(state_or_map, curve=None, step_cap: int = 64) -> SarkisovTrace:
             state = state_from_map(state_or_map, curve)
     else:
         state = state_or_map
+    check_start_state(state)
 
     initial = state
     links = []

@@ -320,6 +320,80 @@ class TestBaseForestOnCubic:
         assert zero_search_calls == [(0, -2), None]
 
 
+class TestForestMemo:
+    """A searched forest is memoized by value on the map and the cubic; the
+    cubic check runs on every call, and hints and failures are not kept."""
+
+    def test_equal_map_reuses_the_forest(self, zero_search_calls):
+        from planecubic.jsonio import map_from_json, map_to_json
+
+        f = translation_map(E2, G2)
+        first = base_forest(f, cubic=E2.equation)
+        again = base_forest(map_from_json(map_to_json(f)), cubic=WeierstrassCurve(0, -2).equation)
+        assert again is first and isinstance(first.nodes, tuple)
+        assert zero_search_calls == [(0, -2)]
+
+    def test_memo_keys_on_the_cubic(self, zero_search_calls):
+        # the same map without the cubic has no incidence flags, and with
+        # another cubic other ones
+        f = translation_map(E2, G2)
+        bare = base_forest(f)
+        on_e2 = base_forest(f, cubic=E2.equation)
+        on_other = base_forest(f, cubic=WeierstrassCurve(0, 1).equation)
+        assert zero_search_calls == [None, (0, -2), (0, 1), None]
+        assert not any(n.on_cubic for n in bare) and all(n.on_cubic for n in on_e2)
+        assert [n.on_cubic for n in on_other] != [n.on_cubic for n in on_e2]
+        assert [n.mult for n in bare] == [n.mult for n in on_e2] == [n.mult for n in on_other]
+
+    def test_hints_are_not_memoized(self, zero_search_calls):
+        # one hint of phi_G's two proper base points leaves the forest short:
+        # a hint list is read as given, whatever forest the memo holds
+        f = translation_map(E2, G2)
+        searched = base_forest(f, cubic=E2.equation)
+        roots = [n.point for n in searched.roots()]
+        with pytest.raises(IrrationalBasePointError):
+            base_forest(f, cubic=E2.equation, hints=roots[:1])
+        hinted = base_forest(f, cubic=E2.equation, hints=roots)
+        assert hinted is not searched and hinted.nodes == searched.nodes
+        assert zero_search_calls == [(0, -2)]
+
+    def test_failed_search_is_not_memoized(self, zero_search_calls):
+        f = CremonaMap([x * z, y * z, x * x - 2 * (y * y)])
+        for _ in range(2):
+            with pytest.raises(IrrationalBasePointError):
+                base_forest(f, cubic=E2.equation)
+        assert zero_search_calls == [(0, -2), None] * 2
+
+    def test_cubic_is_checked_on_every_call(self, zero_search_calls):
+        # a cubic out of Weierstrass form is checked by a search of its
+        # partials each time; the forest's own search runs once
+        for _ in range(2):
+            base_forest(SIGMA, cubic=x**3 + y**3 + z**3)
+        assert zero_search_calls == [None, None, None]
+        with pytest.raises(CremonaError, match="singular"):
+            base_forest(SIGMA, cubic=y * y * z - x**3)
+
+    def test_memo_is_bounded(self):
+        from planecubic import cremona
+
+        for k in range(cremona._FOREST_MEMO_SIZE + 2):
+            base_forest(compose(SIGMA, CremonaMap([x + k * z, y, z])))
+        assert cremona._searched_forest.cache_info().currsize == cremona._FOREST_MEMO_SIZE
+
+    def test_pipeline_searches_once(self, zero_search_calls):
+        # base-forest, factorize and vp-verify on one map in one process
+        import io
+        import json
+
+        from planecubic.cli import main
+        from planecubic.jsonio import map_to_json
+
+        payload = json.dumps({"map": map_to_json(translation_map(E2, G2)), "curve": {"p": "0", "q": "-2"}})
+        for command in ("base-forest", "factorize", "vp-verify"):
+            assert main([command], stdin=io.StringIO(payload), stdout=io.StringIO()) == 0
+        assert zero_search_calls == [(0, -2)]
+
+
 def _oracle_cases():
     """(name, map, cubic) over C: y^2 = x^3 - 2 with G = (3, 5).
 

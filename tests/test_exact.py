@@ -1438,6 +1438,38 @@ class TestHeuristicGcd:
         assert g == x * y
         assert g.cofactors == [HomPoly.zero(3), HomPoly.constant(3, -1)]
 
+    @pytest.mark.parametrize("route", ["heuristic", "sympy"])
+    def test_negative_raw_gcd_takes_the_sign(self, monkeypatch, route):
+        # no input keeps z^2, so the chart is y = 1; both routes find z - 1
+        # there, positive in (x, z), and put back it is z - y, whose
+        # lex-leading term y has coefficient -1: the gcd and every cofactor
+        # change sign
+        from planecubic import exact
+
+        polys = [(z - y) * y, (z - y) * (x + y)]
+        raw, real = [], exact._with_cofactors
+        monkeypatch.setattr(exact, "_with_cofactors", lambda i, g, q: raw.append(g) or real(i, g, q))
+        if route == "heuristic":
+            answers = heu_answers(monkeypatch)
+        else:
+            rings = fallback_only(monkeypatch)
+        g = poly_gcd(polys)
+        assert answers[0] is not None if route == "heuristic" else rings == [2] * 2
+        assert raw[0][max(raw[0])] < 0
+        assert g == y - z == reference_poly_gcd(polys)
+        assert g.cofactors == [-y, -x - y]
+        assert [g * q for q in g.cofactors] == polys
+
+    def test_arithmetic_on_the_gcd_is_a_plain_form(self):
+        # the cofactors belong to g alone: -g, g q, g + h, g^k and a partial
+        # are forms without them
+        g = poly_gcd([x * y, x * z])
+        h = poly_gcd([y * y, y * z])
+        assert g.cofactors == [y, z]
+        got = [-g, g * y, g + h, g**2, g.partial(0)]
+        assert got == [-x, x * y, x + y, x * x, HomPoly.constant(3, 1)]
+        assert all(type(p) is HomPoly for p in got)
+
     def test_carry_is_rejected(self):
         # at xi = 256, (t + 1)(100 t + 100) = 100 t^2 + 200 t + 100 has the
         # digits of f = 101 t^2 - 56 t + 100, which t + 1 does not divide:

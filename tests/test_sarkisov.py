@@ -372,9 +372,19 @@ class TestStuckAndCap:
             next_link(st)
 
     def test_step_cap(self):
-        # (2; 1) is not homaloidal: the engine ping-pongs P^2 <-> F_1 forever
+        # (2; 1, 1, 1) needs the four links I II II III: a cap of 3 stops it
         with pytest.raises(StepCapExceeded):
-            factorize(plane_state(2, [(1, True)]), step_cap=20)
+            factorize(plane_state(2, [(1, True)] * 3), step_cap=3)
+
+    @pytest.mark.parametrize(
+        "degree, points",
+        [(1, [(5, True)]), (2, [(1, True)]), (2, [(1, True, [(1, True)]), (1, True), (1, True)])],
+        ids=["d1-mult5", "d2-one-point", "d2-extra-child"],
+    )
+    def test_non_homaloidal_start_is_refused(self, degree, points):
+        # (1; 5) used to run no link and report all_vp; (2; 1) ran into the cap
+        with pytest.raises(EngineError, match="equations of condition"):
+            factorize(plane_state(degree, points))
 
     def test_terminal_state_has_no_next_link(self):
         with pytest.raises(EngineError):
