@@ -43,10 +43,11 @@ class AffinePoly:
     so the pair is canonical; the zero polynomial is {} over 1 and its
     degree is None.  `terms` is the Fraction reading, a read-only view.
     Instances are immutable by convention and hashable: results may share a
-    numerator dict with their input.
+    numerator dict with their input.  `terms`, the hash and the degree are
+    computed on first use and kept.
     """
 
-    __slots__ = ("nvars", "num", "den", "_terms", "_hash")
+    __slots__ = ("nvars", "num", "den", "_terms", "_hash", "_degree")
 
     def __init__(self, nvars: int, terms: dict):
         if type(nvars) is not int or nvars < 1:
@@ -62,7 +63,7 @@ class AffinePoly:
         nums, self.den = _ints_over_lcm(clean.values())
         self.nvars = nvars
         self.num = dict(zip(clean, nums))
-        self._terms = self._hash = None
+        self._terms = self._hash = self._degree = None
         self._validate()
 
     def _validate(self):
@@ -101,7 +102,8 @@ class AffinePoly:
         """Wrap a pair that is already canonical, as a remap of a canonical
         pair's keys is: no gcd is taken."""
         out = object.__new__(cls)
-        out.nvars, out.num, out.den, out._terms, out._hash = nvars, num, den, None, None
+        out.nvars, out.num, out.den = nvars, num, den
+        out._terms = out._hash = out._degree = None
         return out
 
     # -- basic queries ------------------------------------------------------
@@ -120,9 +122,9 @@ class AffinePoly:
     @property
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.num:
-            return None
-        return max(map(sum, self.num))
+        if self._degree is None and self.num:
+            self._degree = max(map(sum, self.num))
+        return self._degree
 
     def coefficient(self, exp) -> Fraction:
         return Fraction(self.num.get(tuple(exp), 0), self.den)
@@ -381,7 +383,8 @@ def _unpack(key: int, base: int, nvars: int) -> tuple:
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
-    """Product of two {packed exponent: int} polynomials (may keep zeros)."""
+    """Product of two {packed key: int} polynomials (may keep zeros): terms,
+    or `substitute_all`'s rows, whose ints multiply as packed polynomials."""
     out = {}
     get = out.get
     for eb, cb in b.items():
@@ -609,12 +612,24 @@ def _at_power(f: dict, s: int) -> int:
 
 def _balanced_digits(v: int, s: int) -> dict:
     """v in base 2^s (s a multiple of 8) with digits in [-2^(s-1), 2^(s-1)),
-    as {position: digit} for the nonzero digits: the inverse of _at_power."""
+    as {position: digit} for the nonzero digits: the inverse of _at_power,
+    and the reader of substitute_all's rows."""
+    if not v:
+        return {}
+    low = ((v & -v).bit_length() - 1) // s  # the digits below position low are 0
+    v >>= low * s
     w, half = s // 8, 1 << (s - 1)
-    n = abs(v).bit_length() // s + 2
+    if -half <= v < half:
+        return {low: v}
+    n = (abs(v).bit_length() + 1) // s + 1  # n digits cover |v| < 2^(s n - 2)
     raw = (v + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
-    digits = (int.from_bytes(raw[k : k + w], "little") - half for k in range(0, n * w, w))
-    return {key: d for key, d in enumerate(digits) if d}
+    out = {}
+    for k in range(0, n * w, w):
+        d = int.from_bytes(raw[k : k + w], "little") - half
+        if d:
+            out[low] = d
+        low += 1
+    return out
 
 
 def _coprime_on_line(polys) -> bool:
@@ -889,31 +904,59 @@ def substitute(p: HomPoly, maps) -> HomPoly:
 
 def substitute_all(ps, maps) -> list:
     """[p(f_1, ..., f_n) for p in ps], as `substitute` reads each: the ps
-    share the products of the f_i, each built once.
+    share the products of the f_i, each built once.  p and the f_i are
+    forms, so one term gives each degree.
 
-    Works in integers on packed exponents: with den the lcm of the F_i's
-    denominators, F_i = G_i / den (G_i integral) and p = q / pden, p(F) =
-    q(G) / (pden den^deg p).  An exponent vector is packed into one int in
-    base deg(F) max(deg p) + 1, which no output exponent reaches, so
-    exponents add as ints.  A table keyed by the exponent vectors e of all
-    the ps lists each e's coefficients; G^e is built from cached pure powers
-    G_i^k, added into every p that has e, and dropped, so at most one such
-    product is held at a time.
+    Works in integers on rows: with den the lcm of the f_i's denominators,
+    f_i = G_i / den (G_i integral) and p = q / pden, p(f) = q(G) / (pden
+    den^deg p).  A row gathers a form's terms that share the exponents of
+    x_1 ... x_(n-2).  Its key packs those in base deg(f) top + 1 (top the
+    largest deg p, at least 1), which no output exponent reaches, so keys
+    add as ints.  Its value is sum c_i xi^i over its terms c_i x_0^i ...,
+    xi = 2^s: the Kronecker substitution in x_0 alone, with x_(n-1)'s
+    exponent left to the degree.  A table keyed by the exponent vectors e
+    of all the ps lists each e's coefficients; G^e is built by row
+    products from cached pure powers G_i^k, added into every p that has e,
+    and dropped, so at most one such product is held at a time.  Each
+    output row is read once into balanced base-xi digits.
+
+    Exact by a bound: x_0 -> xi, x_(n-1) -> 1 is a ring homomorphism, so a
+    product's rows are the products of rows, whatever their sizes on the
+    way.  The 1-norm is submultiplicative, so each coefficient of q(G) is
+    at most sum_e |q_e| prod ||G_i||_1^e_i <= ||q||_1 M^top, for M >= 1 the
+    largest ||G_i||_1.  With s a multiple of 8 and 2^(s-1) above every such
+    bound, each output coefficient lies in (-xi/2, xi/2): it is its row's
+    digit at its x_0 exponent.
     """
     ps, maps = list(ps), list(maps)
     if any(len(maps) != p.nvars for p in ps):
         raise DimensionMismatch("one substituting polynomial per variable required")
-    degs = {m.degree for m in maps if not m.is_zero}
+    degs = {sum(next(iter(m.num))) for m in maps if m.num}
     if len(degs) != 1:
         raise ExactError("nonzero substituting polynomials must share one degree")
     nvars = maps[0].nvars
     (dm,) = degs
-    base = dm * max([p.degree for p in ps if p.num] + [1]) + 1  # deg 0 uses only 0th powers
+    pdegs = [sum(next(iter(p.num))) if p.num else 0 for p in ps]
+    top = max(pdegs + [1])
+    base = dm * top + 1  # deg 0 uses only 0th powers
     den = int_lcm(*(m.den for m in maps))
-    powers = [
-        [{0: 1}, {_pack(e, base): c * (den // m.den) for e, c in m.num.items()}]
-        for m in maps
+    ints = [
+        m.num if m.den == den else {e: c * (den // m.den) for e, c in m.num.items()} for m in maps
     ]
+    norm = max(sum(map(abs, g.values())) for g in ints)
+    bound = max((sum(map(abs, p.num.values())) for p in ps), default=0) * norm**top
+    s = (bound.bit_length() + 8) // 8 * 8
+    half = 1 << (s - 1)
+    # x_0 rides, whatever the forms: a rule chosen per call costs set-up on
+    # the small sparse forms of threefold-check, where no variable makes
+    # many fewer rows than another
+    powers = []
+    for g in ints:
+        rows = {}
+        for e, c in g.items():
+            key = _pack(e[1:-1], base)
+            rows[key] = rows.get(key, 0) + (c << s * e[0])
+        powers.append([{0: 1}, rows])
     accs = [{} for _ in ps]
     uses = {}
     for acc, p in zip(accs, ps):
@@ -926,6 +969,8 @@ def substitute_all(ps, maps) -> list:
                 while len(pw) <= k:
                     pw.append(_mul_packed(pw[-1], pw[1]))
                 term = pw[k] if term is None else _mul_packed(term, pw[k])
+                if not term:
+                    break  # a zero f_i
         if term is None:
             term = {0: 1}
         for acc, c in cs:
@@ -933,9 +978,21 @@ def substitute_all(ps, maps) -> list:
             for key, v in term.items():
                 acc[key] = get(key, 0) + c * v
     out = []
-    for p, acc in zip(ps, accs):
-        num = {_unpack(key, base, nvars): v for key, v in acc.items() if v}
-        out.append(HomPoly._of(nvars, num, p.den * den**p.degree) if p.num else HomPoly.zero(nvars))
+    for p, k, acc in zip(ps, pdegs, accs):
+        d, num = dm * k, {}
+        for key, v in acc.items():
+            if not v:
+                continue
+            mid = _unpack(key, base, nvars - 2)
+            rest = d - sum(mid)
+            if -half <= v < half:  # one digit, at x_0^0: no reader call
+                num[(0, *mid, rest)] = v
+                continue
+            for i, c in _balanced_digits(v, s).items():
+                num[(i, *mid, rest - i)] = c
+        if nvars == 1:  # x_0 is also the last variable, whose exponent comes off
+            num = {e[:1]: c for e, c in num.items()}
+        out.append(HomPoly._of(nvars, num, p.den * den**k))
     return out
 
 

@@ -42,6 +42,7 @@ from planecubic.exact import (
     rational_roots,
     reduce_on_cubic,
     substitute,
+    substitute_all,
     variables,
     _coprime_on_line,
     _x_coeffs_at,
@@ -898,6 +899,84 @@ class TestIntegerKernels:
         assert pull == reference_substitute(curve.equation, f.components)
         quo, ok = poly_divide(pull, curve.equation)
         assert ok and quo.degree == 27
+
+    # substitute's rows: x0 rides inside each integer as digits in base 2^s,
+    # s the least multiple of 8 with 2^(s-1) above ||q||_1 M^deg p
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_substitute_coefficient_at_the_bound(self, slot, sign):
+        # c^4 = 65535^4 has 64 bits and equals the bound ||q||_1 M^4: a digit
+        # 64 bits wide, one bit short, or the bound one power short misreads it
+        c = 65535
+        maps = [x * x, y * y, z * z]
+        maps[slot] = maps[slot] * (sign * c)
+        p = HomPoly.variable(3, slot) ** 4 * sign
+        out = substitute(p, maps)
+        assert out == reference_substitute(p, maps)
+        exp = tuple(8 if i == slot else 0 for i in range(3))
+        assert out.num == {exp: sign * c**4} and (c**4).bit_length() == 64
+
+    def test_substitute_zero_map_in_the_riding_slot(self):
+        rng = random.Random(31)
+        p = rand_poly(rng, 3, terms=8) + x**3 + x * y * z
+        maps = [HomPoly.zero(3), rand_poly(rng, 2), rand_poly(rng, 2)]
+        assert substitute(p, maps) == reference_substitute(p, maps)
+        assert substitute(x**3, maps).is_zero
+
+    def test_substitute_one_variable(self):
+        (u,) = variables(1)
+        for p, maps in [
+            (u**3 * Fraction(3, 2), [u * u * Fraction(-5, 7)]),
+            (u**4 * -65535, [u * 65535]),
+            (HomPoly.constant(1, Fraction(2, 9)), [u * 3]),
+        ]:
+            assert substitute(p, maps) == reference_substitute(p, maps)
+        assert substitute(u**2 * 3, [u * -2]).num == {(2,): 12}
+
+    @pytest.mark.parametrize("dm", [1, 2, 3])
+    def test_substitute_binary_forms(self, dm):
+        # the shape of restrict_to_line: binary forms, one row each, and zeros
+        rng = random.Random(40 + dm)
+        s, t = variables(2)
+        p = rand_poly(rng, 4, nvars=4, terms=10)
+        line = [rand_poly(rng, dm, nvars=2) for _ in range(4)]
+        assert substitute(p, line) == reference_substitute(p, line)
+        line = [HomPoly.zero(2), s ** dm * 3, t ** dm * -2, HomPoly.zero(2)]
+        assert substitute(p, line) == reference_substitute(p, line)
+
+    def test_substitute_rows_of_one_digit(self):
+        # monomial maps: every row of every power holds one digit, at x0^0
+        # (read in place) or above it (read off the digits)
+        rng = random.Random(23)
+        p = rand_poly(rng, 4, terms=12) + x**4 - y**4 * 3 + z**4
+        maps = [x * x * -7, y * y * Fraction(5, 3), z * z]
+        out = substitute(p, maps)
+        assert out == reference_substitute(p, maps)
+        assert out.coefficient((8, 0, 0)) == p.coefficient((4, 0, 0)) * 7**4
+
+    def test_substitute_involution_squared_cancels(self):
+        # threefold-check's f o f: sparse quartic-threefold forms whose
+        # products cancel down to H x_i
+        x0, x1, x2, x3 = variables(4)
+        A = (x2 * x2 - x1 * x3) * 18
+        B = (x1 * x1 * x2 * 48 - x1 * x1 * x3 * 188 + x1 * x2 * x3 * 36
+             + x1 * x3 * x3 * 269 + x2 * x3 * x3 * 63 - x3**3 * 18)
+        f = [-(A * x0) - B, A * x1, A * x2, A * x3]
+        g = substitute_all(f, f)
+        assert g == [reference_substitute(fi, f) for fi in f]
+        H, ok = poly_divide(g[0], x0)
+        assert ok and not H.is_zero
+        assert all(gi == H * xi for gi, xi in zip(g, (x0, x1, x2, x3)))
+
+    def test_substitute_rational_maps_and_rational_p(self):
+        rng = random.Random(17)
+        p = rand_poly(rng, 4, terms=10) * Fraction(-7, 12)
+        maps = [rand_poly(rng, 3, terms=6) * Fraction(5, 11), rand_poly(rng, 3, terms=6),
+                rand_poly(rng, 3, terms=6) * Fraction(-1, 9)]
+        out = substitute(p, maps)
+        assert out == reference_substitute(p, maps)
+        assert out.den > 1 and any(c < 0 for c in out.num.values())
 
     @pytest.mark.parametrize(
         "polys, expected",

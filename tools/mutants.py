@@ -37,6 +37,7 @@ class Mutant:
 
 
 _MEMO = "tests/test_cremona.py::TestForestMemo::"
+_SUB = "tests/test_exact.py::TestIntegerKernels::test_substitute_"
 _SIGN = "tests/test_exact.py::TestHeuristicGcd::test_negative_raw_gcd_takes_the_sign"
 _START = "tests/test_sarkisov.py::TestStuckAndCap::test_non_homaloidal_start_is_refused"
 
@@ -100,6 +101,37 @@ MUTANTS = [
         ("tests/test_cremona.py::TestCompose::test_standard_quadratic_involution",
          "tests/test_exact.py::TestSympyBridge::test_gcd_keeps_repeated_factors",
          "tests/test_exact.py::TestCoprimeCertificate::test_planted_factor_is_found[last]"),
+    ),
+    Mutant(
+        "substitute-bound-one-power-short",
+        "exact.py",
+        " * norm**top\n",
+        " * norm ** (top - 1)\n",
+        tuple(f"{_SUB}coefficient_at_the_bound[{slot}-{sign}]"
+              for slot in range(3) for sign in (1, -1)),
+    ),
+    Mutant(
+        "balanced-digit-sign-fix-dropped",
+        "exact.py",
+        """    raw = (v + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
+    out = {}
+    for k in range(0, n * w, w):
+        d = int.from_bytes(raw[k : k + w], "little") - half
+""",
+        """    raw = v.to_bytes(n * w, "little", signed=True)
+    out = {}
+    for k in range(0, n * w, w):
+        d = int.from_bytes(raw[k : k + w], "little")
+""",
+        (_SUB + "rational_maps_and_rational_p", _SUB + "zero_map_in_the_riding_slot"),
+    ),
+    Mutant(
+        "riding-exponent-misplaced",
+        "exact.py",
+        "                num[(i, *mid, rest - i)] = c\n",
+        "                num[(*mid, i, rest - i)] = c\n",
+        (_SUB + "rows_of_one_digit", _SUB + "rational_maps_and_rational_p",
+         _SUB + "involution_squared_cancels"),
     ),
 ]
 
