@@ -904,8 +904,7 @@ def substitute(p: HomPoly, maps) -> HomPoly:
 
 def substitute_all(ps, maps) -> list:
     """[p(f_1, ..., f_n) for p in ps], as `substitute` reads each: the ps
-    share the products of the f_i, each built once.  p and the f_i are
-    forms, so one term gives each degree.
+    share the products of the f_i, each built once.
 
     Works in integers on rows: with den the lcm of the f_i's denominators,
     f_i = G_i / den (G_i integral) and p = q / pden, p(f) = q(G) / (pden
@@ -931,12 +930,12 @@ def substitute_all(ps, maps) -> list:
     ps, maps = list(ps), list(maps)
     if any(len(maps) != p.nvars for p in ps):
         raise DimensionMismatch("one substituting polynomial per variable required")
-    degs = {sum(next(iter(m.num))) for m in maps if m.num}
+    degs = {m.degree for m in maps if m.num}
     if len(degs) != 1:
         raise ExactError("nonzero substituting polynomials must share one degree")
     nvars = maps[0].nvars
     (dm,) = degs
-    pdegs = [sum(next(iter(p.num))) if p.num else 0 for p in ps]
+    pdegs = [p.degree or 0 for p in ps]
     top = max(pdegs + [1])
     base = dm * top + 1  # deg 0 uses only 0th powers
     den = int_lcm(*(m.den for m in maps))
@@ -946,7 +945,6 @@ def substitute_all(ps, maps) -> list:
     norm = max(sum(map(abs, g.values())) for g in ints)
     bound = max((sum(map(abs, p.num.values())) for p in ps), default=0) * norm**top
     s = (bound.bit_length() + 8) // 8 * 8
-    half = 1 << (s - 1)
     # x_0 rides, whatever the forms: a rule chosen per call costs set-up on
     # the small sparse forms of threefold-check, where no variable makes
     # many fewer rows than another
@@ -985,9 +983,6 @@ def substitute_all(ps, maps) -> list:
                 continue
             mid = _unpack(key, base, nvars - 2)
             rest = d - sum(mid)
-            if -half <= v < half:  # one digit, at x_0^0: no reader call
-                num[(0, *mid, rest)] = v
-                continue
             for i, c in _balanced_digits(v, s).items():
                 num[(i, *mid, rest - i)] = c
         if nvars == 1:  # x_0 is also the last variable, whose exponent comes off

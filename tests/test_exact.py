@@ -947,7 +947,7 @@ class TestIntegerKernels:
 
     def test_substitute_rows_of_one_digit(self):
         # monomial maps: every row of every power holds one digit, at x0^0
-        # (read in place) or above it (read off the digits)
+        # or above it
         rng = random.Random(23)
         p = rand_poly(rng, 4, terms=12) + x**4 - y**4 * 3 + z**4
         maps = [x * x * -7, y * y * Fraction(5, 3), z * z]
