@@ -21,10 +21,10 @@ from .exact import (
     rational_roots,
     reduce_on_cubic,
     substitute,
-    substitute_all,
     _all_proportional,
     _normalized,
     _projective_ints,
+    _composed,
 )
 
 
@@ -51,6 +51,9 @@ class CremonaMap:
     __slots__ = ("components",)
 
     def __init__(self, components):
+        self._set(components, content_normalize)
+
+    def _set(self, components, normalize):
         n = self.NVARS
         comps = list(components)
         if len(comps) != n or any(c.nvars != n for c in comps):
@@ -59,10 +62,11 @@ class CremonaMap:
             raise CremonaError("a component is zero: the map is not dominant")
         if len({c.degree for c in comps}) != 1:
             raise CremonaError("components must share one degree")
-        comps = content_normalize(comps)
+        comps = normalize(comps)
         if _all_proportional(comps):
             raise CremonaError("components are proportional: map is not dominant")
         self.components = tuple(comps)
+        return self
 
     @classmethod
     def identity(cls):
@@ -98,9 +102,9 @@ class CremonaMap:
 
 
 def compose(f: CremonaMap, g: CremonaMap) -> CremonaMap:
-    """f after g, of f's type.  Substitutes, strips the common content,
-    renormalizes."""
-    return type(f)(substitute_all(f.components, g.components))
+    """f after g, of f's type: the content gcd comes off the substitution's
+    rows where _composed proves it, else the constructor's on the forms."""
+    return object.__new__(type(f))._set(*_composed(f.components, g.components))
 
 
 # -- homaloidal types ---------------------------------------------------------

@@ -460,21 +460,10 @@ def poly_gcd(polys) -> HomPoly:
     degrees = [p.degree - sum(low) for p in polys]
     base = max(degrees) + 1
     affine = [{e[:j] + e[j + 1 :]: c for e, c in f.items()} for f in nums]
-
-    def unpack(f: dict) -> dict:
-        return {_unpack(key, base, nvars - 1): c for key, c in f.items()}
-
-    proved = []  # the last answer accept saw, unpacked: [G_u, Q_u...]
-
-    def accept(G, cofactors) -> bool:
-        # the degree check of _heu_gcd: no exponent of G Q_i reaches the base
-        proved[:] = map(unpack, [G, *cofactors])
-        dg = max(map(sum, proved[0]))
-        return all(dg + max(map(sum, q)) < base for q in proved[1:])
-
     packed = [{_pack(e, base): c for e, c in f.items()} for f in affine]
-    if _heu_gcd(packed, accept, base ** max(nvars - 2, 0)) is not None:
-        g, *cofactors = proved
+    found = _heu_gcd(packed, (base, nvars - 1))
+    if found is not None:
+        g, cofactors = found
     else:
         # sympy's gcd over ZZ comes with its cofactors: each input is g times
         # its q, kept up to date as g shrinks
@@ -519,14 +508,12 @@ def _with_cofactors(inputs, g: dict, cofactors) -> _Gcd:
 _HEU_GCD_BITS = 24_000
 
 
-def _heu_gcd(fs, accept=None, lead: int = 0):
+def _heu_gcd(fs, form=None):
     """(G, [Q_i]) with G Q_i = f_i and G primitive, so G is the gcd of the
     f_i up to its sign; or None.  Each f_i is a nonzero {packed exponent:
-    int} dict: a list's coefficients by position, or a form's
-    dehomogenization F_i packed in a base above its degree (the Kronecker
-    substitution), with lead the place value of the first variable.  Lists
-    leave lead 0 and accept None; for forms, `accept(G, cofactors)` is the
-    degree check below.
+    int} dict: a list's coefficients by position, or, with form = (base,
+    nvars), a form's dehomogenization F_i packed in base over nvars
+    variables (the Kronecker substitution), whose answer _form_gcd unpacks.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989),
     with each f_i read as a polynomial in t: f_i is evaluated at xi = 2^s,
@@ -547,41 +534,53 @@ def _heu_gcd(fs, accept=None, lead: int = 0):
     times a cofactor of degree deg F_i - deg g, so pack(g) = G pack(k)
     divides every f_i, and so G: pack(k) = +-1, and g = +-G_u.
 
-    A rejected answer is retried once.  Lists retry with xi squared.  The
-    substitution puts the variables on the curve (t^lead, ..., t), and
-    where the cofactors all vanish at one of its points their images share
-    a factor that no xi removes, which the degree check refuses.  The curve
-    starts at the origin, which the caller's chart keeps off the cofactors'
-    common zeros, and passes through (1, ..., 1); so forms retry with the
-    first variable negated, which moves the curve off that point.  The
-    negation maps the answer back, and the argument above holds for the
-    negated F_i.
+    A rejected answer is retried once: lists with xi squared, forms as _form_gcd says.
     """
     norm = max(abs(c) for f in fs for c in f.values())
     top = max(key for f in fs for key in f)
     s = (norm.bit_length() + 15) // 8 * 8  # at least 8 bits to spare
+    if s * (top + 1) > _HEU_GCD_BITS:
+        return None
+    if form:
+        return _form_gcd(lambda lead: [_at_power(_negated(f, lead), s) for f in fs], s, *form)
+    found = _heu_gcd_at(fs, s)  # lists retry with xi squared
+    if found is None and 2 * s * (top + 1) <= _HEU_GCD_BITS:
+        found = _heu_gcd_at(fs, 2 * s)
+    return found
 
-    def negate(f: dict) -> dict:  # x_0 -> -x_0
-        return {key: -c if key // lead % 2 else c for key, c in f.items()}
 
-    for retry in (False, True):
-        if retry and lead:
-            fs = [negate(f) for f in fs]
-        elif retry:
-            s *= 2
-        if s * (top + 1) > _HEU_GCD_BITS:
-            return None
-        found = _heu_gcd_at(fs, s)
-        if found is not None and retry and lead:
-            found = negate(found[0]), [negate(q) for q in found[1]]
-        if found is not None and (accept is None or accept(*found)):
-            return found
+def _form_gcd(values, s: int, base: int, nvars: int):
+    """_heu_gcd's answer on forms packed in base over nvars variables, past
+    its degree check and unpacked, (G_u, [Q_u]); or None.  values(lead) are
+    the forms' values at xi = 2^s with the variable of place value lead
+    negated (none for lead 0).  The second try negates the first variable:
+    the Kronecker curve (t^lead, ..., t) starts at the origin, which the
+    caller's chart keeps off the cofactors' common zeros, but passes through
+    (1, ..., 1), where the cofactors may meet and share a factor that no xi
+    removes.  _heu_gcd's argument holds for the negated F_i."""
+    for lead in (0, base ** max(nvars - 1, 0)):
+        found = _heu_gcd_of(values(lead), s)
+        if found is not None:
+            G, *qs = ({_unpack(k, base, nvars): c for k, c in _negated(f, lead).items()}
+                      for f in [found[0], *found[1]])
+            dg = max(map(sum, G))
+            if all(dg + max(map(sum, q)) < base for q in qs):
+                return G, qs
     return None
 
 
+def _negated(f: dict, lead: int) -> dict:
+    """A packed form with its variable of place value lead negated; f for lead 0."""
+    return {key: -c if key // lead % 2 else c for key, c in f.items()} if lead else f
+
+
 def _heu_gcd_at(fs, s: int):
-    """One try of _heu_gcd at xi = 2^s, before `accept`."""
-    vals = [_at_power(f, s) for f in fs]
+    """One try of _heu_gcd at xi = 2^s, before the degree check."""
+    return _heu_gcd_of([_at_power(f, s) for f in fs], s)
+
+
+def _heu_gcd_of(vals, s: int):
+    """One try on the nonzero values f_i(2^s): (G, [Q_i]) as digit dicts, or None."""
     G = _balanced_digits(reduce(int_gcd, vals), s)
     cont = int_gcd(*G.values())
     G = {key: c // cont for key, c in G.items()}
@@ -903,8 +902,13 @@ def substitute(p: HomPoly, maps) -> HomPoly:
 
 
 def substitute_all(ps, maps) -> list:
-    """[p(f_1, ..., f_n) for p in ps], as `substitute` reads each: the ps
-    share the products of the f_i, each built once.
+    """[p(f_1, ..., f_n) for p in ps], as `substitute` reads each."""
+    return _read_rows(*_substitute_rows(ps, maps))
+
+
+def _substitute_rows(ps, maps) -> tuple:
+    """substitute_all's products, (nvars, s, base, [(rows, degree, den) per
+    p]): the ps share the products of the f_i, each built once.
 
     Works in integers on rows: with den the lcm of the f_i's denominators,
     f_i = G_i / den (G_i integral) and p = q / pden, p(f) = q(G) / (pden
@@ -916,8 +920,7 @@ def substitute_all(ps, maps) -> list:
     exponent left to the degree.  A table keyed by the exponent vectors e
     of all the ps lists each e's coefficients; G^e is built by row
     products from cached pure powers G_i^k, added into every p that has e,
-    and dropped, so at most one such product is held at a time.  Each
-    output row is read once into balanced base-xi digits.
+    and dropped, so at most one such product is held at a time.
 
     Exact by a bound: x_0 -> xi, x_(n-1) -> 1 is a ring homomorphism, so a
     product's rows are the products of rows, whatever their sizes on the
@@ -975,9 +978,14 @@ def substitute_all(ps, maps) -> list:
             get = acc.get
             for key, v in term.items():
                 acc[key] = get(key, 0) + c * v
+    return nvars, s, base, [(acc, dm * k, p.den * den**k) for p, k, acc in zip(ps, pdegs, accs)]
+
+
+def _read_rows(nvars: int, s: int, base: int, outs) -> list:
+    """The forms of _substitute_rows' rows, each row read once into balanced digits."""
     out = []
-    for p, k, acc in zip(ps, pdegs, accs):
-        d, num = dm * k, {}
+    for acc, d, den in outs:
+        num = {}
         for key, v in acc.items():
             if not v:
                 continue
@@ -987,8 +995,32 @@ def substitute_all(ps, maps) -> list:
                 num[(i, *mid, rest - i)] = c
         if nvars == 1:  # x_0 is also the last variable, whose exponent comes off
             num = {e[:1]: c for e, c in num.items()}
-        out.append(HomPoly._of(nvars, num, p.den * den**k))
+        out.append(HomPoly._of(nvars, num, den))
     return out
+
+
+def _composed(ps, maps) -> tuple:
+    """(forms, the normalization they need) for compose: the cofactors of the
+    content gcd of _substitute_rows' integral forms and _canonical_scale;
+    else, if the values pass _HEU_GCD_BITS, a form is zero, no form keeps
+    x_last^d (the Kronecker curve's start) or both tries fail, the read
+    forms and content_normalize.  sum_key row << s base key is a form's
+    value at xi = 2^s in the chart x_last = 1, in base d + 1 with x_1 first
+    and x_0 last, and the substitution's bound gives xi >= 2 ||h||_inf + 2
+    for its coefficients h.  Some cofactor is prime to x_last, so the
+    chart's cofactors homogenized to their largest degree are the forms'."""
+    nvars, s, base, outs = rows = _substitute_rows(ps, maps)
+    accs, found = [acc for acc, _, _ in outs], None
+    if (s * base ** (nvars - 1) <= _HEU_GCD_BITS and all(any(acc.values()) for acc in accs)
+            and any(acc.get(0, 0) % (1 << s) for acc in accs)):  # the last: some x_last^d
+        found = _form_gcd(  # x_1, of place value lead, is at lead // base in a row's key
+            lambda lead: [sum(v << s * base * k for k, v in _negated(acc, lead // base).items())
+                          for acc in accs], s, base, nvars - 1)
+    if found is None:
+        return _read_rows(*rows), content_normalize
+    d = max(max(map(sum, q)) for q in found[1])  # unpacked as (x_1, ..., x_(n-2), x_0)
+    qs = ({(u[-1], *u[:-1], d - sum(u)): c for u, c in q.items()} for q in found[1])
+    return [HomPoly._wrap(nvars, q, 1) for q in qs], _canonical_scale
 
 
 def content_normalize(maps) -> list:
@@ -1001,8 +1033,12 @@ def content_normalize(maps) -> list:
     g = poly_gcd(maps)
     if g.degree:
         maps = [HomPoly._of(m.nvars, q.num, m.den) for m, q in zip(maps, g.cofactors)]
-    # canonical scaling, in integers: numerators over one denominator, divided
-    # by their content, signed so the first nonzero lex-leading one is positive
+    return _canonical_scale(maps)
+
+
+def _canonical_scale(maps) -> list:
+    """Forms, some nonzero, in canonical scaling: integer numerators divided by
+    their content, signed so the first nonzero lex-leading one is positive."""
     den = int_lcm(*(m.den for m in maps))
     ints = [m.num for m in maps] if den == 1 else [
         {e: c * (den // m.den) for e, c in m.num.items()} for m in maps

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from _oracles import reference_forest_from
 from planecubic.cremona import (
@@ -34,8 +36,18 @@ from planecubic.elliptic import (
     to_projective,
     translation_map,
 )
-from planecubic.exact import AffinePoly, HomPoly, poly_divide, substitute, variables
-from planecubic.threefold import SpaceMap, is_involution
+from planecubic import exact
+from planecubic.exact import (
+    AffinePoly,
+    HomPoly,
+    poly_divide,
+    substitute,
+    substitute_all,
+    variables,
+    _composed,
+    _substitute_rows,
+)
+from planecubic.threefold import SpaceMap, build_involution, desk_instance, is_involution
 
 x, y, z = variables(3)
 
@@ -113,6 +125,173 @@ class TestCompose:
             img = comp.apply(to_projective(pt))
             if img is not None:
                 assert img == to_projective(add(CURVE, pt, S))
+
+
+def reference_compose(f, g):
+    """compose as it was: the substituted forms through the constructor's gcd."""
+    return type(f)(substitute_all(f.components, g.components))
+
+
+def outcome(build):
+    """The map build() returns, or the type and message of its CremonaError."""
+    try:
+        return build()
+    except CremonaError as e:
+        return type(e), str(e)
+
+
+def linear_form(row, xs):
+    return sum((c * v for c, v in zip(row, xs)), HomPoly.zero(len(xs)))
+
+
+@st.composite
+def maps(draw, cls, degrees):
+    """A map of small integers: linear, random of a degree in `degrees`, and
+    in the plane also sigma o linear or a translation map."""
+    n = cls.NVARS
+    xs = variables(n)
+    kinds = ["linear", "random"] + (["sigma", "translation"] if n == 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "translation":
+        return draw(st.sampled_from(TRANSLATIONS))
+    small = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n))
+    comps = [linear_form(row, xs) for row in rows]
+    if kind == "sigma" and any(c.num for c in comps):
+        comps = substitute_all(SIGMA.components, comps)
+    elif kind == "random":
+        d = draw(st.sampled_from(degrees))
+        comps = []
+        for _ in range(n):
+            terms = {}
+            for _ in range(draw(st.integers(1, 4))):
+                picks = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+                terms[tuple(picks.count(i) for i in range(n))] = draw(small)
+            comps.append(HomPoly(n, terms))
+    try:
+        return cls(comps)
+    except CremonaError:
+        reject()
+
+
+TRANSLATIONS = [
+    translation_map(curve, pt)
+    for curve, pt in (
+        (CURVE, P),
+        (CURVE, Q),
+        (WeierstrassCurve(0, -2), CurvePoint.affine(3, 5)),
+        (WeierstrassCurve(2, 4), CurvePoint.affine(2, -4)),
+        (WeierstrassCurve(2, 4), CurvePoint.affine(0, 2)),
+    )
+]
+
+
+def spy(monkeypatch, name):
+    """The answers of exact.<name>, recorded."""
+    answers = []
+    real = getattr(exact, name)
+    monkeypatch.setattr(exact, name, lambda *a: answers.append(real(*a)) or answers[-1])
+    return answers
+
+
+class TestComposeOffTheRows:
+    """compose reads the content gcd off the substitution's rows; the
+    reference is the substituted forms through the constructor's gcd, as
+    compose was before.  The rare branches are pinned one by one."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(maps(CremonaMap, (1, 2, 3)), maps(CremonaMap, (1, 2, 3)))
+    def test_plane_maps_match_the_reference(self, f, g):
+        assert outcome(lambda: compose(f, g)) == outcome(lambda: reference_compose(f, g))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(maps(SpaceMap, (1, 2)), maps(SpaceMap, (1, 2)))
+    def test_space_maps_match_the_reference(self, f, g):
+        got = outcome(lambda: compose(f, g))
+        assert got == outcome(lambda: reference_compose(f, g))
+        assert not isinstance(got, CremonaMap) or type(got) is SpaceMap
+
+    def test_threefold_involution_matches_the_reference(self):
+        x0, x1, x2, x3 = variables(4)
+        f, shear = build_involution(desk_instance()), SpaceMap([x0 + x1, x1, x2, x3])
+        for a, b in ((f, shear), (shear, f), (f, f)):
+            assert compose(a, b) == reference_compose(a, b)
+        assert compose(f, f).is_identity
+
+    @pytest.mark.parametrize(
+        "f, g, message",
+        [
+            # (xz - y^2) o (x^2 : xy : y^2) = 0
+            (CremonaMap([x * z - y * y, x * z, y * y]), CremonaMap([x * x, x * y, y * y]), "zero"),
+            # every composed form is a multiple of x^2 y^2
+            (CremonaMap([x * z, y * y, x * z + 2 * y * y]), CremonaMap([x * x, x * y, y * y]),
+             "proportional"),
+            # (z : z : 2z) keeps z: the rows' cofactors are constants, refused
+            # by the constructor's checks
+            (CremonaMap([x, y, x + y]), CremonaMap([z, z, y]), "proportional"),
+        ],
+        ids=["zero", "proportional", "proportional-off-the-rows"],
+    )
+    def test_degenerate_composite_raises_as_before(self, f, g, message):
+        with pytest.raises(CremonaError, match=message) as got:
+            compose(f, g)
+        with pytest.raises(CremonaError) as want:
+            reference_compose(f, g)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_no_second_gcd(self, monkeypatch):
+        # compose16's 16 -> 10: the cofactors come off the rows, canonical,
+        # and the constructor's gcd never runs
+        f, g = phi(Q), phi(P)
+        want = reference_compose(f, g)
+        monkeypatch.setattr(exact, "poly_gcd", None)
+        assert compose(f, g) == want
+
+    def test_common_power_of_the_chart_variable_is_put_back(self):
+        # sigma o g has the content gcd z, which the chart z = 1 does not
+        # see; the cofactors are homogenized to the largest degree, 3
+        g = CremonaMap([z * z + x * y, z * (2 * z + x), z * (3 * z + y)])
+        assert _composed(SIGMA.components, g.components)[1] is exact._canonical_scale
+        h = compose(SIGMA, g)
+        assert h == reference_compose(SIGMA, g) and h.degree == 3
+
+    def test_no_form_keeps_the_chart_vertex(self, monkeypatch):
+        # phi_{-P} o phi_P on y^2 = x^3 + 2x + 4, P = (2, -4): every composed
+        # form vanishes at (0 : 0 : 1), where the Kronecker curve starts, so
+        # no try runs and the constructor's gcd decides
+        curve, pt = WeierstrassCurve(2, 4), CurvePoint.affine(2, -4)
+        f, g = translation_map(curve, neg(curve, pt)), translation_map(curve, pt)
+        calls = spy(monkeypatch, "_form_gcd")
+        forms, normalize = _composed(f.components, g.components)
+        assert normalize is exact.content_normalize and calls == []
+        assert not any((0, 0, 16) in form.num for form in forms)
+        assert compose(f, g).is_identity
+
+    def test_second_try_negates_the_outer_variable(self, monkeypatch):
+        # (x - z)(y - z), z (y - z) and z (x - z) all vanish at (1 : 1 : 1),
+        # where the Kronecker curve passes: the degree check refuses the first
+        # try, and the second, with y negated, is mapped back
+        h = CremonaMap([(x - z) * (y - z), z * (y - z), z * (x - z)])
+        tries = spy(monkeypatch, "_heu_gcd_of")
+        forms, normalize = _composed(h.components, CremonaMap.identity().components)
+        assert len(tries) == 2 and tries[0] is not None
+        assert normalize is exact._canonical_scale and normalize(forms) == list(h.components)
+        assert compose(h, CremonaMap.identity()) == h == compose(CremonaMap.identity(), h)
+
+    def test_packed_values_past_the_bit_limit(self, monkeypatch):
+        # inertia_witness_triple's 10 -> 22 compose on y^2 = x^3 + 1: s B^2
+        # passes _HEU_GCD_BITS, so no try runs and the rows are read
+        inner = compose(phi(Q), phi(P))
+        outer = phi(neg(CURVE, add(CURVE, Q, P)))
+        nvars, s, base, _ = _substitute_rows(outer.components, inner.components)
+        assert s * base ** (nvars - 1) > exact._HEU_GCD_BITS
+        calls = spy(monkeypatch, "_form_gcd")
+        assert _composed(outer.components, inner.components)[1] is exact.content_normalize
+        assert calls == []
+        monkeypatch.undo()
+        h = compose(outer, inner)
+        assert h == inertia_witness_triple(CURVE, P, Q) == reference_compose(outer, inner)
+        assert h.degree == 22
 
 
 class TestNoether:

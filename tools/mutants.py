@@ -40,6 +40,8 @@ _MEMO = "tests/test_cremona.py::TestForestMemo::"
 _SUB = "tests/test_exact.py::TestIntegerKernels::test_substitute_"
 _SIGN = "tests/test_exact.py::TestHeuristicGcd::test_negative_raw_gcd_takes_the_sign"
 _START = "tests/test_sarkisov.py::TestStuckAndCap::test_non_homaloidal_start_is_refused"
+_ROWS = "tests/test_cremona.py::TestComposeOffTheRows::"
+_RETRY = "tests/test_exact.py::TestHeuristicGcd::test_retry_moves_the_curve_off_a_common_zero"
 
 MUTANTS = [
     Mutant(
@@ -132,6 +134,36 @@ MUTANTS = [
         "                num[(*mid, i, rest - i)] = c\n",
         (_SUB + "rows_of_one_digit", _SUB + "rational_maps_and_rational_p",
          _SUB + "involution_squared_cancels"),
+    ),
+    Mutant(
+        "degree-check-dropped",
+        "exact.py",
+        "            if all(dg + max(map(sum, q)) < base for q in qs):\n",
+        "            if True:\n",
+        (_ROWS + "test_second_try_negates_the_outer_variable",
+         _RETRY + "[lines]", _RETRY + "[conics]"),
+    ),
+    Mutant(
+        "negation-not-mapped-back",
+        "exact.py",
+        "c for k, c in _negated(f, lead).items()}",
+        "c for k, c in f.items()}",
+        (_ROWS + "test_second_try_negates_the_outer_variable",
+         _RETRY + "[lines]", _RETRY + "[conics]"),
+    ),
+    Mutant(
+        "compose-homogenized-to-d-minus-deg-g",
+        "exact.py",
+        "    d = max(max(map(sum, q)) for q in found[1])",
+        "    d = base - 1 - max(map(sum, found[0]))",
+        (_ROWS + "test_common_power_of_the_chart_variable_is_put_back",),
+    ),
+    Mutant(
+        "compose-vertex-check-dropped",
+        "exact.py",
+        "\n            and any(acc.get(0, 0) % (1 << s) for acc in accs)):",
+        "):",
+        (_ROWS + "test_no_form_keeps_the_chart_vertex",),
     ),
 ]
 
