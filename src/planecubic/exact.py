@@ -760,43 +760,27 @@ def poly_divide(f: HomPoly, g: HomPoly):
 def rational_roots(*coeff_lists):
     """The rational roots common to every sum(coeffs[k] t^k), ascending.
 
-    Each list is first scaled to integers.  When the lowest-degree list has
-    degree <= 2 its roots come by formula and each is checked against every
-    list.  Otherwise the roots are those of the lists' gcd g, and so of its
-    squarefree part g / gcd(g, g'), both taken by _heu_gcd where it proves
-    its answer: of degree <= 2 it is solved by formula (a constant has no
-    root), and above that factored once over Z by sympy (the integer content
-    the factorization splits off is no factor)."""
+    Each list is first scaled to integers.  The candidates come from one
+    list g: the lowest-degree list, replaced while it has degree > 2 by the
+    lists' gcd and then by its squarefree part g / gcd(g, g'), each where
+    _heu_gcd proves it.  Of degree <= 2 g is solved by formula (a constant
+    has no root), above that factored once over Z by sympy (the integer
+    content the factorization splits off is no factor).  A candidate is
+    kept when it vanishes on every list."""
     if not coeff_lists or not all(any(coeffs) for coeffs in coeff_lists):
         raise ExactError("rational_roots of the zero polynomial")
     ints = [_int_coeffs(coeffs) for coeffs in coeff_lists]
-    low = min(ints, key=len)
-    if len(low) > 3:
-        low = _root_part(ints)
-    if len(low) <= 3:
-        return sorted(r for r in _small_degree_roots(low) if all(_vanishes_at(f, r) for f in ints))
-    roots = set()
-    for fac, _mult in _univariate(low).factor_list()[1]:
-        if fac.degree() == 1:  # a t + b
-            roots.add(Fraction(-int(fac.get((0,), 0)), int(fac[(1,)])))
-    return sorted(roots)
-
-
-def _root_part(ints) -> list:
-    """An integer list with the rational roots of the lists' gcd g: the
-    squarefree part of g where _heu_gcd proves it, else g itself."""
-    g = ints[0]
-    if len(ints) > 1:
-        found = _list_gcd(ints)
-        if found is None:
-            g = reduce(lambda f, h: f.gcd(h), map(_univariate, ints))
-            return [int(c) for c in reversed(g.to_dense())]
-        g = found[0]
-    if len(g) > 3:
-        found = _list_gcd([g, [k * c for k, c in enumerate(g)][1:]])
-        if found is not None:
-            g = found[1][0]
-    return g
+    g = min(ints, key=len)
+    found = len(g) > 3 and len(ints) > 1 and _list_gcd(ints)
+    g = found[0] if found else g
+    found = len(g) > 3 and _list_gcd([g, [k * c for k, c in enumerate(g)][1:]])
+    g = found[1][0] if found else g
+    if len(g) <= 3:
+        candidates = _small_degree_roots(g)
+    else:  # the linear factors a t + b
+        candidates = {Fraction(-int(fac.get((0,), 0)), int(fac[(1,)]))
+                      for fac, _mult in _univariate(g).factor_list()[1] if fac.degree() == 1}
+    return sorted(r for r in candidates if all(_vanishes_at(f, r) for f in ints))
 
 
 def _list_gcd(lists):

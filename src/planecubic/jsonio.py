@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cremona import BubbleForest, CremonaMap, HomaloidalType
 from .elliptic import CurvePoint, WeierstrassCurve
@@ -28,9 +29,9 @@ def _number_from_json(s):
     """A rational as an int when it is a JSON integer or its text is
     -?[0-9]+ (the common case), else as a Fraction; either way it has the
     value Fraction(str(s)) reads.  Only strings and JSON integers are read:
-    a float, a bool or null is rejected, not cast, and so is a decimal
-    exponent above Python's integer-string limit (when it has one), whose
-    value could be neither built quickly nor printed."""
+    a float, a bool or null is rejected, not cast, and so is a value past
+    Python's integer-string limit (when it has one), which could not be
+    printed; an exponent past it is refused before its power is built."""
     if type(s) is int:
         return s
     if type(s) is not str:
@@ -43,9 +44,17 @@ def _number_from_json(s):
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or none before 3.10.7: no limit
         if sep and limit and abs(int(exponent)) > limit:
             raise ValueError(f"exponent above the {limit}-digit integer limit")
-        return Fraction(s)
+        r = Fraction(s)
+        if limit and max(abs(r.numerator), r.denominator) >= _ten_to(limit):
+            raise ValueError(f"more digits than the {limit}-digit integer limit")
+        return r
     except (ValueError, ZeroDivisionError) as e:
         raise DecodeError(f"bad rational {s!r}: {e}")
+
+
+@cache
+def _ten_to(limit: int) -> int:
+    return 10**limit
 
 
 def poly_to_json(p: HomPoly) -> dict:

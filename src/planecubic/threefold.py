@@ -165,14 +165,6 @@ def preserves_quartic(f: SpaceMap, q: QuarticData) -> bool:
     return ok
 
 
-def pullback_quotient(f: SpaceMap, q: QuarticData) -> HomPoly:
-    pullback = substitute(q.D, f.components)
-    quo, ok = poly_divide(pullback, q.D)
-    if not ok:
-        raise ThreefoldError("map does not preserve the quartic")
-    return quo
-
-
 def base_lines(q: QuarticData):
     """The six lines through P joining it to the rational points of
     {A = 0} n {B = 0} in the plane (x1 : x2 : x3).

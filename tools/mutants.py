@@ -42,6 +42,7 @@ _SIGN = "tests/test_exact.py::TestHeuristicGcd::test_negative_raw_gcd_takes_the_
 _START = "tests/test_sarkisov.py::TestStuckAndCap::test_non_homaloidal_start_is_refused"
 _ROWS = "tests/test_cremona.py::TestComposeOffTheRows::"
 _RETRY = "tests/test_exact.py::TestHeuristicGcd::test_retry_moves_the_curve_off_a_common_zero"
+_ROOTS = "tests/test_exact.py::TestRootsOfTheGcd::"
 
 MUTANTS = [
     Mutant(
@@ -164,6 +165,28 @@ MUTANTS = [
         "\n            and any(acc.get(0, 0) % (1 << s) for acc in accs)):",
         "):",
         (_ROWS + "test_no_form_keeps_the_chart_vertex",),
+    ),
+    Mutant(
+        "root-check-dropped",
+        "exact.py",
+        "    return sorted(r for r in candidates if all(_vanishes_at(f, r) for f in ints))\n",
+        "    return sorted(candidates)\n",
+        (_ROOTS + "test_fallback_drops_a_root_another_list_lacks",
+         "tests/test_exact.py::TestSympyBridge::test_no_common_root"),
+    ),
+    Mutant(
+        "squarefree-step-dropped",
+        "exact.py",
+        "    g = found[1][0] if found else g\n",
+        "\n",
+        (_ROOTS + "test_triple_roots_of_the_degree_ten_forest",),
+    ),
+    Mutant(
+        "list-gcd-skipped",
+        "exact.py",
+        "    found = len(g) > 3 and len(ints) > 1 and _list_gcd(ints)\n",
+        "    found = None\n",
+        (_ROOTS + "test_proven_gcd_is_the_list_factored",),
     ),
 ]
 
